@@ -29,11 +29,11 @@ def _fmt(x) -> str:
 
 
 def _write_manifest(out_path: Path, args_ns, outputs, t_start: float,
-                    config_digest: str = "") -> None:
+                    config_digest: str = "", seed=None) -> None:
     manifest = {
         "command_line": " ".join(sys.argv),
         "config_digest": config_digest,
-        "seed": getattr(args_ns, "seed", None),
+        "seed": getattr(args_ns, "seed", None) if seed is None else seed,
         "version": __version__,
         "start_time": t_start,
         "end_time": time.time(),
@@ -75,10 +75,9 @@ def cmd_kernel_scan(ns) -> int:
     for t in ts:
         kv = _kernel.kernel_values(t, XI, ETA)
         env = [_kernel.bound_envelope(i, t, XI, ETA, ns.c_decay) for i in range(1, 9)]
-        A = np.hypot(XI, ETA)
         for i in range(ns.n):
             for j in range(ns.n):
-                rows.append([t, XI[i, j], ETA[i, j], A[i, j], kv.K[i, j],
+                rows.append([t, XI[i, j], ETA[i, j], kv.A[i, j], kv.K[i, j],
                              kv.K1[i, j], kv.dtK[i, j], kv.ddtK[i, j],
                              kv.comp[i, j], kv.comp_x[i, j], kv.dt_comp[i, j]]
                             + [float(e[i, j]) for e in env])
@@ -149,7 +148,8 @@ def cmd_simulate(ns) -> int:
     out.mkdir(parents=True, exist_ok=True)
     record = _solver.simulate(cfg, out_dir=out)
     outputs = [out / "trajectory.csv"]
-    _write_manifest(out / "manifest.json", ns, outputs, t_start, cfg.digest())
+    _write_manifest(out / "manifest.json", ns, outputs, t_start, cfg.digest(),
+                    seed=cfg.seed)
     if record.aborted:
         print(f"run aborted: {record.aborted}", file=sys.stderr)
         return 1
@@ -165,7 +165,7 @@ def cmd_verify(ns) -> int:
             for cid in sorted(_verify.CLAIMS):
                 print(f"  {cid}", file=sys.stderr)
             return 2
-        res = _verify.run_claim(ns.claim)
+        res = _verify.run_claim(ns.claim, seed=ns.seed)
         print(json.dumps(res.to_dict(), indent=2, default=float))
         return 0 if res.verdict in ("PASS", "INFO") else 1
     results = _verify.run_all(report_path=ns.report, seed=ns.seed, threads=ns.threads)
@@ -243,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the nonlinear solver")
     p_sim.add_argument("--config", default="", help="config JSON path")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="unused when a config file is given")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="inequality verification suites")

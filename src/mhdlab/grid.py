@@ -30,6 +30,7 @@ __all__ = [
     "sobolev_norm",
     "mixed_norm_L2x_Linfy",
     "x_norm_snapshot",
+    "x_param_problems",
     "bump_chi",
     "save_field",
     "load_field",
@@ -369,21 +370,26 @@ class XNormBreakdown:
         return (1.0 + self.t**2) ** (self.weights[name] / 2.0) * self.entries[name]
 
 
-def _check_x_params(M: int, eps: float, gamma: float, gamma_bar: float) -> None:
+def x_param_problems(M: int, eps: float, gamma: float, gamma_bar: float) -> list[str]:
+    """Every violated constraint on the working-space norm parameters, by name."""
+    problems = []
     if not (0.5 < gamma <= 1.0):
-        raise GridError(f"gamma={gamma} outside (1/2, 1]")
+        problems.append(f"gamma: {gamma} outside (1/2, 1]")
     if not (gamma / 2.0 < gamma_bar < 1.0 + gamma / 2.0):
-        raise GridError(f"gamma_bar={gamma_bar} outside (gamma/2, 1+gamma/2)")
+        problems.append(f"gamma_bar: {gamma_bar} outside (gamma/2, 1+gamma/2)")
     if M < 8:
-        raise GridError(f"M={M} below 8")
-    if eps <= 0:
-        raise GridError(f"eps={eps} must be positive")
+        problems.append(f"M: {M} below 8")
+    if not eps > 0:
+        problems.append(f"eps: {eps} must be positive")
+    return problems
 
 
 def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float = 0.01,
                     gamma: float = 0.75, gamma_bar: float = 1.0) -> XNormBreakdown:
     """Evaluate every summand of the three working-space norms at time t."""
-    _check_x_params(M, eps, gamma, gamma_bar)
+    problems = x_param_problems(M, eps, gamma, gamma_bar)
+    if problems:
+        raise GridError("; ".join(problems))
     n, u, v, psi = state.fields
     g = state.grid
     inf = np.inf

@@ -73,6 +73,7 @@ def spectral_point(xi: float, eta: float) -> SpectralPoint:
 
 
 def _split_bc(xi, eta):
+    """A = |(xi, eta)|, b = A^4/4 - A^2 and c = A|eta|, elementwise."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     A = np.hypot(xi, eta)
@@ -289,11 +290,13 @@ class KernelValues:
     ``comp`` is the second-order combination (d_tt + A^2 d_t + A^2) applied to
     the kernel, ``comp_x`` replaces the zeroth-order A^2 by xi^2, and the
     ``dt_``/``ddt_`` prefixes are time derivatives of those combinations.
+    ``A`` is the mode radius hypot(xi, eta).
     """
 
     t: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
+    A: np.ndarray
     K: np.ndarray
     K1: np.ndarray
     dtK: np.ndarray
@@ -328,15 +331,17 @@ def k1_hat(t, xi, eta):
     return _as_result(0.5 * (hp + hm), scalar)
 
 
-def kernel_values(t, xi, eta) -> KernelValues:
-    """Evaluate every kernel symbol at (t, xi, eta); inputs broadcast."""
+def _evaluate(t, xi, eta):
+    """Kernel values of one batch and the damped branch pairs they are built from.
+
+    Returns ``(kv, (b, c, gp, hp, gm, hm))`` where (gp, hp) and (gm, hm) are
+    the damped (sinch, coshc) pairs at z = b + c and z = b - c.
+    """
     t_, xi_, eta_ = np.broadcast_arrays(
         np.asarray(t, dtype=float), np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
     )
-    A = np.hypot(xi_, eta_)
+    A, b, c = _split_bc(xi_, eta_)
     a2 = A * A
-    b = 0.25 * a2 * a2 - a2
-    c = A * np.abs(eta_)
     a = 0.5 * a2
 
     gp, hp = _damped_pair(b + c, a, t_, a2mz=a2 - c)
@@ -354,16 +359,22 @@ def kernel_values(t, xi, eta) -> KernelValues:
     dtK1 = -a * K1 + 0.5 * ((b + c) * gp + (b - c) * gm)
     ddt_comp = -a * dt_comp + dtK1
 
-    return KernelValues(
-        t=t_, xi=xi_, eta=eta_,
+    kv = KernelValues(
+        t=t_, xi=xi_, eta=eta_, A=A,
         K=K, K1=K1, dtK=dtK, ddtK=ddtK,
         comp=comp, comp_x=comp_x, dt_comp=dt_comp, ddt_comp=ddt_comp,
         dtK1=dtK1,
     )
+    return kv, (b, c, gp, hp, gm, hm)
 
 
-def noise_floors(t, xi, eta, rel: float = 1e-10) -> dict:
-    """Per-symbol rounding floors for pointwise scans.
+def kernel_values(t, xi, eta) -> KernelValues:
+    """Evaluate every kernel symbol at (t, xi, eta); inputs broadcast."""
+    return _evaluate(t, xi, eta)[0]
+
+
+def noise_floors(t, xi, eta, rel: float = 1e-10) -> tuple[KernelValues, dict]:
+    """Kernel values of a batch and their rounding floors, from one evaluation.
 
     Each kernel symbol is assembled from the damped exponential-branch values;
     where a combination cancels (e.g. the second time derivative at large A),
@@ -372,17 +383,11 @@ def noise_floors(t, xi, eta, rel: float = 1e-10) -> dict:
     symbol magnitudes so that rounding noise deep below scale is not compared
     against legitimately tiny bounds.
     """
-    t_, xi_, eta_ = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
-    )
-    A = np.hypot(xi_, eta_)
-    a2 = A * A
-    b = 0.25 * a2 * a2 - a2
-    c = A * np.abs(eta_)
+    kv, (b, c, gp, hp, gm, hm) = _evaluate(t, xi, eta)
+    a2 = kv.A * kv.A
     a = 0.5 * a2
-    gp, hp = _damped_pair(b + c, a, t_, a2mz=a2 - c)
-    gm, hm = _damped_pair(b - c, a, t_, a2mz=a2 + c)
-    kv = kernel_values(t_, xi_, eta_)
+    eta2 = kv.eta * kv.eta
+    # the coshc divided difference as recovered from the assembled symbols
     dd_cosh = kv.dtK + a * kv.K
 
     p_scale = 0.5 * (np.abs(gp) + np.abs(gm))
@@ -394,13 +399,13 @@ def noise_floors(t, xi, eta, rel: float = 1e-10) -> dict:
     f_K1 = rel * h_scale
     f_dt_comp = a * f_comp + f_K1
     f_ddtK = f_comp + a2 * f_dtK + a2 * f_K
-    f_comp_x = f_comp + eta_ * eta_ * f_K
+    f_comp_x = f_comp + eta2 * f_K
     f_dtK1 = a * f_K1 + rel * z_scale
     f_ddt_comp = a * f_dt_comp + f_dtK1
-    return {
+    return kv, {
         "K": f_K, "dtK": f_dtK, "ddtK": f_ddtK, "comp": f_comp,
         "comp_x": f_comp_x, "dt_comp": f_dt_comp, "ddt_comp": f_ddt_comp,
-        "K1": f_K1, "est8": f_dt_comp + eta_ * eta_ * f_dtK,
+        "K1": f_K1, "est8": f_dt_comp + eta2 * f_dtK,
     }
 
 

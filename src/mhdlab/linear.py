@@ -249,8 +249,7 @@ def semigroup_matrix(t, xi, eta) -> np.ndarray:
     """Complex 4x4 multiplier matrix of the kernel semigroup; broadcasts to
     shape (..., 4, 4) over array-valued (xi, eta)."""
     kv = kernel_values(t, xi, eta)
-    xi_, eta_ = kv.xi, kv.eta
-    A = np.hypot(xi_, eta_)
+    xi_, eta_, A = kv.xi, kv.eta, kv.A
     A2 = A * A
     shape = np.broadcast(xi_, eta_).shape
     out = np.empty(shape + (4, 4), dtype=complex)
@@ -520,54 +519,49 @@ def _mixed_cartesian(symbol_fn, t: float, region, q_xi: float, q_eta: float,
     return (2.0 * float(np.sum(xi_w * inner**q_xi))) ** (1.0 / q_xi)
 
 
-# Registered symbols.  Each entry maps to a plain function of (t, xi, eta)
-# returning the (real) symbol magnitude source; names describe the operator
-# combination they front.
-def _sym(field_name: str, pre=None):
+# Registered symbols.  Each entry maps a name to an expression of the batch's
+# kernel values (see kernel.KernelValues); the registry wraps it as a plain
+# function of (t, xi, eta) returning the real symbol.  Names describe the
+# operator combination they front.  Two spellings of A^2 are in use, hypot
+# squared (A * A) and xi^2 + eta^2, which can differ in the last bit; each
+# entry keeps its own so that its values stay unchanged.
+def _a2(kv):
+    return kv.xi**2 + kv.eta**2
+
+
+def _symbol(expr):
     def fn(t, xi, eta):
-        kv = kernel_values(t, xi, eta)
-        base = getattr(kv, field_name)
-        if pre is None:
-            return base
-        A = np.hypot(kv.xi, kv.eta)
-        return pre(kv.xi, kv.eta, A) * base
+        return expr(kernel_values(t, xi, eta))
     return fn
 
 
-SYMBOLS = {
-    "K": _sym("K"),
-    "A4K": _sym("K", lambda x, e, A: A**4),
-    "xietaK": _sym("K", lambda x, e, A: np.abs(x * e)),
-    "xietaAK": _sym("K", lambda x, e, A: np.abs(x * e) * A),
-    "Axi2etaK": _sym("K", lambda x, e, A: A * x * x * np.abs(e)),
-    "visc_wave_K": _sym("K", lambda x, e, A: A * A * (A * A - A * np.abs(e))),
-    "etadtK": _sym("dtK", lambda x, e, A: np.abs(e)),
-    "AetadtK": _sym("dtK", lambda x, e, A: A * np.abs(e)),
-    "comp": _sym("comp"),
-    "A2comp": _sym("comp", lambda x, e, A: A * A),
-    "xicomp": _sym("comp", lambda x, e, A: np.abs(x)),
-    "xi2comp": _sym("comp", lambda x, e, A: x * x),
-    "comp_x": _sym("comp_x"),
-    "Acomp_x": _sym("comp_x", lambda x, e, A: A),
-    "dt_comp": _sym("dt_comp"),
-    "Axidt_comp": _sym("dt_comp", lambda x, e, A: A * np.abs(x)),
-    "K1": _sym("K1"),
-    "xiK1": _sym("K1", lambda x, e, A: np.abs(x)),
-}
-
-
-def _eta_ddtK_plus(t, xi, eta):
-    kv = kernel_values(t, xi, eta)
-    return np.abs(kv.eta) * kv.ddtK
-
-
-def _wave4_ddt(t, xi, eta):
-    kv = kernel_values(t, xi, eta)
-    return kv.ddt_comp + np.asarray(eta) ** 2 * kv.ddtK
-
-
-SYMBOLS["eta_ddtK"] = _eta_ddtK_plus
-SYMBOLS["wave4_ddt"] = _wave4_ddt
+SYMBOLS = {name: _symbol(expr) for name, expr in {
+    "K": lambda kv: kv.K,
+    "A4K": lambda kv: kv.A**4 * kv.K,
+    "xietaK": lambda kv: np.abs(kv.xi * kv.eta) * kv.K,
+    "xietaAK": lambda kv: np.abs(kv.xi * kv.eta) * kv.A * kv.K,
+    "Axi2etaK": lambda kv: kv.A * kv.xi * kv.xi * np.abs(kv.eta) * kv.K,
+    "visc_wave_K": lambda kv: kv.A * kv.A * (kv.A * kv.A - kv.A * np.abs(kv.eta)) * kv.K,
+    "etadtK": lambda kv: np.abs(kv.eta) * kv.dtK,
+    "AetadtK": lambda kv: kv.A * np.abs(kv.eta) * kv.dtK,
+    "A2etadtK": lambda kv: _a2(kv) * np.abs(kv.eta) * kv.dtK,
+    "Aeta_wavetK": lambda kv: kv.A * np.abs(kv.eta) * (kv.comp - kv.A * kv.A * kv.K),
+    "A2_wavetK": lambda kv: _a2(kv) * (kv.comp - _a2(kv) * kv.K),
+    "comp": lambda kv: kv.comp,
+    "A2comp": lambda kv: kv.A * kv.A * kv.comp,
+    "xicomp": lambda kv: np.abs(kv.xi) * kv.comp,
+    "xi2comp": lambda kv: kv.xi * kv.xi * kv.comp,
+    "comp_x": lambda kv: kv.comp_x,
+    "Acomp_x": lambda kv: kv.A * kv.comp_x,
+    "dt_comp": lambda kv: kv.dt_comp,
+    "Axidt_comp": lambda kv: kv.A * np.abs(kv.xi) * kv.dt_comp,
+    "A2xidt_comp": lambda kv: _a2(kv) * np.abs(kv.xi) * kv.dt_comp,
+    "eta_ddtK": lambda kv: np.abs(kv.eta) * kv.ddtK,
+    "wave4_ddt": lambda kv: kv.ddt_comp + kv.eta**2 * kv.ddtK,
+    "wave4_ddt_H2": lambda kv: (1.0 + _a2(kv)) * (kv.ddt_comp + kv.eta**2 * kv.ddtK),
+    "K1": lambda kv: kv.K1,
+    "xiK1": lambda kv: np.abs(kv.xi) * kv.K1,
+}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -660,42 +654,6 @@ PROPAGATORS = {
     "kn9L": ("wave4_ddt_H2", "l2", -0.5),
     "k1L": ("K1", "l2", -0.25),
 }
-
-
-def _add_extra_symbols():
-    def a2etadtk(t, xi, eta):
-        kv = kernel_values(t, xi, eta)
-        A2 = kv.xi**2 + kv.eta**2
-        return A2 * np.abs(kv.eta) * kv.dtK
-
-    def aeta_wavet(t, xi, eta):
-        kv = kernel_values(t, xi, eta)
-        A = np.hypot(kv.xi, kv.eta)
-        return A * np.abs(kv.eta) * (kv.comp - A * A * kv.K)
-
-    def a2_wavet(t, xi, eta):
-        kv = kernel_values(t, xi, eta)
-        A2 = kv.xi**2 + kv.eta**2
-        return A2 * (kv.comp - A2 * kv.K)
-
-    def a2xidt_comp(t, xi, eta):
-        kv = kernel_values(t, xi, eta)
-        A2 = kv.xi**2 + kv.eta**2
-        return A2 * np.abs(kv.xi) * kv.dt_comp
-
-    def wave4_ddt_h2(t, xi, eta):
-        kv = kernel_values(t, xi, eta)
-        A2 = kv.xi**2 + kv.eta**2
-        return (1.0 + A2) * (kv.ddt_comp + kv.eta**2 * kv.ddtK)
-
-    SYMBOLS["A2etadtK"] = a2etadtk
-    SYMBOLS["Aeta_wavetK"] = aeta_wavet
-    SYMBOLS["A2_wavetK"] = a2_wavet
-    SYMBOLS["A2xidt_comp"] = a2xidt_comp
-    SYMBOLS["wave4_ddt_H2"] = wave4_ddt_h2
-
-
-_add_extra_symbols()
 
 
 def propagator_decay_experiment(prop_id: str, init: str = "gaussian",

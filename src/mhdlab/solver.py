@@ -32,7 +32,6 @@ __all__ = [
     "initial_data",
     "nonlinear_terms",
     "Stepper",
-    "step_etd",
     "simulate",
     "reconstruct_b",
 ]
@@ -100,16 +99,7 @@ class SolverConfig:
                 problems.append(f"{name}: {val} must be positive")
         if self.init_spec not in ("gaussian", "random"):
             problems.append(f"init_spec: {self.init_spec!r} not in ('gaussian', 'random')")
-        try:
-            _grid.x_norm_snapshot  # params checked at snapshot time too
-            if not (0.5 < self.gamma <= 1.0):
-                problems.append(f"gamma: {self.gamma} outside (1/2, 1]")
-            if not (self.gamma / 2 < self.gamma_bar < 1 + self.gamma / 2):
-                problems.append(f"gamma_bar: {self.gamma_bar} outside (gamma/2, 1+gamma/2)")
-            if self.M < 8:
-                problems.append(f"M: {self.M} below 8")
-        except Exception:  # pragma: no cover
-            pass
+        problems += _grid.x_param_problems(self.M, self.eps, self.gamma, self.gamma_bar)
         if problems:
             raise ConfigError(problems)
 
@@ -150,7 +140,6 @@ class TrajectoryRecord:
     snapshots: list = field(default_factory=list)
     mass: list = field(default_factory=list)
     energy: list = field(default_factory=list)
-    max_n: list = field(default_factory=list)
     sup_n: list = field(default_factory=list)
     sup_u: list = field(default_factory=list)
     sup_grad_psi: list = field(default_factory=list)
@@ -161,7 +150,9 @@ class TrajectoryRecord:
         header += list(_grid.X_ENTRY_WEIGHTS)
         yield header
         for i, t in enumerate(self.times):
-            row = [t, self.mass[i], self.energy[i], self.max_n[i],
+            # max_abs_n and sup_n carry the same value; both columns stay
+            # for readers of the published header
+            row = [t, self.mass[i], self.energy[i], self.sup_n[i],
                    self.sup_n[i], self.sup_u[i], self.sup_grad_psi[i]]
             row += [self.snapshots[i].entries[k] for k in _grid.X_ENTRY_WEIGHTS]
             yield row
@@ -175,12 +166,11 @@ def x0_surrogate(state: PerturbationState, M: int = 8) -> float:
     """Initial-data size: H^M of (n, u, grad psi) plus W^{5,1} of the same."""
     n, u, v, psi = state.fields
     comps = [n, u, v, _grid.deriv_x(psi), _grid.deriv_y(psi)]
-    hm = math.sqrt(fsum([_grid.sobolev_norm(f, M) ** 2 for f in comps]))
     mags = np.sqrt(sum(
         _grid.apply_multiplier(f, (1.0 + f.grid.A**2) ** 2.5).to_physical() ** 2
         for f in comps))
     l1 = state.grid.dx * state.grid.dy * fsum(mags)
-    return hm + l1
+    return energy_hm(state, M) + l1
 
 
 def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
@@ -362,13 +352,6 @@ class Stepper:
         return PerturbationState.from_stack(g, out)
 
 
-def step_etd(state: PerturbationState, dt: float, lam: float = 0.0,
-             nonlinear: bool = True, lambda_in_linear: bool = True) -> PerturbationState:
-    """One exponential step (convenience wrapper building a fresh Stepper)."""
-    return Stepper(state.grid, dt, lam,
-                   lambda_in_linear=lambda_in_linear).step(state, nonlinear=nonlinear)
-
-
 def energy_hm(state: PerturbationState, M: int = 8) -> float:
     """H^M size of (n, u, grad psi), the monitored energy functional."""
     n, u, v, psi = state.fields
@@ -413,7 +396,6 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
         record.mass.append(float(st.n.coeffs[0, 0].real))
         record.energy.append(energy_hm(st, config.M))
         sup_n, sup_u, sup_g = _sup_fields(st)
-        record.max_n.append(sup_n)
         record.sup_n.append(sup_n)
         record.sup_u.append(sup_u)
         record.sup_grad_psi.append(sup_g)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "run_all",
     "run_claim",
     "CLAIMS",
+    "SEEDED_CLAIMS",
     "BASIC_QUAD_CLAIMS",
 ]
 
@@ -78,18 +80,25 @@ def _ratio_scan(lhs, rhs, coords) -> tuple[float, dict]:
 # ---------------------------------------------------------------------------
 # Pointwise kernel estimates
 
-_EST_FIELD = {1: "K", 2: "dtK", 3: "ddtK", 4: "comp", 5: "dt_comp",
-              6: "ddt_comp", 7: "comp_x", 8: None}
+# estimate id -> (left-hand-side symbol of the kernel values, key of its
+# rounding floor in kernel.noise_floors)
+_ESTIMATES = {
+    1: (lambda kv: kv.K, "K"),
+    2: (lambda kv: kv.dtK, "dtK"),
+    3: (lambda kv: kv.ddtK, "ddtK"),
+    4: (lambda kv: kv.comp, "comp"),
+    5: (lambda kv: kv.dt_comp, "dt_comp"),
+    6: (lambda kv: kv.ddt_comp, "ddt_comp"),
+    7: (lambda kv: kv.comp_x, "comp_x"),
+    8: (lambda kv: kv.dt_comp - kv.eta**2 * kv.dtK, "est8"),
+}
 
 
-def _est_lhs(which: int, kv: _kernel.KernelValues) -> np.ndarray:
-    if which == 8:
-        return np.abs(kv.dt_comp - kv.eta**2 * kv.dtK)
-    return np.abs(getattr(kv, _EST_FIELD[which]))
-
-
-_EST_FLOOR_KEY = {1: "K", 2: "dtK", 3: "ddtK", 4: "comp", 5: "dt_comp",
-                  6: "ddt_comp", 7: "comp_x", 8: "est8"}
+def _est_lhs(which: int, t, xi, eta) -> np.ndarray:
+    """|symbol| of estimate `which` less its rounding floor, clipped at 0."""
+    symbol, floor_key = _ESTIMATES[which]
+    kv, floors = _kernel.noise_floors(t, xi, eta)
+    return np.maximum(np.abs(symbol(kv)) - floors[floor_key], 0.0)
 
 
 def scan_kernel_bounds(which: int, n_t: int = 12, n_a: int = 24, n_angle: int = 32,
@@ -112,9 +121,7 @@ def scan_kernel_bounds(which: int, n_t: int = 12, n_a: int = 24, n_angle: int = 
         eta = AA * np.sin(TH)
         best, worst = 0.0, {}
         for t in ts:
-            kv = _kernel.kernel_values(t, xi, eta)
-            floor = _kernel.noise_floors(t, xi, eta)[_EST_FLOOR_KEY[which]]
-            lhs = np.maximum(_est_lhs(which, kv) - floor, 0.0)
+            lhs = _est_lhs(which, t, xi, eta)
             rhs = _kernel.bound_envelope(which, t, xi, eta, c_decay)
             r, w = _ratio_scan(lhs, rhs, {"t": t * np.ones_like(xi), "xi": xi, "eta": eta})
             if r > best:
@@ -132,9 +139,7 @@ def reevaluate_kernel_bound(which: int, worst: dict,
                             c_decay: float = _kernel.DEFAULT_C_DECAY) -> float:
     """Standalone re-evaluation of a recorded worst case (reproducibility)."""
     t, xi, eta = worst["t"], worst["xi"], worst["eta"]
-    kv = _kernel.kernel_values(t, xi, eta)
-    floor = float(_kernel.noise_floors(t, xi, eta)[_EST_FLOOR_KEY[which]])
-    lhs = max(float(_est_lhs(which, kv)) - floor, 0.0)
+    lhs = float(_est_lhs(which, t, xi, eta))
     rhs = float(_kernel.bound_envelope(which, t, xi, eta, c_decay))
     return 0.0 if lhs == 0.0 else lhs / rhs
 
@@ -154,7 +159,6 @@ def elem1_ratio(b, c, t):
     bc = b + c
     neg = bc < 0.0
     out = np.empty(b.shape, dtype=float)
-    t3 = t**3
     if neg.any():
         bb, cc, tt = b[neg], c[neg], t[neg]
         lhs = np.abs(4.0 * _kernel._dd_damped("sinch", bb, cc, tt, 0.0))
@@ -172,7 +176,6 @@ def elem1_ratio(b, c, t):
                           / np.where(bb + cc > 0, bb + cc, 1.0), np.inf)
         rhs = np.minimum(tt**3, np.minimum(m1, m2))
         out[pos] = np.where(lhs == 0.0, 0.0, lhs / rhs)
-    del t3
     return out
 
 
@@ -441,7 +444,7 @@ def check_kn3_open(t_grid=None) -> ScanResult:
 
     def sym(t, xi, eta):
         kv = _kernel.kernel_values(t, xi, eta)
-        return np.hypot(kv.xi, kv.eta) * np.abs(kv.xi) * kv.comp
+        return kv.A * np.abs(kv.xi) * kv.comp
 
     vals_le1 = [_linear._mixed_cartesian(sym, t, "le1", 2.0, np.inf, 2) for t in t_grid]
     vals_ann = [_linear._mixed_cartesian(sym, t, ("annulus", 1.0), 2.0, np.inf, 2) for t in t_grid]
@@ -454,24 +457,10 @@ def check_kn3_open(t_grid=None) -> ScanResult:
 
 
 CLAIMS = {
-    "prop31_est1": lambda **kw: scan_kernel_bounds(1, **kw),
-    "prop31_est2": lambda **kw: scan_kernel_bounds(2, **kw),
-    "prop31_est3": lambda **kw: scan_kernel_bounds(3, **kw),
-    "prop31_est4": lambda **kw: scan_kernel_bounds(4, **kw),
-    "prop31_est5": lambda **kw: scan_kernel_bounds(5, **kw),
-    "prop31_est6": lambda **kw: scan_kernel_bounds(6, **kw),
-    "prop31_est7": lambda **kw: scan_kernel_bounds(7, **kw),
-    "prop31_est8": lambda **kw: scan_kernel_bounds(8, **kw),
+    **{f"prop31_est{k}": partial(scan_kernel_bounds, k) for k in range(1, 9)},
     "elem1": check_elem1,
     "sin_ratio": check_sin_ratio,
-    "quad:est_At": lambda **kw: check_basic_quadrature("est_At", **kw),
-    "quad:est_At_b1": lambda **kw: check_basic_quadrature("est_At_b1", **kw),
-    "quad:est_Axit1": lambda **kw: check_basic_quadrature("est_Axit1", **kw),
-    "quad:est_Axit2": lambda **kw: check_basic_quadrature("est_Axit2", **kw),
-    "quad:est_At2": lambda **kw: check_basic_quadrature("est_At2", **kw),
-    "quad:est_Axit3": lambda **kw: check_basic_quadrature("est_Axit3", **kw),
-    "quad:est_Axit4": lambda **kw: check_basic_quadrature("est_Axit4", **kw),
-    "quad:est_Axit5": lambda **kw: check_basic_quadrature("est_Axit5", **kw),
+    **{f"quad:{c}": partial(check_basic_quadrature, c) for c in BASIC_QUAD_CLAIMS},
     "projector_dt": check_projector_derivative,
     "nash": check_nash_anisotropic,
     "oracle": check_oracle,
@@ -479,10 +468,16 @@ CLAIMS = {
     "kn3_open": check_kn3_open,
 }
 
+# Claims whose checker draws random samples and takes a `seed`.
+SEEDED_CLAIMS = frozenset({"elem1", "sin_ratio", "projector_dt", "nash", "oracle"})
 
-def run_claim(claim_id: str, **kwargs) -> ScanResult:
+
+def run_claim(claim_id: str, seed: int = 0, **kwargs) -> ScanResult:
+    """Run one claim; `seed` reaches the checkers of SEEDED_CLAIMS only."""
     if claim_id not in CLAIMS:
         raise KeyError(f"unknown claim {claim_id!r}; known: {sorted(CLAIMS)}")
+    if claim_id in SEEDED_CLAIMS:
+        kwargs["seed"] = seed
     return CLAIMS[claim_id](**kwargs)
 
 
@@ -491,24 +486,13 @@ def run_all(report_path=None, seed: int = 0, threads: int = 1) -> dict:
 
     Exit-status semantics are the caller's: any FAIL verdict means failure.
     """
-    results: dict[str, ScanResult] = {}
     ids = sorted(CLAIMS)
-
-    def run_one(cid):
-        fn = CLAIMS[cid]
-        try:
-            return fn(seed=seed)  # type: ignore[call-arg]
-        except TypeError:
-            return fn()
-
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for cid, res in zip(ids, pool.map(run_one, ids)):
-                results[cid] = res
+            results = dict(zip(ids, pool.map(lambda cid: run_claim(cid, seed), ids)))
     else:
-        for cid in ids:
-            results[cid] = run_one(cid)
+        results = {cid: run_claim(cid, seed) for cid in ids}
     if report_path is not None:
         payload = {cid: res.to_dict() for cid, res in sorted(results.items())}
         Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mhdlab import cli
+from mhdlab import cli, verify
 
 
 def run_cli(argv, capsys):
@@ -100,6 +100,7 @@ class TestSimulate:
         assert len(rows) == 1 + 1 + int(1.0 / 0.5)  # header + t=0 + cadence rows
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_digest"]
+        assert manifest["seed"] == 3  # the config's seed
 
     def test_invalid_lambda_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -108,6 +109,14 @@ class TestSimulate:
                                 "--out", str(tmp_path / "x")], capsys)
         assert code == 2
         assert "lambda" in err
+
+    def test_nonpositive_eps_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, eps=0.0)
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "eps" in err
+        assert not out.exists()
 
     def test_deterministic_digest(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -125,6 +134,16 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(text)
         assert payload["verdict"] == "PASS"
+
+    def test_seed_option_reaches_claim(self, capsys):
+        code, text, _ = run_cli(["verify", "one", "--claim", "elem1", "--seed", "3"], capsys)
+        assert code == 0
+
+        def as_json(res):
+            return json.loads(json.dumps(res.to_dict(), default=float))
+
+        assert json.loads(text) == as_json(verify.check_elem1(seed=3))
+        assert json.loads(text) != as_json(verify.check_elem1(seed=0))
 
     def test_unknown_claim_exit_2(self, capsys):
         code, _, err = run_cli(["verify", "one", "--claim", "bogus"], capsys)

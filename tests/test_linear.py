@@ -205,6 +205,24 @@ class TestMutationSensitivity:
         assert res["max_rel_err"] <= 1e-8
 
 
+class TestSymbolRegistry:
+    def test_propagator_symbols_registered(self):
+        missing = {p: sym for p, (sym, _, _) in ln.PROPAGATORS.items()
+                   if sym not in ln.SYMBOLS}
+        assert missing == {}
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1e4])
+    @pytest.mark.parametrize("name", sorted(ln.SYMBOLS))
+    def test_finite_real_on_degenerate_modes(self, name, t):
+        # A = 0, xi = 0 and eta = 0 rows next to generic modes
+        xi = np.array([[0.0, 0.0, 1.3, 1e-4], [0.0, 2.0, -0.7, 40.0]])
+        eta = np.array([[0.0, 0.5, 0.0, 1e-4], [-3.0, 0.0, 0.2, -15.0]])
+        vals = ln.SYMBOLS[name](t, xi, eta)
+        assert vals.shape == xi.shape
+        assert vals.dtype == np.float64
+        assert np.all(np.isfinite(vals))
+
+
 class TestSymbolNorms:
     def test_sup_norm_zero_at_t_zero(self):
         assert ln.symbol_norm("A4K", "le1", np.inf, np.inf, 0.0) == 0.0

@@ -42,6 +42,20 @@ class TestConfig:
         cfg = sv.SolverConfig.from_json(path)
         assert cfg.lam == 0.2 and cfg.init_spec == "random"
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig(eps=eps).validate()
+        assert any(p.startswith("eps") for p in err.value.problems)
+        with pytest.raises(sv.ConfigError, match="eps"):
+            sv.SolverConfig.from_json({"eps": eps})
+
+    def test_working_space_problems_listed_together(self):
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig(gamma=0.4, gamma_bar=2.0, M=4, eps=0.0).validate()
+        fields = sorted(p.split(":")[0] for p in err.value.problems)
+        assert fields == ["M", "eps", "gamma", "gamma_bar"]
+
     def test_from_json_unknown_field(self):
         with pytest.raises(sv.ConfigError, match="unknown field"):
             sv.SolverConfig.from_json({"bogus": 1})
@@ -145,7 +159,7 @@ class TestStepper:
         assert np.max(np.abs(one.stack() - ref)) <= 1e-12
 
     def test_zero_state_fixed_point(self, grid32):
-        out = sv.step_etd(gr.PerturbationState.zeros(grid32), 0.1)
+        out = sv.Stepper(grid32, 0.1).step(gr.PerturbationState.zeros(grid32))
         assert np.max(np.abs(out.stack())) == 0.0
 
     def test_second_order_convergence(self):

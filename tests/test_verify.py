@@ -35,6 +35,18 @@ class TestKernelBoundScans:
         assert np.isfinite(kv.K) and np.isfinite(rhs)
         assert abs(kv.K) <= 1e3 * rhs
 
+    @pytest.mark.parametrize("t", [0.0, 0.5, 30.0])
+    def test_scan_symbols_are_kernel_values(self, t):
+        # the scans read their symbols from noise_floors' single evaluation
+        AA, TH = np.meshgrid(np.geomspace(1e-4, 1e3, 12), np.linspace(0, np.pi / 2, 7),
+                             indexing="ij")
+        xi, eta = AA * np.cos(TH), AA * np.sin(TH)
+        kv, floors = kr.noise_floors(t, xi, eta)
+        ref = kr.kernel_values(t, xi, eta)
+        for name in kr.KernelValues.__dataclass_fields__:
+            assert getattr(kv, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert all(f.shape == xi.shape for f in floors.values())
+
     def test_bitwise_reproducible(self):
         a = vf.scan_kernel_bounds(2, n_t=6, n_a=8, n_angle=8)
         b = vf.scan_kernel_bounds(2, n_t=6, n_a=8, n_angle=8)
@@ -162,6 +174,28 @@ class TestNash:
         assert got_lhs == pytest.approx(lhs, rel=1e-12)
         ratio = got_lhs / (math.sqrt(r1) * math.sqrt(r2))
         assert 0.0 < ratio < 100.0
+
+
+class TestRunClaim:
+    def test_seed_not_passed_to_unseeded_claims(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(vf.CLAIMS, "charpoly", lambda **kw: calls.append(kw) or "ok")
+        assert vf.run_claim("charpoly", seed=5) == "ok"
+        assert calls == [{}]
+
+    def test_type_error_inside_checker_propagates(self, monkeypatch):
+        calls = []
+
+        def broken(seed=0):
+            calls.append(seed)
+            if len(calls) == 1:
+                raise TypeError("inside the checker")
+            return vf.check_sin_ratio(samples=10)
+
+        monkeypatch.setattr(vf, "CLAIMS", {"elem1": broken})
+        with pytest.raises(TypeError, match="inside the checker"):
+            vf.run_all(seed=1)
+        assert calls == [1]  # not rerun without its seed
 
 
 class TestRunAll:
