@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import write_manifest
 from . import kernel as _kernel
 from . import linear as _linear
 from . import solver as _solver
@@ -28,18 +28,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_manifest(out_path: Path, args_ns, outputs, t_start: float,
+def _write_manifest(out_path: Path, ns, outputs, t_start: float,
                     config_digest: str = "", seed=None) -> None:
-    manifest = {
-        "command_line": " ".join(sys.argv),
-        "config_digest": config_digest,
-        "seed": getattr(args_ns, "seed", None) if seed is None else seed,
-        "version": __version__,
-        "start_time": t_start,
-        "end_time": time.time(),
-        "outputs": [str(p) for p in outputs],
-    }
-    out_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    """The command's manifest; the digest defaults to that of its arguments."""
+    write_manifest(out_path, outputs, command_line=" ".join(sys.argv),
+                   config_digest=config_digest or _digest_args(ns),
+                   seed=getattr(ns, "seed", None) if seed is None else seed,
+                   start_time=t_start, end_time=time.time())
 
 
 def _digest_args(ns: argparse.Namespace) -> str:
@@ -47,15 +42,19 @@ def _digest_args(ns: argparse.Namespace) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
 
 
-def _emit_csv(rows, out: str, sidecar_args, t_start) -> None:
+def _csv_manifest_path(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".manifest.json")
+
+
+def _emit_csv(rows, out: str) -> list[Path]:
+    """Write rows to `out` ("-" is stdout); returns the files written."""
     text = "\n".join(",".join(_fmt(x) for x in row) for row in rows) + "\n"
     if out == "-":
         sys.stdout.write(text)
-        return
+        return []
     path = Path(out)
     path.write_text(text)
-    _write_manifest(path.with_suffix(path.suffix + ".manifest.json"),
-                    sidecar_args, [path], t_start, _digest_args(sidecar_args))
+    return [path]
 
 
 def _parse_float_list(text: str):
@@ -81,7 +80,9 @@ def cmd_kernel_scan(ns) -> int:
                              kv.K1[i, j], kv.dtK[i, j], kv.ddtK[i, j],
                              kv.comp[i, j], kv.comp_x[i, j], kv.dt_comp[i, j]]
                             + [float(e[i, j]) for e in env])
-    _emit_csv(rows, ns.out, ns, t_start)
+    outputs = _emit_csv(rows, ns.out)
+    if outputs:
+        _write_manifest(_csv_manifest_path(outputs[0]), ns, outputs, t_start)
     return 0
 
 
@@ -94,8 +95,7 @@ def cmd_linear_oracle(ns) -> int:
     else:
         path = Path(ns.json)
         path.write_text(payload)
-        _write_manifest(path.with_suffix(".manifest.json"), ns, [path],
-                        t_start, _digest_args(ns))
+        _write_manifest(path.with_suffix(".manifest.json"), ns, [path], t_start)
     return 0 if res["max_rel_err"] <= 1e-8 else 1
 
 
@@ -113,16 +113,21 @@ def cmd_linear_decay(ns) -> int:
                                                  seed=ns.seed)
     print(f"{ns.prop}: fitted slope {report.fitted_slope:+.4f} "
           f"(target {report.target_slope:+.2f}), r^2 = {report.r_squared:.5f}")
-    outputs = []
+    # one manifest lists every file written; it sits beside the CSV if there is one
+    outputs, manifest = [], None
     if ns.csv:
         rows = [["t", "value"]] + [[float(t), float(v)]
                                    for t, v in zip(report.times, report.values)]
-        _emit_csv(rows, ns.csv, ns, t_start)
-        if ns.csv != "-":
-            outputs.append(Path(ns.csv))
+        outputs += _emit_csv(rows, ns.csv)
+        if outputs:
+            manifest = _csv_manifest_path(outputs[0])
     if ns.json:
-        Path(ns.json).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        outputs.append(Path(ns.json))
+        path = Path(ns.json)
+        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        outputs.append(path)
+        manifest = manifest or path.with_suffix(".manifest.json")
+    if outputs:
+        _write_manifest(manifest, ns, outputs, t_start)
     return 0
 
 
@@ -147,7 +152,7 @@ def cmd_simulate(ns) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     record = _solver.simulate(cfg, out_dir=out)
-    outputs = [out / "trajectory.csv"]
+    outputs = [out / "trajectory.csv", out / "run_manifest.json"]
     _write_manifest(out / "manifest.json", ns, outputs, t_start, cfg.digest(),
                     seed=cfg.seed)
     if record.aborted:
@@ -175,7 +180,7 @@ def cmd_verify(ns) -> int:
         print(f"{r.verdict:4s} {cid}: C = {_fmt(float(r.fitted_C))}")
     if ns.report:
         _write_manifest(Path(ns.report).with_suffix(".manifest.json"), ns,
-                        [Path(ns.report)], t_start, _digest_args(ns))
+                        [Path(ns.report)], t_start)
     if failed:
         print(f"FAILED claims: {', '.join(failed)}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,12 @@ class FourierGrid:
     def ETA(self) -> np.ndarray:
         return self.eta[None, :]
 
-    @property
+    @cached_property
     def A(self) -> np.ndarray:
-        return np.hypot(self.XI, np.broadcast_to(self.ETA, (self.nx, self.ny)))
+        """Mode radius |(xi, eta)| on the (nx, ny) lattice, computed once, read-only."""
+        a = np.hypot(self.XI, self.ETA)
+        a.setflags(write=False)
+        return a
 
     @property
     def nyquist(self) -> float:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SpectralPoint",
     "KernelValues",
     "sinch",
     "coshc",
@@ -47,29 +46,6 @@ _SERIES_Z = 1e-2
 _DD_V_REL = 1e-3
 _DD_SMALL_BT2 = 36.0
 _DD_REC_RATIO = 0.25
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Derived quantities of one Fourier mode entering the kernel branches."""
-
-    xi: float
-    eta: float
-    A: float
-    b: float
-    c: float
-
-
-def spectral_point(xi: float, eta: float) -> SpectralPoint:
-    """Build the (A, b, c) data of a mode; c >= 0 and b + c <= A^4/4 always."""
-    A = float(np.hypot(xi, eta))
-    return SpectralPoint(
-        xi=float(xi),
-        eta=float(eta),
-        A=A,
-        b=0.25 * A**4 - A**2,
-        c=A * abs(float(eta)),
-    )
 
 
 def _split_bc(xi, eta):

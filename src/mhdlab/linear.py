@@ -47,68 +47,48 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModeMatrix:
-    """4x4 Fourier-side matrix of the linearized system at one mode."""
+    """4x4 Fourier-side matrix of the linearized system at one mode, or a
+    stack of them, shape (..., 4, 4), over array-valued (xi, eta)."""
 
     entries: np.ndarray
-    xi: float
-    eta: float
+    xi: float | np.ndarray
+    eta: float | np.ndarray
     lam: float
 
 
-def symbol_matrix(xi: float, eta: float, lam: float = 0.0) -> ModeMatrix:
-    """Linearized generator at mode (xi, eta) with viscosity cross-term lam."""
+def symbol_matrix(xi, eta, lam: float = 0.0) -> ModeMatrix:
+    """Linearized generator at mode (xi, eta) with viscosity cross-term lam;
+    broadcasts over array-valued (xi, eta)."""
     ixi, ieta = 1j * xi, 1j * eta
     a2 = xi * xi + eta * eta
-    m = np.array(
-        [
-            [0.0, -ixi, -ieta, 0.0],
-            [-ixi, -a2 - lam * xi * xi, -lam * xi * eta, 0.0],
-            [-ieta, -lam * xi * eta, -a2 - lam * eta * eta, a2],
-            [0.0, 0.0, -1.0, 0.0],
-        ],
-        dtype=complex,
-    )
-    return ModeMatrix(entries=m, xi=float(xi), eta=float(eta), lam=float(lam))
+    m = np.zeros(np.broadcast_shapes(np.shape(xi), np.shape(eta)) + (4, 4), dtype=complex)
+    m[..., 0, 1] = m[..., 1, 0] = -ixi
+    m[..., 0, 2] = m[..., 2, 0] = -ieta
+    m[..., 1, 1] = -a2 - lam * xi * xi
+    m[..., 1, 2] = m[..., 2, 1] = -lam * xi * eta
+    m[..., 2, 2] = -a2 - lam * eta * eta
+    m[..., 2, 3] = a2
+    m[..., 3, 2] = -1.0
+    if m.ndim == 2:
+        xi, eta = float(xi), float(eta)
+    return ModeMatrix(entries=m, xi=xi, eta=eta, lam=float(lam))
 
 
 def matexp(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(t*m) by scaling-and-squaring (diagonal Pade core)."""
+    """exp(t*m) of one finite matrix."""
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("matexp requires finite entries")
-    return scipy.linalg.expm(t * m)
+    return expm_batch(t * m)
 
 
 def expm_batch(ms: np.ndarray) -> np.ndarray:
     """exp(M) for a batch of small matrices, shape (..., d, d).
 
-    Pade-13 scaling and squaring with a shared squaring count; adequate for
-    the mode matrices here, validated against `matexp` in the test suite.
+    scipy's expm chooses the Pade order and the squaring count per matrix
+    (Al-Mohy & Higham 2009), so low modes are not over-squared.
     """
-    b = (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-        960960.0, 16380.0, 182.0, 1.0,
-    )
-    ms = np.asarray(ms, dtype=complex)
-    d = ms.shape[-1]
-    norm = np.max(np.sum(np.abs(ms), axis=-1)) if ms.size else 0.0
-    theta13 = 5.371920351148152
-    s = max(0, int(np.ceil(np.log2(norm / theta13))) if norm > theta13 else 0)
-    a = ms / (2.0**s)
-    ident = np.broadcast_to(np.eye(d, dtype=complex), a.shape)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    return scipy.linalg.expm(np.asarray(ms, dtype=complex))
 
 
 def _charpoly_coeffs(m: np.ndarray) -> np.ndarray:
@@ -143,12 +123,12 @@ def char_poly_check(xi: float, eta: float) -> float:
 
 def char_poly_roots(xi: float, eta: float) -> np.ndarray:
     """The four exponential-branch rates -A^2/2 +- sqrt(b +- c)."""
-    pt = _kernel.spectral_point(xi, eta)
+    A, b, c = (float(v) for v in _kernel._split_bc(xi, eta))
     roots = []
     for sgn_c in (+1.0, -1.0):
-        z = pt.b + sgn_c * pt.c
+        z = b + sgn_c * c
         root = complex(math.sqrt(z)) if z >= 0 else 1j * math.sqrt(-z)
-        a = 0.5 * pt.A**2
+        a = 0.5 * A**2
         roots.extend([-a + root, -a - root])
     return np.array(roots)
 

@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as _grid
+from . import write_manifest
 from .grid import (FourierGrid, SpectralField, PerturbationState, make_grid,
                    x_norm_snapshot, XNormBreakdown, fsum)
-from .linear import expm_batch
+from .linear import expm_batch, symbol_matrix
 
 __all__ = [
     "SolverConfig",
@@ -78,6 +79,9 @@ class SolverConfig:
     checkpoint_fields: bool = False
 
     def validate(self) -> None:
+        values = self.to_json()
+        nonfinite = [name for name, val in values.items()
+                     if isinstance(val, float) and not math.isfinite(val)]
         problems = []
         if abs(self.lam) >= 1.0:
             problems.append(f"lambda: |{self.lam}| must be < 1")
@@ -100,6 +104,9 @@ class SolverConfig:
         if self.init_spec not in ("gaussian", "random"):
             problems.append(f"init_spec: {self.init_spec!r} not in ('gaussian', 'random')")
         problems += _grid.x_param_problems(self.M, self.eps, self.gamma, self.gamma_bar)
+        # a non-finite value is named once, as such, not by the range it misses
+        problems = ([f"{name}: {values[name]} must be finite" for name in nonfinite]
+                    + [p for p in problems if p.split(":")[0] not in nonfinite])
         if problems:
             raise ConfigError(problems)
 
@@ -306,24 +313,13 @@ class Stepper:
         self.dealias_fraction = dealias_fraction
         self.lambda_in_linear = lambda_in_linear
         lam_lin = lam if lambda_in_linear else 0.0
-        xi = np.broadcast_to(grid.XI, (grid.nx, grid.ny)).ravel()
-        eta = np.broadcast_to(grid.ETA, (grid.nx, grid.ny)).ravel()
-        nmodes = xi.size
-        aug = np.zeros((nmodes, 12, 12), dtype=complex)
-        a2 = xi**2 + eta**2
-        aug[:, 0, 1] = -1j * xi
-        aug[:, 0, 2] = -1j * eta
-        aug[:, 1, 0] = -1j * xi
-        aug[:, 1, 1] = -a2 - lam_lin * xi**2
-        aug[:, 1, 2] = -lam_lin * xi * eta
-        aug[:, 2, 0] = -1j * eta
-        aug[:, 2, 1] = -lam_lin * xi * eta
-        aug[:, 2, 2] = -a2 - lam_lin * eta**2
-        aug[:, 2, 3] = a2
-        aug[:, 3, 2] = -1.0
-        aug[:, 4:8, 8:12] = np.eye(4)
+        gen = symbol_matrix(grid.XI, grid.ETA, lam_lin).entries.reshape(-1, 4, 4)
+        aug = np.zeros((gen.shape[0], 12, 12), dtype=complex)
+        aug[:, 0:4, 0:4] = gen
         aug[:, 0:4, 4:8] = np.eye(4)
-        full = expm_batch(aug * self.dt)
+        aug[:, 4:8, 8:12] = np.eye(4)
+        aug *= self.dt
+        full = expm_batch(aug)
         shape = (grid.nx, grid.ny, 4, 4)
         self.E = np.ascontiguousarray(full[:, 0:4, 0:4].reshape(shape))
         self.P1 = np.ascontiguousarray(full[:, 0:4, 4:8].reshape(shape))   # dt*phi1
@@ -336,7 +332,9 @@ class Stepper:
         g = self.grid
         u = state.stack()
         if not nonlinear:
-            return PerturbationState.from_stack(g, self._apply(self.E, u))
+            out = self._apply(self.E, u)
+            _check_finite(np.linalg.norm(out))
+            return PerturbationState.from_stack(g, out)
         norm_before = np.linalg.norm(u)
         nl = nonlinear_terms(state, self.lam, self.dealias_fraction,
                              lambda_forcing=not self.lambda_in_linear)
@@ -346,10 +344,17 @@ class Stepper:
                                  lambda_forcing=not self.lambda_in_linear)
         out = mid + self._apply(self.P2, (nl_mid - nl) / self.dt)
         norm_after = np.linalg.norm(out)
+        _check_finite(norm_after)
         if norm_after > 10.0 * norm_before and norm_before > 0:
             raise StepRejectedError(
                 f"step-rejected: norm grew x{norm_after / norm_before:.1f} in one step")
         return PerturbationState.from_stack(g, out)
+
+
+def _check_finite(norm: float) -> None:
+    """Reject a stepped state whose coefficient norm is nan or inf."""
+    if not math.isfinite(norm):
+        raise StepRejectedError(f"non-finite-state: coefficient norm is {norm} after the step")
 
 
 def energy_hm(state: PerturbationState, M: int = 8) -> float:
@@ -419,22 +424,11 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
         if config.checkpoint_fields and record.aborted is None:
             _write_checkpoint(state, out, record.times[-1])
         _write_trajectory(record, out / "trajectory.csv")
-        _write_run_manifest(config, record, out)
+        write_manifest(out / "run_manifest.json", [out / "trajectory.csv"],
+                       config=config.to_json(), config_digest=config.digest(),
+                       seed=config.seed, aborted=record.aborted,
+                       final_time=record.times[-1] if record.times else None)
     return record
-
-
-def _write_run_manifest(config: SolverConfig, record: TrajectoryRecord, out: Path) -> None:
-    from . import __version__
-    manifest = {
-        "config": config.to_json(),
-        "config_digest": config.digest(),
-        "seed": config.seed,
-        "version": __version__,
-        "outputs": ["trajectory.csv"],
-        "aborted": record.aborted,
-        "final_time": record.times[-1] if record.times else None,
-    }
-    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _write_checkpoint(state: PerturbationState, out: Path, t: float) -> None:

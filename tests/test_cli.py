@@ -9,6 +9,10 @@ import pytest
 from mhdlab import cli, verify
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -72,6 +76,18 @@ class TestLinearCommands:
         assert len(csv.read_text().strip().splitlines()) == 6
         payload = json.loads(js.read_text())
         assert payload["quantity_id"] == "kn5L"
+        manifest = json.loads(csv.with_suffix(".csv.manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["decay.csv", "decay.json"]
+        assert not js.with_suffix(".manifest.json").exists()
+
+    def test_decay_json_alone_writes_manifest(self, tmp_path, capsys):
+        js = tmp_path / "d.json"
+        code, _, _ = run_cli(["linear", "decay", "--prop", "kn5L",
+                              "--t0", "10", "--t1", "400", "--points", "5",
+                              "--json", str(js)], capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "d.manifest.json").read_text())
+        assert manifest["outputs"] == {"d.json": sha256_of(js)}
 
     def test_symbol_norm(self, capsys):
         code, text, _ = run_cli(["linear", "symbol-norm", "--symbol", "A4K",
@@ -110,6 +126,28 @@ class TestSimulate:
         assert code == 2
         assert "lambda" in err
 
+    def test_manifest_digests_match_outputs(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, _ = run_cli(["simulate", "--config", str(self._config(tmp_path)),
+                              "--out", str(out)], capsys)
+        assert code == 0
+        for name, listed in (("manifest.json", {"trajectory.csv", "run_manifest.json"}),
+                             ("run_manifest.json", {"trajectory.csv"})):
+            manifest = json.loads((out / name).read_text())
+            assert set(manifest["outputs"]) == listed
+            for path, digest in manifest["outputs"].items():
+                assert digest == sha256_of(out / path)
+        assert json.loads((out / "run_manifest.json").read_text())["aborted"] is None
+
+    @pytest.mark.parametrize("field,value", [("T", float("inf")), ("dt", float("nan"))])
+    def test_nonfinite_config_exit_2(self, tmp_path, capsys, field, value):
+        cfg = self._config(tmp_path, **{field: value})
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert f"{field}: {value} must be finite" in err
+        assert not out.exists()
+
     def test_nonpositive_eps_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, eps=0.0)
         out = tmp_path / "x"
@@ -124,7 +162,7 @@ class TestSimulate:
         for name in ("a", "b"):
             out = tmp_path / name
             run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
-            digests.append(hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest())
+            digests.append(sha256_of(out / "trajectory.csv"))
         assert digests[0] == digests[1]
 
 

@@ -31,6 +31,12 @@ class TestMakeGrid:
         assert g.A[1, 1] == pytest.approx(math.sqrt(2.0))
         assert g.A[0, 0] == 0.0
 
+    def test_mode_radius_cached_read_only(self):
+        g = gr.make_grid(8, 8, 2 * np.pi, 2 * np.pi)
+        assert g.A is g.A
+        assert not g.A.flags.writeable
+        assert g.A.shape == (8, 8)
+
     def test_spacing_scales_with_box(self):
         g = gr.make_grid(4, 4, 4 * np.pi, 4 * np.pi)
         assert g.xi[1] == pytest.approx(0.5)

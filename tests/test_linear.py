@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mhdlab import grid as gr
+from mhdlab import kernel as kn
 from mhdlab import linear as ln
 
 mp.mp.dps = 40
@@ -41,6 +42,17 @@ class TestSymbolMatrix:
             [0, 0, -1, 0],
         ])
         assert np.allclose(ln.symbol_matrix(xi, eta, 0.0).entries, expect)
+
+    def test_broadcast_equals_stacked_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        xi = np.concatenate([[0.0, -0.0, 1.0, -3.0], rng.uniform(-8, 8, 60)])
+        eta = np.concatenate([[0.0, 2.0, -0.0, 0.5], rng.uniform(-8, 8, 60)])
+        for lam in (0.0, 0.35):
+            got = ln.symbol_matrix(xi[:, None], eta[None, :], lam)
+            assert got.entries.shape == (64, 64, 4, 4)
+            want = np.array([[ln.symbol_matrix(x, e, lam).entries for e in eta] for x in xi])
+            # bitwise, signed zeros included
+            assert got.entries.tobytes() == want.tobytes()
 
 
 class TestMatexp:
@@ -112,6 +124,16 @@ class TestCharPoly:
             for root in ln.char_poly_roots(xi, eta):
                 p = (root**2 + a2 * root + a2) ** 2 - a2 * eta * eta
                 assert abs(p) <= 1e-8 * (1.0 + a2**4)
+
+    def test_roots_built_from_split_bc(self):
+        rng = np.random.default_rng(6)
+        for xi, eta in rng.uniform(-8, 8, (500, 2)):
+            A, b, c = (float(v) for v in kn._split_bc(xi, eta))
+            want = []
+            for z in (b + c, b - c):
+                root = complex(math.sqrt(z)) if z >= 0 else 1j * math.sqrt(-z)
+                want += [-0.5 * A**2 + root, -0.5 * A**2 - root]
+            assert ln.char_poly_roots(xi, eta).tobytes() == np.array(want).tobytes()
 
 
 class TestKernelSemigroup:

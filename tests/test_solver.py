@@ -56,6 +56,15 @@ class TestConfig:
         fields = sorted(p.split(":")[0] for p in err.value.problems)
         assert fields == ["M", "eps", "gamma", "gamma_bar"]
 
+    def test_nonfinite_fields_named(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig(dt=nan, lam=nan, cadence=nan, delta=nan,
+                            T=inf, Lx=inf).validate()
+        fields = sorted(p.split(":")[0] for p in err.value.problems)
+        assert fields == ["Lx", "T", "cadence", "delta", "dt", "lambda"]
+        assert all("must be finite" in p for p in err.value.problems)
+
     def test_from_json_unknown_field(self):
         with pytest.raises(sv.ConfigError, match="unknown field"):
             sv.SolverConfig.from_json({"bogus": 1})
@@ -158,6 +167,31 @@ class TestStepper:
                 ref[:, i, j] = ln.matexp(m, 0.3) @ u[:, i, j]
         assert np.max(np.abs(one.stack() - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("dt,lam", [(0.3, 0.2), (0.05, 0.05), (0.01, 0.0)])
+    def test_phi_blocks_closed_form(self, grid32, dt, lam):
+        # P1 = M^-1 (E - I) and P2 = M^-2 (E - I - dt M) need M invertible
+        # (xi != 0); the closed forms lose accuracy as cond(M) grows, so the
+        # check stays on the low band A <= 4
+        stepper = sv.Stepper(grid32, dt, lam=lam)
+        eye = np.eye(4)
+        for i, j in zip(*np.nonzero((grid32.A <= 4.0) & (grid32.XI != 0.0))):
+            m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], lam).entries
+            minv = np.linalg.inv(m)
+            e = stepper.E[i, j]
+            p1 = minv @ (e - eye)
+            p2 = minv @ minv @ (e - eye - dt * m)
+            assert np.max(np.abs(stepper.P1[i, j] - p1)) <= 1e-8 * np.max(np.abs(p1))
+            assert np.max(np.abs(stepper.P2[i, j] - p2)) <= 1e-8 * np.max(np.abs(p2))
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_nonfinite_state_rejected(self, grid32, nonlinear):
+        state = sv.initial_data("random", grid32, 1e-3, seed=3)
+        u = state.stack().copy()
+        u[1, 2, 3] = np.nan
+        bad = gr.PerturbationState.from_stack(grid32, u)
+        with pytest.raises(sv.StepRejectedError, match="^non-finite-state"):
+            sv.Stepper(grid32, 0.1).step(bad, nonlinear=nonlinear)
+
     def test_zero_state_fixed_point(self, grid32):
         out = sv.Stepper(grid32, 0.1).step(gr.PerturbationState.zeros(grid32))
         assert np.max(np.abs(out.stack())) == 0.0
@@ -234,6 +268,17 @@ class TestSimulate:
         rec = sv.simulate(cfg, state0=gr.PerturbationState(*fields))
         assert rec.aborted is not None
         assert "density-collapse" in rec.aborted or "step-rejected" in rec.aborted
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_nonfinite_state_aborts(self, grid32, nonlinear):
+        cfg = sv.SolverConfig(nx=32, ny=32, Lx=2 * np.pi, Ly=2 * np.pi,
+                              T=0.5, dt=0.1, cadence=0.1, delta=1e-3,
+                              nonlinear=nonlinear)
+        u = sv.initial_data("random", grid32, 1e-3, seed=3).stack().copy()
+        u[0, 1, 1] = np.nan
+        rec = sv.simulate(cfg, state0=gr.PerturbationState.from_stack(grid32, u))
+        assert rec.aborted is not None and rec.aborted.startswith("non-finite-state")
+        assert rec.times == [0.0]
 
     def test_trajectory_csv_shape(self, tmp_path):
         cfg = sv.SolverConfig(nx=16, ny=16, Lx=4 * np.pi, Ly=4 * np.pi,
