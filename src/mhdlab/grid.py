@@ -435,21 +435,33 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
                           M=M, eps=eps, gamma=gamma, gamma_bar=gamma_bar)
 
 
-def save_field(f: SpectralField, path, name: str = "field", time: float = 0.0) -> None:
-    """Write raw little-endian float64 physical values (x fastest) + sidecar."""
+def _field_files(path) -> tuple[Path, Path]:
+    """The .bin and .json files of a saved field.  Only a .bin or .json suffix
+    of `path` is replaced; other dots stay in the name (``n_t0.5``)."""
     path = Path(path)
+    if path.suffix in (".bin", ".json"):
+        path = path.with_suffix("")
+    return path.with_name(path.name + ".bin"), path.with_name(path.name + ".json")
+
+
+def save_field(f: SpectralField, path, name: str = "field",
+               time: float = 0.0) -> tuple[Path, Path]:
+    """Write raw little-endian float64 physical values (x fastest) + sidecar;
+    returns the two files written."""
+    bin_path, json_path = _field_files(path)
     phys = f.to_physical()
     # transpose so the row-major byte stream iterates y outer, x inner
-    path.with_suffix(".bin").write_bytes(np.ascontiguousarray(phys.T).astype("<f8").tobytes())
+    bin_path.write_bytes(np.ascontiguousarray(phys.T).astype("<f8").tobytes())
     sidecar = {"nx": f.grid.nx, "ny": f.grid.ny, "Lx": f.grid.Lx, "Ly": f.grid.Ly,
                "name": name, "time": time}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    json_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    return bin_path, json_path
 
 
 def load_field(path) -> tuple[SpectralField, dict]:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    raw = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype="<f8")
+    bin_path, json_path = _field_files(path)
+    meta = json.loads(json_path.read_text())
+    raw = np.frombuffer(bin_path.read_bytes(), dtype="<f8")
     grid = make_grid(meta["nx"], meta["ny"], meta["Lx"], meta["Ly"])
     phys = raw.reshape(meta["ny"], meta["nx"]).T
     return SpectralField.from_physical(grid, phys), meta

@@ -14,12 +14,13 @@ difference in the argument c.  All kernel symbols are real functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "KernelValues",
+    "KERNEL_FIELDS",
     "sinch",
     "coshc",
     "divided_diff",
@@ -59,8 +60,11 @@ def _split_bc(xi, eta):
     return A, b, c
 
 
-def _damped_pair(z, a, t, a2mz=None):
+def _damped_pair(z, a, t, a2mz=None, half=None):
     """Return (exp(-a t) * sinch(z, t), exp(-a t) * coshc(z, t)), elementwise.
+
+    With `half` = 0 or 1 only that entry of the pair is computed and the
+    other is None.
 
     The product form matters: for z > 0 both factors can over/underflow even
     though the product is tame, so the positive branch is assembled from the
@@ -79,8 +83,8 @@ def _damped_pair(z, a, t, a2mz=None):
             np.asarray(z, dtype=float), np.asarray(a, dtype=float),
             np.asarray(t, dtype=float), np.asarray(a2mz, dtype=float),
         )
-    g = np.empty(z.shape, dtype=float)
-    h = np.empty(z.shape, dtype=float)
+    g = np.empty(z.shape, dtype=float) if half != 1 else None
+    h = np.empty(z.shape, dtype=float) if half != 0 else None
 
     x = z * t * t
     m_series = np.abs(x) <= _SERIES_Z
@@ -91,18 +95,22 @@ def _damped_pair(z, a, t, a2mz=None):
         xs, ts, as_ = x[m_series], t[m_series], a[m_series]
         damp = np.exp(-as_ * ts)
         # truncation error below 3e-18 relative for |x| <= 1e-2
-        g[m_series] = damp * ts * (
-            1.0 + xs / 6.0 * (1.0 + xs / 20.0 * (1.0 + xs / 42.0 * (1.0 + xs / 72.0)))
-        )
-        h[m_series] = damp * (
-            1.0 + xs / 2.0 * (1.0 + xs / 12.0 * (1.0 + xs / 30.0 * (1.0 + xs / 56.0)))
-        )
+        if g is not None:
+            g[m_series] = damp * ts * (
+                1.0 + xs / 6.0 * (1.0 + xs / 20.0 * (1.0 + xs / 42.0 * (1.0 + xs / 72.0)))
+            )
+        if h is not None:
+            h[m_series] = damp * (
+                1.0 + xs / 2.0 * (1.0 + xs / 12.0 * (1.0 + xs / 30.0 * (1.0 + xs / 56.0)))
+            )
     if m_osc.any():
         s = np.sqrt(-z[m_osc])
         w = t[m_osc] * s
         damp = np.exp(-a[m_osc] * t[m_osc])
-        g[m_osc] = damp * np.sin(w) / s
-        h[m_osc] = damp * np.cos(w)
+        if g is not None:
+            g[m_osc] = damp * np.sin(w) / s
+        if h is not None:
+            h[m_osc] = damp * np.cos(w)
     if m_pos.any():
         s = np.sqrt(z[m_pos])
         ts, as_ = t[m_pos], a[m_pos]
@@ -113,8 +121,10 @@ def _damped_pair(z, a, t, a2mz=None):
         with np.errstate(over="ignore"):
             ep = np.exp(up)
             em = np.exp(-(s + as_) * ts)
-        g[m_pos] = (ep - em) / (2.0 * s)
-        h[m_pos] = 0.5 * (ep + em)
+        if g is not None:
+            g[m_pos] = (ep - em) / (2.0 * s)
+        if h is not None:
+            h[m_pos] = 0.5 * (ep + em)
     return g, h
 
 
@@ -191,8 +201,8 @@ def _dd_damped(kind: str, b, c, t, a, a2mb=None):
     if m_two.any():
         bb, cc, tt, aa = b[m_two], c[m_two], t[m_two], a[m_two]
         amb = a2mb[m_two]
-        fp = _damped_pair(bb + cc, aa, tt, a2mz=amb - cc)[sel]
-        fm = _damped_pair(bb - cc, aa, tt, a2mz=amb + cc)[sel]
+        fp = _damped_pair(bb + cc, aa, tt, a2mz=amb - cc, half=sel)[sel]
+        fm = _damped_pair(bb - cc, aa, tt, a2mz=amb + cc, half=sel)[sel]
         out[m_two] = (fp - fm) / (2.0 * cc)
     if m_small.any():
         bb, cc, tt, aa = b[m_small], c[m_small], t[m_small], a[m_small]
@@ -239,12 +249,12 @@ def _all_scalar(*xs) -> bool:
 
 def sinch(z, t):
     """Entire continuation of sinh(t*sqrt(z))/sqrt(z); sin-form for z < 0."""
-    return _as_result(_damped_pair(z, 0.0, t)[0], _all_scalar(z, t))
+    return _as_result(_damped_pair(z, 0.0, t, half=0)[0], _all_scalar(z, t))
 
 
 def coshc(z, t):
     """Entire continuation of cosh(t*sqrt(z)); cos-form for z < 0."""
-    return _as_result(_damped_pair(z, 0.0, t)[1], _all_scalar(z, t))
+    return _as_result(_damped_pair(z, 0.0, t, half=1)[1], _all_scalar(z, t))
 
 
 def divided_diff(f: str, b, c, t):
@@ -259,29 +269,133 @@ def divided_diff(f: str, b, c, t):
     return _as_result(_dd_damped(f, b, c, t, 0.0), _all_scalar(b, c, t))
 
 
-@dataclass(frozen=True)
+# The symbols a batch evaluation can return, besides the coordinates t, xi,
+# eta and the mode radius A, which every evaluation carries.
+KERNEL_FIELDS = ("K", "K1", "dtK", "ddtK", "comp", "comp_x", "dt_comp", "ddt_comp", "dtK1")
+_COORDS = ("t", "xi", "eta", "A")
+
+# Points per block when a large batch is evaluated block by block: a few MB of
+# temporaries per block stay in cache and are reused instead of being freed
+# and faulted in again for every intermediate of a multi-MB batch.
+_CHUNK = 65536
+
+
 class KernelValues:
-    """All kernel symbols of one (t, xi, eta) batch; every entry is real.
+    """Kernel symbols of one (t, xi, eta) batch; every entry is real.
 
     ``comp`` is the second-order combination (d_tt + A^2 d_t + A^2) applied to
     the kernel, ``comp_x`` replaces the zeroth-order A^2 by xi^2, and the
     ``dt_``/``ddt_`` prefixes are time derivatives of those combinations.
-    ``A`` is the mode radius hypot(xi, eta).
+    ``A`` is the mode radius hypot(xi, eta).  Only the fields the evaluation
+    was asked for are set; reading another one raises AttributeError.
     """
 
-    t: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    A: np.ndarray
-    K: np.ndarray
-    K1: np.ndarray
-    dtK: np.ndarray
-    ddtK: np.ndarray
-    comp: np.ndarray
-    comp_x: np.ndarray
-    dt_comp: np.ndarray
-    ddt_comp: np.ndarray
-    dtK1: np.ndarray
+    __slots__ = _COORDS + KERNEL_FIELDS
+
+    def __init__(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KernelValues is read-only")
+
+
+class _Batch:
+    """The kernel symbols of one broadcast batch, each computed on first read
+    from the intermediates it depends on."""
+
+    def __init__(self, t, xi, eta):
+        self.t, self.xi, self.eta = t, xi, eta
+        self.A, self.b, self.c = _split_bc(xi, eta)
+        self.a2 = self.A * self.A
+        self.a = 0.5 * self.a2
+
+    def values(self, fields) -> KernelValues:
+        return KernelValues(t=self.t, xi=self.xi, eta=self.eta, A=self.A,
+                            **{f: getattr(self, f) for f in fields})
+
+    @cached_property
+    def plus(self):
+        """Damped (sinch, coshc) pair at z = b + c."""
+        return _damped_pair(self.b + self.c, self.a, self.t, a2mz=self.a2 - self.c)
+
+    @cached_property
+    def minus(self):
+        """Damped (sinch, coshc) pair at z = b - c."""
+        return _damped_pair(self.b - self.c, self.a, self.t, a2mz=self.a2 + self.c)
+
+    @cached_property
+    def K(self):
+        return _dd_damped("sinch", self.b, self.c, self.t, self.a, a2mb=self.a2)
+
+    @cached_property
+    def dd_cosh(self):
+        return _dd_damped("coshc", self.b, self.c, self.t, self.a, a2mb=self.a2)
+
+    @cached_property
+    def comp(self):
+        return 0.5 * (self.plus[0] + self.minus[0])
+
+    @cached_property
+    def K1(self):
+        return 0.5 * (self.plus[1] + self.minus[1])
+
+    @cached_property
+    def dtK(self):
+        return -self.a * self.K + self.dd_cosh
+
+    @cached_property
+    def dt_comp(self):
+        return -self.a * self.comp + self.K1
+
+    @cached_property
+    def ddtK(self):
+        return self.comp - self.a2 * self.dtK - self.a2 * self.K
+
+    @cached_property
+    def comp_x(self):
+        return self.comp - self.eta * self.eta * self.K
+
+    @cached_property
+    def dtK1(self):
+        (gp, _), (gm, _) = self.plus, self.minus
+        return -self.a * self.K1 + 0.5 * ((self.b + self.c) * gp + (self.b - self.c) * gm)
+
+    @cached_property
+    def ddt_comp(self):
+        return -self.a * self.dt_comp + self.dtK1
+
+
+def _broadcast(t, xi, eta):
+    return np.broadcast_arrays(
+        np.asarray(t, dtype=float), np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
+    )
+
+
+def kernel_values(t, xi, eta, fields=KERNEL_FIELDS) -> KernelValues:
+    """Evaluate the kernel symbols named in `fields` at (t, xi, eta).
+
+    Inputs broadcast; the coordinates and A are always returned.  Only the
+    requested symbols and the intermediates they depend on are computed, so
+    the values are bitwise those of the all-field evaluation.  A batch larger
+    than one block is evaluated block by block over its flattened points.
+    """
+    fields = tuple(f for f in fields if f not in _COORDS)
+    unknown = [f for f in fields if f not in KERNEL_FIELDS]
+    if unknown:
+        raise ValueError(f"unknown kernel fields {unknown}; known: {KERNEL_FIELDS + _COORDS}")
+    t_, xi_, eta_ = _broadcast(t, xi, eta)
+    if t_.size <= _CHUNK:
+        return _Batch(t_, xi_, eta_).values(fields)
+    flat = [np.ravel(x) for x in (t_, xi_, eta_)]
+    out = {f: np.empty(t_.size) for f in ("A",) + fields}
+    for start in range(0, t_.size, _CHUNK):
+        block = slice(start, start + _CHUNK)
+        batch = _Batch(*(x[block] for x in flat))
+        for f, arr in out.items():
+            arr[block] = getattr(batch, f)
+    return KernelValues(t=t_, xi=xi_, eta=eta_,
+                        **{f: arr.reshape(t_.shape) for f, arr in out.items()})
 
 
 def k_hat(t, xi, eta):
@@ -291,62 +405,12 @@ def k_hat(t, xi, eta):
     about b = A^4/4 - A^2; the singularities at eta = 0 and A = 0 are
     removable and resolved by the divided difference.
     """
-    scalar = _all_scalar(t, xi, eta)
-    A, b, c = _split_bc(xi, eta)
-    out = _dd_damped("sinch", b, c, t, 0.5 * A * A, a2mb=A * A)
-    return _as_result(out, scalar)
+    return _as_result(kernel_values(t, xi, eta, fields=("K",)).K, _all_scalar(t, xi, eta))
 
 
 def k1_hat(t, xi, eta):
     """Mean of the four exponential branches; equals 1 at t = 0."""
-    scalar = _all_scalar(t, xi, eta)
-    A, b, c = _split_bc(xi, eta)
-    a = 0.5 * A * A
-    hp = _damped_pair(b + c, a, t, a2mz=A * A - c)[1]
-    hm = _damped_pair(b - c, a, t, a2mz=A * A + c)[1]
-    return _as_result(0.5 * (hp + hm), scalar)
-
-
-def _evaluate(t, xi, eta):
-    """Kernel values of one batch and the damped branch pairs they are built from.
-
-    Returns ``(kv, (b, c, gp, hp, gm, hm))`` where (gp, hp) and (gm, hm) are
-    the damped (sinch, coshc) pairs at z = b + c and z = b - c.
-    """
-    t_, xi_, eta_ = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
-    )
-    A, b, c = _split_bc(xi_, eta_)
-    a2 = A * A
-    a = 0.5 * a2
-
-    gp, hp = _damped_pair(b + c, a, t_, a2mz=a2 - c)
-    gm, hm = _damped_pair(b - c, a, t_, a2mz=a2 + c)
-
-    K = _dd_damped("sinch", b, c, t_, a, a2mb=a2)
-    dd_cosh = _dd_damped("coshc", b, c, t_, a, a2mb=a2)
-
-    comp = 0.5 * (gp + gm)
-    K1 = 0.5 * (hp + hm)
-    dtK = -a * K + dd_cosh
-    dt_comp = -a * comp + K1
-    ddtK = comp - a2 * dtK - a2 * K
-    comp_x = comp - eta_ * eta_ * K
-    dtK1 = -a * K1 + 0.5 * ((b + c) * gp + (b - c) * gm)
-    ddt_comp = -a * dt_comp + dtK1
-
-    kv = KernelValues(
-        t=t_, xi=xi_, eta=eta_, A=A,
-        K=K, K1=K1, dtK=dtK, ddtK=ddtK,
-        comp=comp, comp_x=comp_x, dt_comp=dt_comp, ddt_comp=ddt_comp,
-        dtK1=dtK1,
-    )
-    return kv, (b, c, gp, hp, gm, hm)
-
-
-def kernel_values(t, xi, eta) -> KernelValues:
-    """Evaluate every kernel symbol at (t, xi, eta); inputs broadcast."""
-    return _evaluate(t, xi, eta)[0]
+    return _as_result(kernel_values(t, xi, eta, fields=("K1",)).K1, _all_scalar(t, xi, eta))
 
 
 def noise_floors(t, xi, eta, rel: float = 1e-10) -> tuple[KernelValues, dict]:
@@ -359,9 +423,10 @@ def noise_floors(t, xi, eta, rel: float = 1e-10) -> tuple[KernelValues, dict]:
     symbol magnitudes so that rounding noise deep below scale is not compared
     against legitimately tiny bounds.
     """
-    kv, (b, c, gp, hp, gm, hm) = _evaluate(t, xi, eta)
-    a2 = kv.A * kv.A
-    a = 0.5 * a2
+    batch = _Batch(*_broadcast(t, xi, eta))
+    kv = batch.values(KERNEL_FIELDS)
+    b, c, a2, a = batch.b, batch.c, batch.a2, batch.a
+    (gp, hp), (gm, hm) = batch.plus, batch.minus
     eta2 = kv.eta * kv.eta
     # the coshc divided difference as recovered from the assembled symbols
     dd_cosh = kv.dtK + a * kv.K
@@ -392,9 +457,7 @@ def noise_floors(t, xi, eta, rel: float = 1e-10) -> tuple[KernelValues, dict]:
 # checks treat lhs/inf as 0.
 
 def _envelope_terms(t, xi, eta, c_decay):
-    t_, xi_, eta_ = np.broadcast_arrays(
-        np.asarray(t, dtype=float), np.asarray(xi, dtype=float), np.asarray(eta, dtype=float)
-    )
+    t_, xi_, eta_ = _broadcast(t, xi, eta)
     A = np.hypot(xi_, eta_)
     hi = (A >= 1.0).astype(float) * np.exp(-c_decay * t_)
     lo = (A <= 1.0).astype(float) * np.exp(-0.25 * A * A * t_)

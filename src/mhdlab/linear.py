@@ -11,6 +11,7 @@ the matrix-exponential oracle.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -499,48 +500,53 @@ def _mixed_cartesian(symbol_fn, t: float, region, q_xi: float, q_eta: float,
     return (2.0 * float(np.sum(xi_w * inner**q_xi))) ** (1.0 / q_xi)
 
 
-# Registered symbols.  Each entry maps a name to an expression of the batch's
-# kernel values (see kernel.KernelValues); the registry wraps it as a plain
-# function of (t, xi, eta) returning the real symbol.  Names describe the
-# operator combination they front.  Two spellings of A^2 are in use, hypot
-# squared (A * A) and xi^2 + eta^2, which can differ in the last bit; each
-# entry keeps its own so that its values stay unchanged.
-def _a2(kv):
-    return kv.xi**2 + kv.eta**2
+# Registered symbols.  Each entry maps a name to an expression whose
+# parameters name the kernel fields it reads (see kernel.KernelValues); the
+# registry wraps it as a plain function of (t, xi, eta) returning the real
+# symbol, and evaluates only those fields.  Names describe the operator
+# combination they front.  Two spellings of A^2 are in use, hypot squared
+# (A * A) and xi^2 + eta^2, which can differ in the last bit; each entry keeps
+# its own so that its values stay unchanged.
+def _a2(xi, eta):
+    return xi**2 + eta**2
 
 
 def _symbol(expr):
+    fields = tuple(inspect.signature(expr).parameters)
+
     def fn(t, xi, eta):
-        return expr(kernel_values(t, xi, eta))
+        kv = kernel_values(t, xi, eta, fields=fields)
+        return expr(*(getattr(kv, f) for f in fields))
     return fn
 
 
 SYMBOLS = {name: _symbol(expr) for name, expr in {
-    "K": lambda kv: kv.K,
-    "A4K": lambda kv: kv.A**4 * kv.K,
-    "xietaK": lambda kv: np.abs(kv.xi * kv.eta) * kv.K,
-    "xietaAK": lambda kv: np.abs(kv.xi * kv.eta) * kv.A * kv.K,
-    "Axi2etaK": lambda kv: kv.A * kv.xi * kv.xi * np.abs(kv.eta) * kv.K,
-    "visc_wave_K": lambda kv: kv.A * kv.A * (kv.A * kv.A - kv.A * np.abs(kv.eta)) * kv.K,
-    "etadtK": lambda kv: np.abs(kv.eta) * kv.dtK,
-    "AetadtK": lambda kv: kv.A * np.abs(kv.eta) * kv.dtK,
-    "A2etadtK": lambda kv: _a2(kv) * np.abs(kv.eta) * kv.dtK,
-    "Aeta_wavetK": lambda kv: kv.A * np.abs(kv.eta) * (kv.comp - kv.A * kv.A * kv.K),
-    "A2_wavetK": lambda kv: _a2(kv) * (kv.comp - _a2(kv) * kv.K),
-    "comp": lambda kv: kv.comp,
-    "A2comp": lambda kv: kv.A * kv.A * kv.comp,
-    "xicomp": lambda kv: np.abs(kv.xi) * kv.comp,
-    "xi2comp": lambda kv: kv.xi * kv.xi * kv.comp,
-    "comp_x": lambda kv: kv.comp_x,
-    "Acomp_x": lambda kv: kv.A * kv.comp_x,
-    "dt_comp": lambda kv: kv.dt_comp,
-    "Axidt_comp": lambda kv: kv.A * np.abs(kv.xi) * kv.dt_comp,
-    "A2xidt_comp": lambda kv: _a2(kv) * np.abs(kv.xi) * kv.dt_comp,
-    "eta_ddtK": lambda kv: np.abs(kv.eta) * kv.ddtK,
-    "wave4_ddt": lambda kv: kv.ddt_comp + kv.eta**2 * kv.ddtK,
-    "wave4_ddt_H2": lambda kv: (1.0 + _a2(kv)) * (kv.ddt_comp + kv.eta**2 * kv.ddtK),
-    "K1": lambda kv: kv.K1,
-    "xiK1": lambda kv: np.abs(kv.xi) * kv.K1,
+    "K": lambda K: K,
+    "A4K": lambda A, K: A**4 * K,
+    "xietaK": lambda xi, eta, K: np.abs(xi * eta) * K,
+    "xietaAK": lambda xi, eta, A, K: np.abs(xi * eta) * A * K,
+    "Axi2etaK": lambda A, xi, eta, K: A * xi * xi * np.abs(eta) * K,
+    "visc_wave_K": lambda A, eta, K: A * A * (A * A - A * np.abs(eta)) * K,
+    "etadtK": lambda eta, dtK: np.abs(eta) * dtK,
+    "AetadtK": lambda A, eta, dtK: A * np.abs(eta) * dtK,
+    "A2etadtK": lambda xi, eta, dtK: _a2(xi, eta) * np.abs(eta) * dtK,
+    "Aeta_wavetK": lambda A, eta, comp, K: A * np.abs(eta) * (comp - A * A * K),
+    "A2_wavetK": lambda xi, eta, comp, K: _a2(xi, eta) * (comp - _a2(xi, eta) * K),
+    "comp": lambda comp: comp,
+    "A2comp": lambda A, comp: A * A * comp,
+    "xicomp": lambda xi, comp: np.abs(xi) * comp,
+    "xi2comp": lambda xi, comp: xi * xi * comp,
+    "comp_x": lambda comp_x: comp_x,
+    "Acomp_x": lambda A, comp_x: A * comp_x,
+    "dt_comp": lambda dt_comp: dt_comp,
+    "Axidt_comp": lambda A, xi, dt_comp: A * np.abs(xi) * dt_comp,
+    "A2xidt_comp": lambda xi, eta, dt_comp: _a2(xi, eta) * np.abs(xi) * dt_comp,
+    "eta_ddtK": lambda eta, ddtK: np.abs(eta) * ddtK,
+    "wave4_ddt": lambda eta, ddt_comp, ddtK: ddt_comp + eta**2 * ddtK,
+    "wave4_ddt_H2": lambda xi, eta, ddt_comp, ddtK: (
+        (1.0 + _a2(xi, eta)) * (ddt_comp + eta**2 * ddtK)),
+    "K1": lambda K1: K1,
+    "xiK1": lambda xi, K1: np.abs(xi) * K1,
 }.items()}
 
 

@@ -104,11 +104,27 @@ class SolverConfig:
         if self.init_spec not in ("gaussian", "random"):
             problems.append(f"init_spec: {self.init_spec!r} not in ('gaussian', 'random')")
         problems += _grid.x_param_problems(self.M, self.eps, self.gamma, self.gamma_bar)
+        problems += self._time_grid_problems()
         # a non-finite value is named once, as such, not by the range it misses
         problems = ([f"{name}: {values[name]} must be finite" for name in nonfinite]
                     + [p for p in problems if p.split(":")[0] not in nonfinite])
         if problems:
             raise ConfigError(problems)
+
+    def _time_grid_problems(self) -> list:
+        """T and cadence must be whole numbers of steps (1e-9 relative), so the
+        run ends and observes exactly at the requested times; a cadence, or a
+        positive T, shorter than one step is rejected."""
+        times = (self.dt, self.T, self.cadence)
+        if not (all(map(math.isfinite, times)) and self.dt > 0 and self.T >= 0
+                and self.cadence > 0):
+            return []  # named by the range checks
+        problems = []
+        for name, val in (("T", self.T), ("cadence", self.cadence)):
+            steps = round(val / self.dt)
+            if abs(val - steps * self.dt) > 1e-9 * abs(val):
+                problems.append(f"{name}: {val} is not an integer multiple of dt = {self.dt}")
+        return problems
 
     @classmethod
     def from_json(cls, payload) -> "SolverConfig":
@@ -351,10 +367,10 @@ class Stepper:
         return PerturbationState.from_stack(g, out)
 
 
-def _check_finite(norm: float) -> None:
-    """Reject a stepped state whose coefficient norm is nan or inf."""
+def _check_finite(norm: float, where: str = "after the step") -> None:
+    """Reject a state whose coefficient norm is nan or inf."""
     if not math.isfinite(norm):
-        raise StepRejectedError(f"non-finite-state: coefficient norm is {norm} after the step")
+        raise StepRejectedError(f"non-finite-state: coefficient norm is {norm} {where}")
 
 
 def energy_hm(state: PerturbationState, M: int = 8) -> float:
@@ -391,7 +407,7 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
                       config.lambda_in_linear)
     record = TrajectoryRecord()
 
-    steps_per_output = max(1, round(config.cadence / config.dt))
+    steps_per_output = round(config.cadence / config.dt)
     n_steps = round(config.T / config.dt)
 
     def observe(t, st):
@@ -406,9 +422,11 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
         record.sup_grad_psi.append(sup_g)
 
     observe(0.0, state)
+    checkpoints = []
     if out_dir is not None and config.checkpoint_fields:
-        _write_checkpoint(state, Path(out_dir), 0.0)
+        checkpoints += _write_checkpoint(state, Path(out_dir), 0.0)
     try:
+        _check_finite(np.linalg.norm(state.stack()), "in the initial state")
         for k in range(1, n_steps + 1):
             state = stepper.step(state, nonlinear=config.nonlinear)
             if k % steps_per_output == 0 or k == n_steps:
@@ -422,19 +440,20 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if config.checkpoint_fields and record.aborted is None:
-            _write_checkpoint(state, out, record.times[-1])
+            checkpoints += _write_checkpoint(state, out, record.times[-1])
         _write_trajectory(record, out / "trajectory.csv")
-        write_manifest(out / "run_manifest.json", [out / "trajectory.csv"],
+        write_manifest(out / "run_manifest.json", [out / "trajectory.csv", *checkpoints],
                        config=config.to_json(), config_digest=config.digest(),
                        seed=config.seed, aborted=record.aborted,
                        final_time=record.times[-1] if record.times else None)
     return record
 
 
-def _write_checkpoint(state: PerturbationState, out: Path, t: float) -> None:
+def _write_checkpoint(state: PerturbationState, out: Path, t: float) -> list:
+    """Save the four fields at time t as <name>_t<t>; returns the files written."""
     out.mkdir(parents=True, exist_ok=True)
-    for name, f in zip(("n", "u", "v", "psi"), state.fields):
-        _grid.save_field(f, out / f"{name}_t{t:g}", name=name, time=t)
+    return [path for name, f in zip(("n", "u", "v", "psi"), state.fields)
+            for path in _grid.save_field(f, out / f"{name}_t{t:g}", name=name, time=t)]
 
 
 def _write_trajectory(record: TrajectoryRecord, path: Path) -> None:

@@ -443,7 +443,7 @@ def check_kn3_open(t_grid=None) -> ScanResult:
         t_grid = np.geomspace(10.0, 1000.0, 8)
 
     def sym(t, xi, eta):
-        kv = _kernel.kernel_values(t, xi, eta)
+        kv = _kernel.kernel_values(t, xi, eta, fields=("comp",))
         return kv.A * np.abs(kv.xi) * kv.comp
 
     vals_le1 = [_linear._mixed_cartesian(sym, t, "le1", 2.0, np.inf, 2) for t in t_grid]

@@ -148,6 +148,14 @@ class TestSimulate:
         assert f"{field}: {value} must be finite" in err
         assert not out.exists()
 
+    def test_time_not_whole_steps_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, T=1.0, dt=0.3, cadence=0.3)
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "T: 1.0 is not an integer multiple of dt = 0.3" in err
+        assert not out.exists()
+
     def test_nonpositive_eps_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, eps=0.0)
         out = tmp_path / "x"

@@ -302,3 +302,97 @@ class TestBoundEnvelope:
 
     def test_zero_mode_finite_for_item5(self):
         assert kr.bound_envelope(5, 1.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestSelectiveEvaluation:
+    """Every partial evaluation is bitwise the all-field, single-block one."""
+
+    @staticmethod
+    def _reference(t, xi, eta):
+        # all fields over the whole batch in one block
+        return kr._Batch(*kr._broadcast(t, xi, eta)).values(kr.KERNEL_FIELDS)
+
+    @staticmethod
+    def _assert_same(got, want, what):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape, what
+        assert got.tobytes() == want.tobytes(), what
+
+    def _check_batch(self, t, xi, eta):
+        from mhdlab import linear as ln
+
+        ref = self._reference(t, xi, eta)
+        full = kr.kernel_values(t, xi, eta)
+        for name in kr.KernelValues.__slots__:
+            self._assert_same(getattr(full, name), getattr(ref, name), name)
+        for name, fn in ln.SYMBOLS.items():
+            got = fn(t, xi, eta)
+            # the same expression fed the all-field values; the symbol looks
+            # kernel_values up in linear at call time, where this replaces it
+            declared = []
+
+            def all_fields(t_, xi_, eta_, fields):
+                declared.append(fields)
+                return ref
+
+            with pytest.MonkeyPatch.context() as mp_:
+                mp_.setattr(ln, "kernel_values", all_fields)
+                want = fn(t, xi, eta)
+            self._assert_same(got, want, name)
+            part = kr.kernel_values(t, xi, eta, fields=declared[0])
+            for f in declared[0]:
+                self._assert_same(getattr(part, f), getattr(ref, f), f"{name}:{f}")
+        kv, floors = kr.noise_floors(t, xi, eta)
+        for name in kr.KernelValues.__slots__:
+            self._assert_same(getattr(kv, name), getattr(ref, name), f"floors:{name}")
+        assert all(f.shape == ref.A.shape for f in floors.values())
+        self._assert_same(kr.k_hat(t, xi, eta), ref.K, "k_hat")
+        self._assert_same(kr.k1_hat(t, xi, eta), ref.K1, "k1_hat")
+
+    @pytest.mark.parametrize("n", [kr._CHUNK - 1, kr._CHUNK, kr._CHUNK + 1])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1e4])
+    def test_flat_batches_around_one_block(self, n, t):
+        rng = np.random.default_rng(n)
+        xi, eta = rng.uniform(-8.0, 8.0, (2, n))
+        xi[:3] = 0.0
+        eta[3:6] = 0.0
+        xi[6:9] = eta[6:9] = 0.0
+        xi[-3:] = 0.0  # the last, partial block too
+        self._check_batch(t, xi, eta)
+
+    def test_broadcast_two_dimensional_batch(self):
+        t = np.array([[0.0], [1.0], [1e4]])
+        xi = np.linspace(-6.0, 6.0, 30001)[None, :]  # three blocks with t
+        eta = 0.4
+        assert np.broadcast(t, xi, eta).size > kr._CHUNK
+        self._check_batch(t, xi, eta)
+        assert kr.kernel_values(t, xi, eta, fields=("K",)).K.shape == (3, 30001)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1e4])
+    @pytest.mark.parametrize("xi,eta", [(0.0, 0.0), (0.0, 1.3), (0.7, 0.0), (0.7, -1.3)])
+    def test_scalar_inputs(self, t, xi, eta):
+        self._check_batch(t, xi, eta)
+        assert isinstance(kr.k_hat(t, xi, eta), float)
+        assert isinstance(kr.k1_hat(t, xi, eta), float)
+        assert kr.kernel_values(t, xi, eta, fields=("K1",)).K1.shape == ()
+
+    def test_unrequested_field_raises(self):
+        kv = kr.kernel_values(1.0, np.ones(4), 0.5, fields=("K",))
+        assert kv.A.shape == kv.K.shape == (4,)
+        with pytest.raises(AttributeError, match="'K1'"):
+            kv.K1
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel fields"):
+            kr.kernel_values(1.0, 0.5, 0.5, fields=("K", "Kone"))
+
+    def test_expression_reading_undeclared_field_fails(self):
+        from mhdlab import linear as ln
+
+        # an expression must name what it reads: a KernelValues parameter is
+        # not a field, and a declared field cannot stand in for another
+        with pytest.raises(ValueError, match="unknown kernel fields"):
+            ln._symbol(lambda kv: kv.K)(1.0, 0.5, 0.5)
+        with pytest.raises(AttributeError, match="'comp'"):
+            ln._symbol(lambda K: kr.kernel_values(1.0, 0.5, 0.5, fields=("K",)).comp)(
+                1.0, 0.5, 0.5)

@@ -1,8 +1,13 @@
 """Tests for the pseudo-spectral integrator: nonlinear terms, exponential
 stepping, diagnostics, and conservation."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhdlab import grid as gr
 from mhdlab import linear as ln
@@ -64,6 +69,26 @@ class TestConfig:
         fields = sorted(p.split(":")[0] for p in err.value.problems)
         assert fields == ["Lx", "T", "cadence", "delta", "dt", "lambda"]
         assert all("must be finite" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("field,value,dt", [("T", 1.0, 0.3), ("cadence", 0.5, 0.3),
+                                                ("T", 0.04, 0.1), ("cadence", 0.01, 0.05)])
+    def test_times_must_be_whole_steps(self, field, value, dt):
+        # T = 1 with dt = 0.3 used to end at 0.9; T = 0.04 with dt = 0.1 ran
+        # no step at all
+        kwargs = {"T": 0.9, "cadence": 0.3, field: value}
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig(dt=dt, **kwargs).validate()
+        assert err.value.problems == [
+            f"{field}: {value} is not an integer multiple of dt = {dt}"]
+
+    def test_shipped_configs_are_whole_steps(self):
+        # the README schema example, the benchmark run and the test runs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        sv.SolverConfig.from_json(json.loads(example))
+        for T, dt, cadence in ((5.0, 0.05, 0.25), (100.0, 0.05, 1.0), (0.5, 0.1, 0.1),
+                               (2.0, 0.05, 1.0), (20.0, 0.2, 1.0), (1.0, 0.1, 0.5)):
+            sv.SolverConfig(T=T, dt=dt, cadence=cadence).validate()
 
     def test_from_json_unknown_field(self):
         with pytest.raises(sv.ConfigError, match="unknown field"):
@@ -280,6 +305,35 @@ class TestSimulate:
         assert rec.aborted is not None and rec.aborted.startswith("non-finite-state")
         assert rec.times == [0.0]
 
+    def test_nonfinite_initial_state_aborts_without_steps(self, grid32):
+        # T = 0 runs no step, so only the initial check can see the NaN
+        cfg = sv.SolverConfig(nx=32, ny=32, Lx=2 * np.pi, Ly=2 * np.pi,
+                              T=0.0, dt=0.1, cadence=0.1, delta=1e-3)
+        u = sv.initial_data("random", grid32, 1e-3, seed=3).stack().copy()
+        u[0, 1, 1] = np.nan
+        rec = sv.simulate(cfg, state0=gr.PerturbationState.from_stack(grid32, u))
+        assert rec.aborted == "non-finite-state: coefficient norm is nan in the initial state"
+
+    def test_checkpoints_keep_fractional_times(self, tmp_path):
+        cfg = sv.SolverConfig(nx=16, ny=16, Lx=4 * np.pi, Ly=4 * np.pi,
+                              T=0.5, dt=0.1, cadence=0.1, delta=1e-4,
+                              checkpoint_fields=True)
+        rec = sv.simulate(cfg, out_dir=tmp_path)
+        assert rec.aborted is None
+        written = {p.name for p in tmp_path.iterdir()} - {"run_manifest.json"}
+        names = {f"{f}_t{t}.{ext}" for f in ("n", "u", "v", "psi")
+                 for t in ("0", "0.5") for ext in ("bin", "json")}
+        assert written == names | {"trajectory.csv"}
+        for t in (0.0, 0.5):
+            field, meta = gr.load_field(tmp_path / f"n_t{t:g}")
+            assert meta["time"] == t
+        assert not np.array_equal(gr.load_field(tmp_path / "n_t0")[0].coeffs,
+                                  gr.load_field(tmp_path / "n_t0.5")[0].coeffs)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert set(manifest["outputs"]) == written
+        for name, digest in manifest["outputs"].items():
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
     def test_trajectory_csv_shape(self, tmp_path):
         cfg = sv.SolverConfig(nx=16, ny=16, Lx=4 * np.pi, Ly=4 * np.pi,
                               T=2.0, dt=0.1, cadence=1.0, delta=1e-4)
@@ -319,3 +373,27 @@ class TestReconstructB:
         # second-derivative scale of psi
         scale = np.max(grid32.A**2 * np.abs(psi.coeffs))
         assert np.max(np.abs(div.coeffs)) <= 1e-14 * max(scale, 1.0)
+
+
+_GRID16 = gr.make_grid(16, 16, 4 * np.pi, 4 * np.pi)
+_STEPPER16 = sv.Stepper(_GRID16, 0.1, lam=0.05)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.floats(1e-6, 0.05),
+       nonlinear=st.booleans())
+def test_step_keeps_real_fields_and_mass(seed, size, nonlinear):
+    # random real fields, band-limited to the 2/3 dealiasing band, of small size
+    rng = np.random.default_rng(seed)
+    mask = _GRID16.dealias_mask(2.0 / 3.0)
+    fields = []
+    for _ in range(4):
+        coeffs = np.fft.fft2(rng.standard_normal((16, 16))) * mask
+        phys = np.fft.ifft2(coeffs).real
+        fields.append(gr.SpectralField.from_physical(_GRID16, size * phys / np.max(np.abs(phys))))
+    state = gr.PerturbationState(*fields)
+    out = _STEPPER16.step(state, nonlinear=nonlinear)
+    for f in out.fields:
+        assert f.hermitian_defect() <= 1e-12
+    mass0 = state.n.coeffs[0, 0].real
+    assert abs(out.n.coeffs[0, 0].real - mass0) <= 1e-12 * abs(mass0)

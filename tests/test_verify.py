@@ -43,7 +43,7 @@ class TestKernelBoundScans:
         xi, eta = AA * np.cos(TH), AA * np.sin(TH)
         kv, floors = kr.noise_floors(t, xi, eta)
         ref = kr.kernel_values(t, xi, eta)
-        for name in kr.KernelValues.__dataclass_fields__:
+        for name in kr.KernelValues.__slots__:
             assert getattr(kv, name).tobytes() == getattr(ref, name).tobytes(), name
         assert all(f.shape == xi.shape for f in floors.values())
 
