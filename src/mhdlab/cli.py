@@ -173,7 +173,7 @@ def cmd_verify(ns) -> int:
         res = _verify.run_claim(ns.claim, seed=ns.seed)
         print(json.dumps(res.to_dict(), indent=2, default=float))
         return 0 if res.verdict in ("PASS", "INFO") else 1
-    results = _verify.run_all(report_path=ns.report, seed=ns.seed, threads=ns.threads)
+    results = _verify.run_all(report_path=ns.report, seed=ns.seed)
     failed = [cid for cid, r in results.items() if r.verdict == "FAIL"]
     for cid in sorted(results):
         r = results[cid]
@@ -195,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mhdlab",
         description="Numerical laboratory for the linear kernels and small-data "
                     "dynamics of 2D compressible MHD without magnetic diffusion.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_kernel = sub.add_parser("kernel", help="kernel symbol tools")
@@ -267,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    ns.threads = getattr(ns, "threads", 1)
     return ns.func(ns)
 
 

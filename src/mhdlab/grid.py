@@ -168,10 +168,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def mean_value(self) -> float:
-        """Spatial mean = zero-mode coefficient / box area."""
-        return float(self.coeffs[0, 0].real) / self.grid.area
-
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
     """Scale coefficients modewise by the symbol m(xi, eta).

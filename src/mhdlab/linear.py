@@ -385,7 +385,7 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
         rho0 = math.log(math.hypot(xi[i, j], eta[i, j]))
         theta0 = math.atan2(eta[i, j], xi[i, j])
         return _polish_max(symbol_fn, t, region, rho0, theta0, best)
-    return float(fsum_pow(vals, w2d, q)) ** (1.0 / q)
+    return _grid.fsum(w2d * vals**q) ** (1.0 / q)
 
 
 def _polish_max(symbol_fn, t, region, rho0, theta0, best) -> float:
@@ -417,10 +417,6 @@ def _polish_max(symbol_fn, t, region, rho0, theta0, best) -> float:
             point[axis] = 0.5 * (lo + hi)
             spans[axis] *= 0.5
     return max(best, value(*point))
-
-
-def fsum_pow(vals: np.ndarray, weights: np.ndarray, q: float) -> float:
-    return math.fsum((weights * vals**q).ravel().tolist())
 
 
 def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float,

@@ -233,39 +233,15 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
     return state.scaled(delta / size)
 
 
-def _dealias(coeffs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return coeffs * mask
-
-
-class _Work:
-    """Physical-space views of a state and its derivatives, dealiased."""
-
-    def __init__(self, state: PerturbationState, mask: np.ndarray):
-        g = state.grid
-        ikx = 1j * g.xi_d[:, None]
-        iky = 1j * g.eta_d[None, :]
-        lap = -(g.XI**2 + g.ETA**2)
-
-        def phys(coeffs):
-            return SpectralField(g, _dealias(coeffs, mask)).to_physical()
-
-        cn, cu, cv, cp = (f.coeffs for f in state.fields)
-        self.n = phys(cn)
-        self.u = phys(cu)
-        self.v = phys(cv)
-        self.n_x, self.n_y = phys(ikx * cn), phys(iky * cn)
-        self.u_x, self.u_y = phys(ikx * cu), phys(iky * cu)
-        self.v_x, self.v_y = phys(ikx * cv), phys(iky * cv)
-        self.psi_x, self.psi_y = phys(ikx * cp), phys(iky * cp)
-        self.lap_u, self.lap_v, self.lap_psi = phys(lap * cu), phys(lap * cv), phys(lap * cp)
-        self.div_visc_x = phys(ikx * ikx * cu + ikx * iky * cv)   # dxx u + dxy v
-        self.div_visc_y = phys(ikx * iky * cu + iky * iky * cv)   # dxy u + dyy v
-
-
 def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
                     dealias_fraction: float = 2.0 / 3.0,
                     lambda_forcing: bool = False) -> np.ndarray:
     """The four nonlinear right-hand sides as dealiased Fourier coefficients.
+
+    The 14 dealiased spectral factors are formed on the half spectrum (the
+    fields are real) and go to physical space in one batched inverse real
+    transform; the 5 products come back in one batched forward transform.
+    The viscous terms are combined in spectral space before the transform.
 
     Requires max|n| < 0.99 so the total density stays positive.  When
     `lambda_forcing` is set, the linear lam-coupling is added here as a
@@ -273,42 +249,40 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     """
     g = state.grid
     mask = g.dealias_mask(dealias_fraction)
-    w = _Work(state, mask)
-    max_n = float(np.max(np.abs(w.n)))
+    half = g.ny // 2 + 1
+    cn, cu, cv, cp = (f.coeffs[:, :half] * mask[:, :half] for f in state.fields)
+    ikx = 1j * g.xi_d[:, None]
+    iky = 1j * g.eta_d[None, :half]
+    lap = -(g.XI**2 + g.ETA[:, :half]**2)
+    # lap u + lam (dxx u + dxy v) and lap v + lam (dxy u + dyy v) - lap psi
+    visc_x = lap * cu + lam * (ikx * ikx * cu + ikx * iky * cv)
+    visc_y = lap * cv + lam * (ikx * iky * cu + iky * iky * cv) - lap * cp
+    spec = np.stack([cn, cu, cv, ikx * cn, iky * cn, ikx * cu, iky * cu, ikx * cv, iky * cv,
+                     ikx * cp, iky * cp, lap * cp, visc_x, visc_y])
+    phys = np.fft.irfft2(spec, s=(g.nx, g.ny))
+    phys /= g.dx * g.dy
+    n, u, v, n_x, n_y, u_x, u_y, v_x, v_y, psi_x, psi_y, lap_psi, visc_x, visc_y = phys
+    max_n = float(np.max(np.abs(n)))
     if max_n >= 0.99:
         raise DensityCollapseError(f"density-collapse: max|n| = {max_n:.3f} >= 0.99")
-    rho = 1.0 + w.n
+    rho = 1.0 + n
 
-    n0 = -(w.n * w.u)  # via divergence below
-    n0y = -(w.n * w.v)
-    n1 = (
-        -(w.u * w.u_x + w.v * w.u_y)
-        - (w.n * w.lap_u + w.n * lam * w.div_visc_x) / rho
-        - w.psi_x * w.lap_psi / rho
-        - w.n * w.n_x
-    )
-    n2 = (
-        -(w.u * w.v_x + w.v * w.v_y)
-        - (w.n * w.lap_v + w.n * lam * w.div_visc_y - w.n * w.lap_psi) / rho
-        - w.psi_y * w.lap_psi / rho
-        - w.n * w.n_y
-    )
-    n3 = -(w.u * w.psi_x + w.v * w.psi_y)
-
-    scale = g.dx * g.dy
-    ikx = 1j * g.xi_d[:, None]
-    iky = 1j * g.eta_d[None, :]
-    out = np.empty((4, g.nx, g.ny), dtype=complex)
-    out[0] = ikx * (np.fft.fft2(n0) * scale) + iky * (np.fft.fft2(n0y) * scale)
-    out[1] = np.fft.fft2(n1) * scale
-    out[2] = np.fft.fft2(n2) * scale
-    out[3] = np.fft.fft2(n3) * scale
+    products = np.stack([
+        -(n * u),  # density flux, differentiated below
+        -(n * v),
+        -(u * u_x + v * u_y) - (n * visc_x + psi_x * lap_psi) / rho - n * n_x,
+        -(u * v_x + v * v_y) - (n * visc_y + psi_y * lap_psi) / rho - n * n_y,
+        -(u * psi_x + v * psi_y),
+    ])
+    hat = np.fft.fft2(products) * (g.dx * g.dy)
+    iky = 1j * g.eta_d[None, :]  # full spectrum from here on
+    out = hat[1:]
+    out[0] = ikx * hat[0] + iky * hat[1]  # conservative: ikx F(nu) + iky F(nv)
     if lambda_forcing:
         cu, cv = state.u.coeffs, state.v.coeffs
         out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
         out[2] += lam * (ikx * iky * cu + iky * iky * cv)
-    for k in range(4):
-        out[k] = _dealias(out[k], mask)
+    out *= mask
     return out
 
 

@@ -229,44 +229,43 @@ def _quad_claim(claim: str, t: float, params: dict, mult: int) -> float:
     beta = params.get("beta", 0.0)
     alpha = params.get("alpha", 0.0)
     beta_p = params.get("beta_prime", beta)
-    n_dyadic = params.get("N", 1.0)
     c = params.get("c", 0.25)
+    annulus = ("annulus", params.get("N", 1.0))
+
+    def heat(tt, xi, eta):  # |k|^beta e^{-c|k|^2 t}
+        return np.hypot(xi, eta) ** beta * np.exp(-c * (xi**2 + eta**2) * tt)
+
+    def aniso(tt, xi, eta):  # |xi|^beta / A^alpha e^{-c xi^2/A^2 t}
+        A = np.hypot(xi, eta)
+        return np.abs(xi)**beta / A**alpha * np.exp(-c * xi**2 / A**2 * tt)
+
+    def aniso_cut(tt, xi, eta):  # the same with beta', cut to |xi| <= A^2, 0 at A = 0
+        A = np.hypot(xi, eta)
+        w = np.where(A > 0, np.abs(xi)**beta_p / np.where(A > 0, A, 1)**alpha
+                     * np.exp(-c * xi**2 / np.where(A > 0, A, 1)**2 * tt), 0.0)
+        return w * (np.abs(xi) <= A**2)
+
+    def l1(fn, region):
+        return _linear._lq_polar(fn, t, region, 1.0, 10 * mult, 6 + 4 * mult, 8)
+
+    def mixed(fn, region, qx, qe):
+        return _linear._mixed_cartesian(fn, t, region, qx, qe, mult)
 
     if claim == "est_At":
-        fn = lambda tt, xi, eta: np.hypot(xi, eta) ** beta * np.exp(-c * (xi**2 + eta**2) * tt)
-        return _linear._lq_polar(fn, t, "le1", 1.0, 10 * mult, 6 + 4 * mult, 8)
-    if claim == "est_Axit1":
-        def fn(tt, xi, eta):
-            A = np.hypot(xi, eta)
-            return np.abs(xi)**beta / A**alpha * np.exp(-c * xi**2 / A**2 * tt)
-        return _linear._lq_polar(fn, t, ("annulus", n_dyadic), 1.0, 10 * mult, 6 + 4 * mult, 8)
-    if claim == "est_Axit2":
-        def fn(tt, xi, eta):
-            A = np.hypot(xi, eta)
-            w = np.where(A > 0, np.abs(xi)**beta_p / np.where(A > 0, A, 1)**alpha
-                         * np.exp(-c * xi**2 / np.where(A > 0, A, 1)**2 * tt), 0.0)
-            return w * (np.abs(xi) <= A**2)
-        return _linear._lq_polar(fn, t, "le1", 1.0, 10 * mult, 6 + 4 * mult, 8)
+        return l1(heat, "le1")
     if claim == "est_At2":
-        fn = lambda tt, xi, eta: np.hypot(xi, eta) ** beta * np.exp(-c * (xi**2 + eta**2) * tt)
-        a = _linear._mixed_cartesian(fn, t, "le1", np.inf, 1.0, mult)
-        b = _linear._mixed_cartesian(fn, t, "le1", 1.0, np.inf, mult)
-        return a + b
-    if claim in ("est_Axit3", "est_Axit4"):
-        def fn(tt, xi, eta):
-            A = np.hypot(xi, eta)
-            return np.abs(xi)**beta / A**alpha * np.exp(-c * xi**2 / A**2 * tt)
-        qx, qe = (1.0, np.inf) if claim == "est_Axit3" else (np.inf, 1.0)
-        return _linear._mixed_cartesian(fn, t, ("annulus", n_dyadic), qx, qe, mult)
+        return mixed(heat, "le1", np.inf, 1.0) + mixed(heat, "le1", 1.0, np.inf)
+    if claim == "est_Axit1":
+        return l1(aniso, annulus)
+    if claim == "est_Axit3":
+        return mixed(aniso, annulus, 1.0, np.inf)
+    if claim == "est_Axit4":
+        return mixed(aniso, annulus, np.inf, 1.0)
+    if claim == "est_Axit2":
+        return l1(aniso_cut, "le1")
     if claim == "est_Axit5":
-        def fn(tt, xi, eta):
-            A = np.hypot(xi, eta)
-            w = np.where(A > 0, np.abs(xi)**beta_p / np.where(A > 0, A, 1)**alpha
-                         * np.exp(-c * xi**2 / np.where(A > 0, A, 1)**2 * tt), 0.0)
-            return w * (np.abs(xi) <= A**2)
-        which = params.get("variant", "L1xLinfy")
-        qx, qe = (1.0, np.inf) if which == "L1xLinfy" else (np.inf, 1.0)
-        return _linear._mixed_cartesian(fn, t, "le1", qx, qe, mult)
+        qx, qe = (1.0, np.inf) if params.get("variant", "L1xLinfy") == "L1xLinfy" else (np.inf, 1.0)
+        return mixed(aniso_cut, "le1", qx, qe)
     raise KeyError(f"unknown quadrature claim {claim!r}")
 
 
@@ -481,19 +480,13 @@ def run_claim(claim_id: str, seed: int = 0, **kwargs) -> ScanResult:
     return CLAIMS[claim_id](**kwargs)
 
 
-def run_all(report_path=None, seed: int = 0, threads: int = 1) -> dict:
+def run_all(report_path=None, seed: int = 0) -> dict:
     """Execute every checker; returns {claim_id: ScanResult}, sorted by id.
 
     Exit-status semantics are the caller's: any FAIL verdict means failure.
     """
-    ids = sorted(CLAIMS)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(ids, pool.map(lambda cid: run_claim(cid, seed), ids)))
-    else:
-        results = {cid: run_claim(cid, seed) for cid in ids}
+    results = {cid: run_claim(cid, seed) for cid in sorted(CLAIMS)}
     if report_path is not None:
-        payload = {cid: res.to_dict() for cid, res in sorted(results.items())}
+        payload = {cid: res.to_dict() for cid, res in results.items()}
         Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return results

@@ -180,6 +180,85 @@ class TestNonlinearTerms:
             assert np.max(np.abs(nl[k][outside])) == 0.0
 
 
+def random_real_state(grid, seed, size):
+    """Random real fields band-limited to the 2/3 band, each of max |value| = size."""
+    rng = np.random.default_rng(seed)
+    mask = grid.dealias_mask(2.0 / 3.0)
+    fields = []
+    for _ in range(4):
+        phys = np.fft.ifft2(np.fft.fft2(rng.standard_normal((grid.nx, grid.ny))) * mask).real
+        fields.append(gr.SpectralField.from_physical(grid, size * phys / np.max(np.abs(phys))))
+    return gr.PerturbationState(*fields)
+
+
+def per_field_nonlinear_terms(state, lam, lambda_forcing=False):
+    """Reference right-hand side: every factor and product through its own
+    full-spectrum transform, with the viscous terms combined in physical space."""
+    g = state.grid
+    mask = g.dealias_mask()
+    ikx = 1j * g.xi_d[:, None]
+    iky = 1j * g.eta_d[None, :]
+    lap = -(g.XI**2 + g.ETA**2)
+
+    def phys(coeffs):
+        return gr.SpectralField(g, coeffs * mask).to_physical()
+
+    def hat(values):
+        return gr.SpectralField.from_physical(g, values).coeffs
+
+    cn, cu, cv, cp = (f.coeffs for f in state.fields)
+    n, u, v = phys(cn), phys(cu), phys(cv)
+    n_x, n_y = phys(ikx * cn), phys(iky * cn)
+    u_x, u_y = phys(ikx * cu), phys(iky * cu)
+    v_x, v_y = phys(ikx * cv), phys(iky * cv)
+    psi_x, psi_y = phys(ikx * cp), phys(iky * cp)
+    lap_u, lap_v, lap_psi = phys(lap * cu), phys(lap * cv), phys(lap * cp)
+    div_visc_x = phys(ikx * ikx * cu + ikx * iky * cv)
+    div_visc_y = phys(ikx * iky * cu + iky * iky * cv)
+    rho = 1.0 + n
+    n1 = (-(u * u_x + v * u_y) - (n * lap_u + n * lam * div_visc_x) / rho
+          - psi_x * lap_psi / rho - n * n_x)
+    n2 = (-(u * v_x + v * v_y) - (n * lap_v + n * lam * div_visc_y - n * lap_psi) / rho
+          - psi_y * lap_psi / rho - n * n_y)
+    n3 = -(u * psi_x + v * psi_y)
+    out = np.stack([ikx * hat(-(n * u)) + iky * hat(-(n * v)), hat(n1), hat(n2), hat(n3)])
+    if lambda_forcing:
+        out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
+        out[2] += lam * (ikx * iky * cu + iky * iky * cv)
+    return out * mask
+
+
+class TestBatchedNonlinearTerms:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    @pytest.mark.parametrize("lambda_forcing", [False, True])
+    def test_matches_per_field_reference(self, n, lam, lambda_forcing):
+        grid = gr.make_grid(n, n, 4 * np.pi, 4 * np.pi)
+        for seed in range(3):
+            state = random_real_state(grid, seed, 0.3)
+            nl = sv.nonlinear_terms(state, lam, lambda_forcing=lambda_forcing)
+            ref = per_field_nonlinear_terms(state, lam, lambda_forcing=lambda_forcing)
+            assert np.max(np.abs(nl - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lambda_forcing", [False, True])
+    def test_one_transform_each_way(self, grid32, monkeypatch, lambda_forcing):
+        state = random_real_state(grid32, 0, 0.3)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        sv.nonlinear_terms(state, lam=0.4, lambda_forcing=lambda_forcing)
+        inverse = [name for name in calls if name.startswith("i")]
+        assert len(inverse) == 1 and len(calls) == 2, calls
+
+
 class TestStepper:
     def test_linear_step_is_exact(self, grid32):
         state = sv.initial_data("random", grid32, 0.01, seed=3)
@@ -383,15 +462,7 @@ _STEPPER16 = sv.Stepper(_GRID16, 0.1, lam=0.05)
 @given(seed=st.integers(0, 2**32 - 1), size=st.floats(1e-6, 0.05),
        nonlinear=st.booleans())
 def test_step_keeps_real_fields_and_mass(seed, size, nonlinear):
-    # random real fields, band-limited to the 2/3 dealiasing band, of small size
-    rng = np.random.default_rng(seed)
-    mask = _GRID16.dealias_mask(2.0 / 3.0)
-    fields = []
-    for _ in range(4):
-        coeffs = np.fft.fft2(rng.standard_normal((16, 16))) * mask
-        phys = np.fft.ifft2(coeffs).real
-        fields.append(gr.SpectralField.from_physical(_GRID16, size * phys / np.max(np.abs(phys))))
-    state = gr.PerturbationState(*fields)
+    state = random_real_state(_GRID16, seed, size)
     out = _STEPPER16.step(state, nonlinear=nonlinear)
     for f in out.fields:
         assert f.hermitian_defect() <= 1e-12
