@@ -135,15 +135,6 @@ def scan_kernel_bounds(which: int, n_t: int = 12, n_a: int = 24, n_angle: int = 
                    extra={"c_decay": c_decay})
 
 
-def reevaluate_kernel_bound(which: int, worst: dict,
-                            c_decay: float = _kernel.DEFAULT_C_DECAY) -> float:
-    """Standalone re-evaluation of a recorded worst case (reproducibility)."""
-    t, xi, eta = worst["t"], worst["xi"], worst["eta"]
-    lhs = float(_est_lhs(which, t, xi, eta))
-    rhs = float(_kernel.bound_envelope(which, t, xi, eta, c_decay))
-    return 0.0 if lhs == 0.0 else lhs / rhs
-
-
 # ---------------------------------------------------------------------------
 # Appendix: elementary exponential-difference inequality
 

@@ -139,17 +139,17 @@ class TestCharPoly:
 class TestKernelSemigroup:
     def test_identity_at_t_zero(self):
         u0 = np.array([0.3 + 0.1j, -0.2, 0.7j, 1.0])
-        got = ln.kernel_semigroup_mode(u0, 0.0, 0.7, -1.3)
+        got = ln.semigroup_matrix(0.0, 0.7, -1.3) @ u0
         assert np.max(np.abs(got - u0)) <= 1e-12
 
     def test_constant_density_mode(self):
-        got = ln.kernel_semigroup_mode(np.array([1.0, 0, 0, 0]), 5.0, 0.0, 0.0)
+        got = ln.semigroup_matrix(5.0, 0.0, 0.0) @ np.array([1.0, 0, 0, 0])
         assert np.allclose(got, [1.0, 0, 0, 0])
 
     def test_zero_mode_full_flow(self):
         # at zero frequency the generator is nilpotent: psi picks up -t*v
         u0 = np.array([0.2, -0.4, 0.5, 1.0])
-        got = ln.kernel_semigroup_mode(u0, 3.0, 0.0, 0.0)
+        got = ln.semigroup_matrix(3.0, 0.0, 0.0) @ u0
         assert np.allclose(got, [0.2, -0.4, 0.5, 1.0 - 3.0 * 0.5], atol=1e-12)
 
     def test_matches_matexp_oracle(self):
@@ -168,7 +168,7 @@ class TestKernelSemigroup:
         coeffs[:, -2, -3] = amp.conj()
         state = gr.PerturbationState.from_stack(g, coeffs)
         out = ln.kernel_semigroup_field(state, 1.5)
-        expect = ln.kernel_semigroup_mode(amp, 1.5, g.xi[2], g.eta[3])
+        expect = ln.semigroup_matrix(1.5, g.xi[2], g.eta[3]) @ amp
         assert np.allclose(out.stack()[:, 2, 3], expect, atol=1e-12)
 
     def test_field_zero_state(self):
@@ -207,6 +207,60 @@ class TestKernelSemigroup:
         before = state.n.coeffs[0, 0]
         after = ln.kernel_semigroup_field(state, 4.0).n.coeffs[0, 0]
         assert after == pytest.approx(before, rel=1e-12)
+
+
+def per_sample_oracle_scan(samples, seed, t_values=(0.1, 1.0, 10.0), box=8.0):
+    """Reference oracle scan: one scalar semigroup and one scalar matrix
+    exponential per sample and time, worst case by strict comparison."""
+    rng = np.random.default_rng(seed)
+    worst, worst_case = 0.0, None
+    for _ in range(samples):
+        xi, eta = rng.uniform(-box, box, size=2)
+        u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        u0 /= np.linalg.norm(u0)
+        for t in t_values:
+            ref = ln.matexp(ln.symbol_matrix(xi, eta, 0.0).entries, t) @ u0
+            got = ln.semigroup_matrix(t, xi, eta) @ u0
+            err = np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref))
+            if err > worst:
+                worst, worst_case = err, {"xi": xi, "eta": eta, "t": t}
+    return {"samples": samples, "seed": seed, "max_rel_err": worst, "worst": worst_case}
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("seed", [0, 9, 123, 2024])
+    def test_matches_per_sample_reference(self, seed):
+        got = ln.oracle_scan(samples=300, seed=seed)
+        ref = per_sample_oracle_scan(300, seed)
+        assert got["max_rel_err"].tobytes() == ref["max_rel_err"].tobytes()
+        assert repr(got["worst"]) == repr(ref["worst"])
+        assert got["samples"] == 300 and got["seed"] == seed
+
+    @pytest.mark.parametrize("t_values", [(), (np.inf,), (0.1, np.nan), (1.0, -np.inf)])
+    def test_rejects_empty_or_nonfinite_times(self, t_values):
+        with pytest.raises(ValueError, match="invalid-budget"):
+            ln.oracle_scan(samples=5, t_values=t_values)
+
+    @pytest.mark.parametrize("box", [0.0, -2.0, np.inf, np.nan])
+    def test_rejects_degenerate_box(self, box):
+        with pytest.raises(ValueError, match="invalid-budget"):
+            ln.oracle_scan(samples=5, box=box)
+
+    def test_nonfinite_discrepancy_is_named(self, monkeypatch):
+        original = ln.SEMIGROUP_TERMS[("u", "v")]
+        monkeypatch.setitem(ln.SEMIGROUP_TERMS, ("u", "v"),
+                            lambda *args: original(*args) * np.nan)
+        with pytest.raises(ValueError, match=r"oracle-nonfinite: .*\(xi, eta\) = .*t = 0\.1"):
+            ln.oracle_scan(samples=5, seed=1)
+
+    def test_one_semigroup_and_one_expm_batch_per_time(self, monkeypatch):
+        calls = []
+        for name in ("semigroup_matrix", "expm_batch"):
+            fn = getattr(ln, name)
+            monkeypatch.setattr(ln, name, lambda *a, _fn=fn, _name=name:
+                                calls.append(_name) or _fn(*a))
+        ln.oracle_scan(samples=20, seed=0, t_values=(0.5, 2.0))
+        assert sorted(calls) == ["expm_batch"] * 2 + ["semigroup_matrix"] * 2
 
 
 class TestMutationSensitivity:
@@ -274,6 +328,102 @@ class TestSymbolNorms:
             slope, r2 = ln.fit_loglog(ts, vals)
             assert abs(slope - target) <= 0.1, (sym, slope)
             assert r2 >= 0.98
+
+
+def per_node_mixed_cartesian(symbol_fn, t, region, q_xi, q_eta, mult):
+    """Reference mixed norm: one symbol call per xi node."""
+    rho_lo, rho_hi = ln._region_rho_range(region)
+    a_lo, a_hi = math.exp(rho_lo), math.exp(rho_hi)
+    if region == "le1" or region == "all":
+        a_lo = 0.0
+    xi_nodes, xi_w = ln._gauss_panels(ln._xi_edges(0.0, a_hi, 12 * mult), 6)
+    inner = np.empty_like(xi_nodes)
+    for i, x in enumerate(xi_nodes):
+        e_hi2 = a_hi**2 - x * x
+        if e_hi2 <= 0:
+            inner[i] = 0.0
+            continue
+        e_hi = math.sqrt(e_hi2)
+        e_lo = math.sqrt(max(a_lo**2 - x * x, 0.0))
+        if e_hi <= e_lo:
+            inner[i] = 0.0
+            continue
+        eta_nodes, eta_w = ln._gauss_panels(ln._xi_edges(e_lo, e_hi, 10 * mult), 6)
+        vals = np.abs(symbol_fn(t, np.full_like(eta_nodes, x), eta_nodes))
+        if np.isinf(q_eta):
+            inner[i] = float(np.max(vals))
+        else:
+            inner[i] = (2.0 * float(np.sum(eta_w * vals**q_eta))) ** (1.0 / q_eta)
+    if np.isinf(q_xi):
+        return float(np.max(inner))
+    return (2.0 * float(np.sum(xi_w * inner**q_xi))) ** (1.0 / q_xi)
+
+
+def _heat(t, xi, eta):
+    return np.hypot(xi, eta) * np.exp(-0.25 * (xi**2 + eta**2) * t)
+
+
+def _aniso_cut(t, xi, eta):
+    A = np.hypot(xi, eta)
+    safe = np.where(A > 0, A, 1)
+    w = np.where(A > 0, np.abs(xi) / safe**1.25 * np.exp(-0.25 * xi**2 / safe**2 * t), 0.0)
+    return w * (np.abs(xi) <= A**2)
+
+
+MIXED_INTEGRANDS = {"heat": _heat, "aniso_cut": _aniso_cut, "xicomp": ln.SYMBOLS["xicomp"]}
+
+
+class TestBatchedMixedNorms:
+    @pytest.mark.parametrize("mult", [1, 2])
+    @pytest.mark.parametrize("region", ["le1", ("annulus", 1.0)])
+    @pytest.mark.parametrize("q", [(1.0, np.inf), (np.inf, 1.0), (2.0, np.inf)])
+    @pytest.mark.parametrize("name", sorted(MIXED_INTEGRANDS))
+    def test_matches_per_node_reference(self, name, q, region, mult):
+        fn = MIXED_INTEGRANDS[name]
+        for t in (0.0, 10.0, 1e3):
+            got = ln._mixed_cartesian(fn, t, region, *q, mult)
+            want = per_node_mixed_cartesian(fn, t, region, *q, mult)
+            assert got.hex() == want.hex(), t
+
+    @pytest.mark.parametrize("q", [(1.0, np.inf), (np.inf, 1.0), (2.0, np.inf)])
+    def test_skipped_nodes_stay_zero(self, q, monkeypatch):
+        # Gauss nodes lie strictly inside (0, a_hi), so no node is skipped in
+        # practice; add xi nodes on and beyond the rim to reach both skips
+        panels = ln._gauss_panels
+        first = []
+
+        def with_rim_nodes(edges, n_gl):
+            nodes, w = panels(edges, n_gl)
+            if not first:
+                first.append(True)
+                nodes = np.concatenate([nodes, [1.0, 1.5]])
+                w = np.concatenate([w, [0.01, 0.01]])
+            return nodes, w
+
+        monkeypatch.setattr(ln, "_gauss_panels", with_rim_nodes)
+        got = ln._mixed_cartesian(_heat, 1.0, ("annulus", 1.0), *q, 1)
+        first.clear()
+        want = per_node_mixed_cartesian(_heat, 1.0, ("annulus", 1.0), *q, 1)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("region", ["le1", ("annulus", 1.0)])
+    def test_one_symbol_call_per_level(self, region):
+        calls = []
+
+        def counted(t, xi, eta):
+            calls.append(np.shape(xi))
+            return _heat(t, xi, eta)
+
+        ln._mixed_cartesian(counted, 10.0, region, 2.0, np.inf, 2)
+        assert len(calls) == 1
+
+    def test_gauss_legendre_nodes_cached_read_only(self):
+        x, w = ln._leggauss(6)
+        assert ln._leggauss(6)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(6)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 class TestDecayExperiments:

@@ -23,11 +23,6 @@ class TestKernelBoundScans:
         kv = kr.kernel_values(0.0, 1.3, 0.7)
         assert kv.K == 0.0
 
-    def test_worst_case_reproducible(self):
-        res = vf.scan_kernel_bounds(1, n_t=8, n_a=16, n_angle=16)
-        again = vf.reevaluate_kernel_bound(1, res.worst)
-        assert again == pytest.approx(res.worst["ratio"], abs=1e-10)
-
     def test_spot_high_frequency(self):
         # A = 1e3, t = 10: dominated by the anisotropic branch, finite ratio
         kv = kr.kernel_values(10.0, 30.0, math.sqrt(1e6 - 900.0))
