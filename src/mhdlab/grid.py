@@ -29,7 +29,8 @@ __all__ = [
     "apply_multiplier",
     "lp_project",
     "sobolev_norm",
-    "mixed_norm_L2x_Linfy",
+    "energy_components",
+    "hm_energy",
     "x_norm_snapshot",
     "x_param_problems",
     "bump_chi",
@@ -157,12 +158,6 @@ class SpectralField:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.hermitian_defect() <= tol
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar)
 
@@ -250,6 +245,17 @@ def _weight(grid: FourierGrid, s: float, homogeneity: str) -> np.ndarray:
     return w
 
 
+def _finite_weight(grid: FourierGrid, s: float, homogeneity: str) -> np.ndarray:
+    """`_weight` with its non-finite entries (the zero mode of |grad|^s, s < 0) set to 0."""
+    w = _weight(grid, s, homogeneity)
+    return np.where(np.isfinite(w), w, 0.0)
+
+
+def _l2(wc: np.ndarray, area: float) -> float:
+    """L^2 norm of the field with coefficients wc: Parseval, compensated sum."""
+    return math.sqrt(fsum(np.abs(wc) ** 2) / area)
+
+
 def sobolev_norm(f: SpectralField, s: float, homogeneity: str = "inhomogeneous",
                  p: int = 2) -> float:
     """Norm of <grad>^s f (or |grad|^s f) in L^2 or L^infinity.
@@ -257,14 +263,13 @@ def sobolev_norm(f: SpectralField, s: float, homogeneity: str = "inhomogeneous",
     L^2 is evaluated on the Fourier side by Parseval with compensated
     summation; L^infinity transforms back and takes the max.
     """
-    w = _weight(f.grid, s, homogeneity)
     if homogeneity == "homogeneous" and s < 0 and abs(f.coeffs[0, 0]) > 1e-13 * (
         1.0 + np.max(np.abs(f.coeffs))
     ):
         raise GridError("homogeneous-symbol-singularity: |grad|^s with s<0 on nonzero mean mode")
-    wc = np.where(np.isfinite(w), w, 0.0) * f.coeffs
+    wc = _finite_weight(f.grid, s, homogeneity) * f.coeffs
     if p == 2:
-        return math.sqrt(fsum(np.abs(wc) ** 2) / f.grid.area)
+        return _l2(wc, f.grid.area)
     if p == np.inf or p == "inf":
         return float(np.max(np.abs(SpectralField(f.grid, wc).to_physical())))
     raise GridError(f"unsupported p={p}; expected 2 or inf")
@@ -272,18 +277,6 @@ def sobolev_norm(f: SpectralField, s: float, homogeneity: str = "inhomogeneous",
 
 def l2_norm(f: SpectralField) -> float:
     return sobolev_norm(f, 0.0)
-
-
-def l1_norm(f: SpectralField) -> float:
-    """Physical-space L^1 norm by cell quadrature."""
-    return f.grid.dx * f.grid.dy * fsum(np.abs(f.to_physical()))
-
-
-def mixed_norm_L2x_Linfy(f: SpectralField) -> float:
-    """|| sup_y |f| ||_{L^2_x}: per x-column sup, then discrete L^2 in x."""
-    phys = f.to_physical()
-    col_sup = np.max(np.abs(phys), axis=1)
-    return math.sqrt(f.grid.dx * fsum(col_sup**2))
 
 
 @dataclass(frozen=True)
@@ -355,7 +348,8 @@ class XNormBreakdown:
 
     `entries` hold the raw norms; `weights` hold the time-weight exponents so
     that the weighted summand is <t>^weights[k] * entries[k].  Slope fits act
-    on the raw entries.
+    on the raw entries.  `energy` is the `hm_energy` of the state; `sup_n`,
+    `sup_u` and `sup_grad_psi` are the grid maxima of |n|, |(u, v)|, |grad psi|.
     """
 
     t: float
@@ -365,6 +359,10 @@ class XNormBreakdown:
     eps: float
     gamma: float
     gamma_bar: float
+    energy: float
+    sup_n: float
+    sup_u: float
+    sup_grad_psi: float
 
     def weighted(self, name: str) -> float:
         return (1.0 + self.t**2) ** (self.weights[name] / 2.0) * self.entries[name]
@@ -384,51 +382,75 @@ def x_param_problems(M: int, eps: float, gamma: float, gamma_bar: float) -> list
     return problems
 
 
+def energy_components(state: PerturbationState) -> np.ndarray:
+    """The H^M energy's components (n, u, v, dx psi, dy psi) as one stack."""
+    g = state.grid
+    cp = state.psi.coeffs
+    return np.stack([state.n.coeffs, state.u.coeffs, state.v.coeffs,
+                     cp * (1j * g.xi_d[:, None]), cp * (1j * g.eta_d[None, :])])
+
+
+def hm_energy(grid: FourierGrid, comps: np.ndarray, M: int) -> tuple[float, list]:
+    """H^M size of the `energy_components` stack, and the H^M norm of each."""
+    w = _finite_weight(grid, M, "inhomogeneous")
+    norms = [_l2(w * c, grid.area) for c in comps]
+    return math.sqrt(fsum([x ** 2 for x in norms])), norms
+
+
 def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float = 0.01,
                     gamma: float = 0.75, gamma_bar: float = 1.0) -> XNormBreakdown:
-    """Evaluate every summand of the three working-space norms at time t."""
+    """Evaluate every summand of the three working-space norms at time t, with
+    the H^M energy and the sup norms of the state.
+
+    One pass: each weight is built once, and every physical-space value comes
+    from one batched inverse transform.
+    """
     problems = x_param_problems(M, eps, gamma, gamma_bar)
     if problems:
         raise GridError("; ".join(problems))
-    n, u, v, psi = state.fields
     g = state.grid
-    inf = np.inf
+    comps = energy_components(state)
+    cn, cu, cv, px, py = comps
+    cp = state.psi.coeffs
+    ikx, iky = 1j * g.xi_d[:, None], 1j * g.eta_d[None, :]
+    energy, hm = hm_energy(g, comps, M)
+    # the order-0 weight is exactly 1, so plain L^2 entries use the coefficients
+    w1, w3, w4, w32 = (_finite_weight(g, s, "inhomogeneous") for s in (1, 3, 4, 1.5))
+    hg, hgb = (_finite_weight(g, s, "homogeneous") for s in (gamma, gamma_bar))
+
+    def l2(wc):
+        return _l2(wc, g.area)
 
     def vec_l2(*vals):
         return math.sqrt(fsum([x * x for x in vals]))
 
-    dxu = deriv_x(u)
-    dxn = deriv_x(n)
-    dxpsi = deriv_x(psi)
-    grad_psi = (deriv_x(psi), deriv_y(psi))
-    grad_v = (deriv_x(v), deriv_y(v))
-
+    phys = np.fft.ifft2(np.stack([w32 * cn, w1 * cu, w1 * cv, w1 * (hgb * cp),
+                                  cn, cu, cv, px, py])) / (g.dx * g.dy)
+    n32, u1, v1, psi1, n, u, v, psi_x, psi_y = phys.real
     entries = {
-        "n:HM_L2": sobolev_norm(n, M),
-        "n:H3_L2": sobolev_norm(n, 3),
-        "n:H3half_inf": sobolev_norm(n, 1.5, p=inf),
-        "n:dx_H1_L2": sobolev_norm(dxn, 1),
-        "u:HM_L2": vec_l2(sobolev_norm(u, M), sobolev_norm(v, M)),
-        "u:L2": vec_l2(l2_norm(u), l2_norm(v)),
-        "u:H1_inf": max(sobolev_norm(u, 1, p=inf), sobolev_norm(v, 1, p=inf)),
-        "v:L2xLinfy": mixed_norm_L2x_Linfy(v),
-        "u:hgamma_L2": vec_l2(sobolev_norm(u, gamma, "homogeneous"),
-                              sobolev_norm(v, gamma, "homogeneous")),
-        "u:dx_H1_L2": sobolev_norm(dxu, 1),
-        "v:grad_H1_L2": vec_l2(*(sobolev_norm(d, 1) for d in grad_v)),
-        "psi:HM_grad_L2": vec_l2(*(sobolev_norm(d, M) for d in grad_psi)),
-        "psi:H4hgamma_L2": sobolev_norm(apply_multiplier(psi, homog_weight(g, gamma)), 4),
-        "psi:dx_L2": l2_norm(dxpsi),
-        "psi:dx_grad_L2": vec_l2(l2_norm(deriv_x(dxpsi)), l2_norm(deriv_y(dxpsi))),
-        "psi:hgammabar_H1_inf": sobolev_norm(
-            apply_multiplier(psi, homog_weight(g, gamma_bar)), 1, p=inf),
+        "n:HM_L2": hm[0],
+        "n:H3_L2": l2(w3 * cn),
+        "n:H3half_inf": float(np.max(np.abs(n32))),
+        "n:dx_H1_L2": l2(w1 * (cn * ikx)),
+        "u:HM_L2": vec_l2(hm[1], hm[2]),
+        "u:L2": vec_l2(l2(cu), l2(cv)),
+        "u:H1_inf": max(float(np.max(np.abs(u1))), float(np.max(np.abs(v1)))),
+        "v:L2xLinfy": math.sqrt(g.dx * fsum(np.max(np.abs(v), axis=1) ** 2)),
+        "u:hgamma_L2": vec_l2(l2(hg * cu), l2(hg * cv)),
+        "u:dx_H1_L2": l2(w1 * (cu * ikx)),
+        "v:grad_H1_L2": vec_l2(l2(w1 * (cv * ikx)), l2(w1 * (cv * iky))),
+        "psi:HM_grad_L2": vec_l2(hm[3], hm[4]),
+        "psi:H4hgamma_L2": l2(w4 * (hg * cp)),
+        "psi:dx_L2": l2(px),
+        "psi:dx_grad_L2": vec_l2(l2(px * ikx), l2(px * iky)),
+        "psi:hgammabar_H1_inf": float(np.max(np.abs(psi1))),
     }
-    weights = dict(X_ENTRY_WEIGHTS)
-    for k, w in weights.items():
-        if w == -1.0:
-            weights[k] = -eps
+    weights = {k: -eps if w == -1.0 else w for k, w in X_ENTRY_WEIGHTS.items()}
     return XNormBreakdown(t=float(t), entries=entries, weights=weights,
-                          M=M, eps=eps, gamma=gamma, gamma_bar=gamma_bar)
+                          M=M, eps=eps, gamma=gamma, gamma_bar=gamma_bar, energy=energy,
+                          sup_n=float(np.max(np.abs(n))),
+                          sup_u=float(np.max(np.sqrt(u**2 + v**2))),
+                          sup_grad_psi=float(np.max(np.sqrt(psi_x**2 + psi_y**2))))
 
 
 def _field_files(path) -> tuple[Path, Path]:

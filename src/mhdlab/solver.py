@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from . import grid as _grid
 from . import write_manifest
-from .grid import (FourierGrid, SpectralField, PerturbationState, make_grid,
-                   x_norm_snapshot, XNormBreakdown, fsum)
+from .grid import FourierGrid, PerturbationState, make_grid, x_norm_snapshot, fsum
 from .linear import expm_batch, symbol_matrix
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "nonlinear_terms",
     "Stepper",
     "simulate",
-    "reconstruct_b",
 ]
 
 
@@ -79,6 +78,8 @@ class SolverConfig:
     checkpoint_fields: bool = False
 
     def validate(self) -> None:
+        if type_problems := self._type_problems():  # the range checks below need numbers
+            raise ConfigError(type_problems)
         values = self.to_json()
         nonfinite = [name for name, val in values.items()
                      if isinstance(val, float) and not math.isfinite(val)]
@@ -110,6 +111,20 @@ class SolverConfig:
                     + [p for p in problems if p.split(":")[0] not in nonfinite])
         if problems:
             raise ConfigError(problems)
+
+    def _type_problems(self) -> list:
+        """Fields hold their annotated type: an int is a float, a bool is neither."""
+        problems = []
+        for f in fields(self):
+            val = getattr(self, f.name)
+            name = "lambda" if f.name == "lam" else f.name
+            if f.type == "bool" and not isinstance(val, bool):
+                problems.append(f"{name}: {val!r} must be true or false")
+            elif f.type == "int" and (isinstance(val, bool) or not isinstance(val, Integral)):
+                problems.append(f"{name}: {val!r} must be an integer")
+            elif f.type == "float" and (isinstance(val, bool) or not isinstance(val, Real)):
+                problems.append(f"{name}: {val!r} must be a number")
+        return problems
 
     def _time_grid_problems(self) -> list:
         """T and cadence must be whole numbers of steps (1e-9 relative), so the
@@ -162,22 +177,23 @@ class TrajectoryRecord:
     times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     mass: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    sup_n: list = field(default_factory=list)
-    sup_u: list = field(default_factory=list)
-    sup_grad_psi: list = field(default_factory=list)
     aborted: str | None = None
+
+    # the energy and sup series live in the snapshots
+    energy = property(lambda self: [s.energy for s in self.snapshots])
+    sup_n = property(lambda self: [s.sup_n for s in self.snapshots])
+    sup_u = property(lambda self: [s.sup_u for s in self.snapshots])
+    sup_grad_psi = property(lambda self: [s.sup_grad_psi for s in self.snapshots])
 
     def csv_rows(self):
         header = ["t", "mass", "energy", "max_abs_n", "sup_n", "sup_u", "sup_grad_psi"]
         header += list(_grid.X_ENTRY_WEIGHTS)
         yield header
-        for i, t in enumerate(self.times):
+        for t, mass, s in zip(self.times, self.mass, self.snapshots):
             # max_abs_n and sup_n carry the same value; both columns stay
             # for readers of the published header
-            row = [t, self.mass[i], self.energy[i], self.sup_n[i],
-                   self.sup_n[i], self.sup_u[i], self.sup_grad_psi[i]]
-            row += [self.snapshots[i].entries[k] for k in _grid.X_ENTRY_WEIGHTS]
+            row = [t, mass, s.energy, s.sup_n, s.sup_n, s.sup_u, s.sup_grad_psi]
+            row += [s.entries[k] for k in _grid.X_ENTRY_WEIGHTS]
             yield row
 
 
@@ -187,13 +203,11 @@ def _band_limit_mask(grid: FourierGrid) -> np.ndarray:
 
 def x0_surrogate(state: PerturbationState, M: int = 8) -> float:
     """Initial-data size: H^M of (n, u, grad psi) plus W^{5,1} of the same."""
-    n, u, v, psi = state.fields
-    comps = [n, u, v, _grid.deriv_x(psi), _grid.deriv_y(psi)]
-    mags = np.sqrt(sum(
-        _grid.apply_multiplier(f, (1.0 + f.grid.A**2) ** 2.5).to_physical() ** 2
-        for f in comps))
-    l1 = state.grid.dx * state.grid.dy * fsum(mags)
-    return energy_hm(state, M) + l1
+    g = state.grid
+    comps = _grid.energy_components(state)
+    phys = np.fft.ifft2((1.0 + g.A**2) ** 2.5 * comps) / (g.dx * g.dy)
+    mags = np.sqrt(sum(phys.real ** 2))
+    return _grid.hm_energy(g, comps, M)[0] + g.dx * g.dy * fsum(mags)
 
 
 def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
@@ -347,25 +361,6 @@ def _check_finite(norm: float, where: str = "after the step") -> None:
         raise StepRejectedError(f"non-finite-state: coefficient norm is {norm} {where}")
 
 
-def energy_hm(state: PerturbationState, M: int = 8) -> float:
-    """H^M size of (n, u, grad psi), the monitored energy functional."""
-    n, u, v, psi = state.fields
-    comps = [n, u, v, _grid.deriv_x(psi), _grid.deriv_y(psi)]
-    return math.sqrt(fsum([_grid.sobolev_norm(f, M) ** 2 for f in comps]))
-
-
-def _sup_fields(state: PerturbationState):
-    n, u, v, psi = state.fields
-    nphys = n.to_physical()
-    uphys, vphys = u.to_physical(), v.to_physical()
-    gx, gy = _grid.deriv_x(psi).to_physical(), _grid.deriv_y(psi).to_physical()
-    return (
-        float(np.max(np.abs(nphys))),
-        float(np.max(np.sqrt(uphys**2 + vphys**2))),
-        float(np.max(np.sqrt(gx**2 + gy**2))),
-    )
-
-
 def simulate(config: SolverConfig, state0: PerturbationState | None = None,
              out_dir=None, progress=None) -> TrajectoryRecord:
     """Run the configured trajectory, recording diagnostics at the cadence.
@@ -389,11 +384,6 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
         record.snapshots.append(x_norm_snapshot(st, t, config.M, config.eps,
                                                 config.gamma, config.gamma_bar))
         record.mass.append(float(st.n.coeffs[0, 0].real))
-        record.energy.append(energy_hm(st, config.M))
-        sup_n, sup_u, sup_g = _sup_fields(st)
-        record.sup_n.append(sup_n)
-        record.sup_u.append(sup_u)
-        record.sup_grad_psi.append(sup_g)
 
     observe(0.0, state)
     checkpoints = []
@@ -439,17 +429,3 @@ def _write_trajectory(record: TrajectoryRecord, path: Path) -> None:
     if record.aborted:
         lines.append(f"# aborted: {record.aborted}")
     path.write_text("\n".join(lines) + "\n")
-
-
-def reconstruct_b(psi: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Magnetic field components from the stream potential: (1 + psi_y, -psi_x)."""
-    g = psi.grid
-    b1 = _grid.deriv_y(psi)
-    c = b1.coeffs.copy()
-    c[0, 0] += g.area  # the background unit field in x
-    b2c = -_grid.deriv_x(psi).coeffs
-    return SpectralField(g, c), SpectralField(g, b2c)
-
-
-def divergence(b1: SpectralField, b2: SpectralField) -> SpectralField:
-    return _grid.deriv_x(b1) + _grid.deriv_y(b2)

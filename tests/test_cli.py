@@ -148,6 +148,17 @@ class TestSimulate:
         assert f"{field}: {value} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("nx", 16.0), ("lambda", "0.05"), ("seed", 1.5), ("nonlinear", "no"),
+        ("T", True), ("checkpoint_fields", 1)])
+    def test_wrong_type_exit_2(self, tmp_path, capsys, field, value):
+        cfg = self._config(tmp_path, **{field: value})
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "config errors:" in err and f"  - {field}: {value!r} must be" in err
+        assert not out.exists()
+
     def test_time_not_whole_steps_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, T=1.0, dt=0.3, cadence=0.3)
         out = tmp_path / "x"

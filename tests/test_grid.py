@@ -186,6 +186,11 @@ class TestProjectors:
         assert 0.0 < mid < 1.0
 
 
+def mixed_norm(f):
+    z = gr.SpectralField.zeros(f.grid)
+    return gr.x_norm_snapshot(gr.PerturbationState(z, z, f, z), 0.0).entries["v:L2xLinfy"]
+
+
 class TestNorms:
     def test_constant_norm(self):
         # unit-area-normalized box: ||1||_2 = 1
@@ -215,22 +220,23 @@ class TestNorms:
         with pytest.raises(gr.GridError, match="homogeneous-symbol-singularity"):
             gr.sobolev_norm(one, -0.5, "homogeneous")
 
+    # the mixed norm || sup_y |v| ||_{L^2_x} is the snapshot's v:L2xLinfy entry
     def test_mixed_norm_constant(self, grid32):
         one = gr.SpectralField.from_physical(grid32, np.ones((32, 32)))
-        assert gr.mixed_norm_L2x_Linfy(one) == pytest.approx(math.sqrt(grid32.Lx))
+        assert mixed_norm(one) == pytest.approx(math.sqrt(grid32.Lx))
 
     def test_mixed_norm_y_independent(self, grid32):
         x = (np.arange(32) * grid32.dx)[:, None] * np.ones((1, 32))
         f = gr.SpectralField.from_physical(grid32, np.cos(x))
         expect = math.sqrt(grid32.dx * np.sum(np.cos(np.arange(32) * grid32.dx) ** 2))
-        assert gr.mixed_norm_L2x_Linfy(f) == pytest.approx(expect, rel=1e-12)
+        assert mixed_norm(f) == pytest.approx(expect, rel=1e-12)
 
     def test_mixed_norm_separable(self, grid32):
         gx = np.cos(2 * np.arange(32) * grid32.dx) + 0.3
         hy = np.sin(3 * np.arange(32) * grid32.dy) + 2.0
         f = gr.SpectralField.from_physical(grid32, gx[:, None] * hy[None, :])
         expect = math.sqrt(grid32.dx * np.sum(gx**2)) * np.max(np.abs(hy))
-        assert gr.mixed_norm_L2x_Linfy(f) == pytest.approx(expect, rel=1e-12)
+        assert mixed_norm(f) == pytest.approx(expect, rel=1e-12)
 
     def test_bernstein_ratio_bounded(self):
         # band-limited ratios ||P_M f||_q / (M^(d/p-d/q) ||P_M f||_p) stay
@@ -241,7 +247,7 @@ class TestNorms:
             m_scale = 2.0 ** rng.integers(1, 4)
             f = gr.SpectralField.from_physical(g, rng.standard_normal((64, 64)))
             f = gr.lp_project(f, m_scale, "eq")
-            l1 = gr.l1_norm(f)
+            l1 = g.dx * g.dy * gr.fsum(np.abs(f.to_physical()))
             l2 = gr.l2_norm(f)
             linf = gr.sobolev_norm(f, 0.0, p=np.inf)
             if l2 == 0.0:
@@ -308,6 +314,111 @@ class TestXNormSnapshot:
         assert snap.weights["n:H3_L2"] == 0.25
         assert snap.weights["n:HM_L2"] == -0.01
         assert snap.weighted("n:H3_L2") == 0.0
+
+
+def per_entry_snapshot(state, M=8, gamma=0.75, gamma_bar=1.0):
+    """The route that measured an observation before the one-pass snapshot: one
+    `sobolev_norm` (or transform) per entry, then the H^M energy and the sup
+    norms recomputed from the state.  Returns (entries, energy, sups)."""
+    n, u, v, psi = state.fields
+    g = state.grid
+    inf = np.inf
+
+    def vec_l2(*vals):
+        return math.sqrt(gr.fsum([x * x for x in vals]))
+
+    def mixed(f):
+        col_sup = np.max(np.abs(f.to_physical()), axis=1)
+        return math.sqrt(f.grid.dx * gr.fsum(col_sup**2))
+
+    dxu, dxn, dxpsi = gr.deriv_x(u), gr.deriv_x(n), gr.deriv_x(psi)
+    grad_psi = (gr.deriv_x(psi), gr.deriv_y(psi))
+    grad_v = (gr.deriv_x(v), gr.deriv_y(v))
+    entries = {
+        "n:HM_L2": gr.sobolev_norm(n, M),
+        "n:H3_L2": gr.sobolev_norm(n, 3),
+        "n:H3half_inf": gr.sobolev_norm(n, 1.5, p=inf),
+        "n:dx_H1_L2": gr.sobolev_norm(dxn, 1),
+        "u:HM_L2": vec_l2(gr.sobolev_norm(u, M), gr.sobolev_norm(v, M)),
+        "u:L2": vec_l2(gr.l2_norm(u), gr.l2_norm(v)),
+        "u:H1_inf": max(gr.sobolev_norm(u, 1, p=inf), gr.sobolev_norm(v, 1, p=inf)),
+        "v:L2xLinfy": mixed(v),
+        "u:hgamma_L2": vec_l2(gr.sobolev_norm(u, gamma, "homogeneous"),
+                              gr.sobolev_norm(v, gamma, "homogeneous")),
+        "u:dx_H1_L2": gr.sobolev_norm(dxu, 1),
+        "v:grad_H1_L2": vec_l2(*(gr.sobolev_norm(d, 1) for d in grad_v)),
+        "psi:HM_grad_L2": vec_l2(*(gr.sobolev_norm(d, M) for d in grad_psi)),
+        "psi:H4hgamma_L2": gr.sobolev_norm(
+            gr.apply_multiplier(psi, gr.homog_weight(g, gamma)), 4),
+        "psi:dx_L2": gr.l2_norm(dxpsi),
+        "psi:dx_grad_L2": vec_l2(gr.l2_norm(gr.deriv_x(dxpsi)),
+                                 gr.l2_norm(gr.deriv_y(dxpsi))),
+        "psi:hgammabar_H1_inf": gr.sobolev_norm(
+            gr.apply_multiplier(psi, gr.homog_weight(g, gamma_bar)), 1, p=inf),
+    }
+    comps = [n, u, v, *grad_psi]
+    energy = math.sqrt(gr.fsum([gr.sobolev_norm(f, M) ** 2 for f in comps]))
+    nphys, uphys, vphys = n.to_physical(), u.to_physical(), v.to_physical()
+    gx, gy = (d.to_physical() for d in grad_psi)
+    sups = (float(np.max(np.abs(nphys))),
+            float(np.max(np.sqrt(uphys**2 + vphys**2))),
+            float(np.max(np.sqrt(gx**2 + gy**2))))
+    return entries, energy, sups
+
+
+def observation_states(grid):
+    """Zero; rough with nonzero means and every mode, Nyquist included,
+    populated; psi alone, band-limited so that most modes are exactly zero."""
+    rng = np.random.default_rng(2024)
+
+    def rough(mean):
+        return gr.SpectralField.from_physical(
+            grid, mean + 1e-2 * rng.standard_normal((grid.nx, grid.ny)))
+
+    z = gr.SpectralField.zeros(grid)
+    psi = gr.lp_project(rough(0.3), 4.0, "le")
+    return {"zero": gr.PerturbationState.zeros(grid),
+            "rough": gr.PerturbationState(rough(0.02), rough(-0.01), rough(0.05), rough(0.3)),
+            "psi_only": gr.PerturbationState(z, z, z, psi)}
+
+
+class TestOnePassSnapshot:
+    @pytest.mark.parametrize("params", [(8, 0.75, 1.0), (10, 0.9, 0.6)])
+    @pytest.mark.parametrize("which", ["zero", "rough", "psi_only"])
+    def test_bitwise_equal_to_per_entry_route(self, grid32, which, params):
+        M, gamma, gamma_bar = params
+        state = observation_states(grid32)[which]
+        snap = gr.x_norm_snapshot(state, 1.5, M=M, gamma=gamma, gamma_bar=gamma_bar)
+        entries, energy, sups = per_entry_snapshot(state, M, gamma, gamma_bar)
+        assert list(snap.entries) == list(gr.X_ENTRY_WEIGHTS)
+        for key in gr.X_ENTRY_WEIGHTS:
+            assert snap.entries[key] == entries[key], key
+        assert snap.energy == energy
+        assert (snap.sup_n, snap.sup_u, snap.sup_grad_psi) == sups
+
+    def test_states_cover_the_cases(self, grid32):
+        states = observation_states(grid32)
+        rough = states["rough"]
+        assert all(f.coeffs[0, 0] != 0 for f in rough.fields)
+        assert all(np.all(f.coeffs[16, :] != 0) for f in rough.fields)
+        psi = states["psi_only"].psi.coeffs
+        assert 0 < np.count_nonzero(psi) < psi.size // 2
+
+    def test_one_inverse_transform(self, grid32, monkeypatch):
+        state = observation_states(grid32)["rough"]
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        gr.x_norm_snapshot(state, 1.0)
+        assert calls == ["ifft2"]
 
 
 class TestSerialization:

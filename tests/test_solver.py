@@ -3,6 +3,7 @@ stepping, diagnostics, and conservation."""
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,14 @@ class TestConfig:
                                (2.0, 0.05, 1.0), (20.0, 0.2, 1.0), (1.0, 0.1, 0.5)):
             sv.SolverConfig(T=T, dt=dt, cadence=cadence).validate()
 
+    def test_field_types(self):
+        # JSON 5 for a float field and numpy scalars stay valid
+        sv.SolverConfig(T=5, nx=np.int64(16), ny=16, dt=np.float64(0.05)).validate()
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig(nx=16.0, M=True, eps="0.01", lambda_in_linear=0).validate()
+        assert [p.split(":")[0] for p in err.value.problems] == [
+            "nx", "M", "eps", "lambda_in_linear"]
+
     def test_from_json_unknown_field(self):
         with pytest.raises(sv.ConfigError, match="unknown field"):
             sv.SolverConfig.from_json({"bogus": 1})
@@ -100,7 +109,30 @@ class TestConfig:
         assert a.digest() != sv.SolverConfig(dt=0.01).digest()
 
 
+def per_field_x0_surrogate(state, M=8):
+    """The initial-data size as computed before the one-pass observation: one
+    transform per component and a separate H^M energy."""
+    n, u, v, psi = state.fields
+    comps = [n, u, v, gr.deriv_x(psi), gr.deriv_y(psi)]
+    mags = np.sqrt(sum(
+        gr.apply_multiplier(f, (1.0 + f.grid.A**2) ** 2.5).to_physical() ** 2
+        for f in comps))
+    l1 = state.grid.dx * state.grid.dy * gr.fsum(mags)
+    energy = math.sqrt(gr.fsum([gr.sobolev_norm(f, M) ** 2 for f in comps]))
+    return energy + l1
+
+
 class TestInitialData:
+    @pytest.mark.parametrize("spec", ["gaussian", "random"])
+    def test_bitwise_equal_to_per_field_route(self, grid32, monkeypatch, spec):
+        one_pass = sv.x0_surrogate
+        got = sv.initial_data(spec, grid32, 1e-3, seed=4, M=9)
+        monkeypatch.setattr(sv, "x0_surrogate", per_field_x0_surrogate)
+        ref = sv.initial_data(spec, grid32, 1e-3, seed=4, M=9)
+        assert got.stack().tobytes() == ref.stack().tobytes()
+        for state in (got, random_real_state(grid32, 6, 0.2)):
+            assert one_pass(state, M=9) == per_field_x0_surrogate(state, M=9)
+
     def test_zero_delta(self, grid32):
         state = sv.initial_data("gaussian", grid32, 0.0)
         assert all(np.max(np.abs(f.coeffs)) == 0.0 for f in state.fields)
@@ -420,6 +452,33 @@ class TestSimulate:
         lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # header + t = 0, 1, 2
 
+    def test_one_snapshot_and_one_inverse_transform_per_observation(self, grid32,
+                                                                     monkeypatch):
+        # linear steps make no transform, so every inverse transform of the
+        # run belongs to an observation
+        cfg = sv.SolverConfig(nx=32, ny=32, Lx=grid32.Lx, Ly=grid32.Ly, T=1.0, dt=0.1,
+                              cadence=0.2, nonlinear=False)
+        state0 = random_real_state(grid32, 3, 0.1)
+        snaps, inverse = [], []
+
+        def observed(*args, **kwargs):
+            snaps.append(gr.x_norm_snapshot(*args, **kwargs))
+            return snaps[-1]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                inverse.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sv, "x_norm_snapshot", observed)
+        for name in ("ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        rec = sv.simulate(cfg, state0=state0)
+        assert len(rec.times) == len(snaps) == len(inverse) == 6
+        assert rec.energy == [s.energy for s in snaps]
+        assert rec.sup_n == [s.sup_n for s in snaps]
+
     def test_deterministic_trajectory(self, tmp_path):
         cfg = sv.SolverConfig(nx=16, ny=16, Lx=4 * np.pi, Ly=4 * np.pi,
                               T=1.0, dt=0.1, cadence=0.5, delta=1e-4,
@@ -428,30 +487,6 @@ class TestSimulate:
         sv.simulate(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() == \
             (tmp_path / "b" / "trajectory.csv").read_bytes()
-
-
-class TestReconstructB:
-    def test_equilibrium(self, grid32):
-        b1, b2 = sv.reconstruct_b(gr.SpectralField.zeros(grid32))
-        assert np.max(np.abs(b1.to_physical() - 1.0)) <= 1e-14
-        assert np.max(np.abs(b2.to_physical())) == 0.0
-
-    def test_cosine_potential(self, grid32):
-        x = (np.arange(32) * grid32.dx)[:, None] * np.ones((1, 32))
-        psi = gr.SpectralField.from_physical(grid32, np.cos(x))
-        b1, b2 = sv.reconstruct_b(psi)
-        assert np.max(np.abs(b1.to_physical() - 1.0)) <= 1e-12
-        assert np.max(np.abs(b2.to_physical() - np.sin(x))) <= 1e-12
-
-    def test_divergence_free(self, grid32):
-        rng = np.random.default_rng(9)
-        psi = gr.SpectralField.from_physical(grid32, rng.standard_normal((32, 32)))
-        b1, b2 = sv.reconstruct_b(psi)
-        div = sv.divergence(b1, b2)
-        # identically zero as symbols; numerically zero relative to the
-        # second-derivative scale of psi
-        scale = np.max(grid32.A**2 * np.abs(psi.coeffs))
-        assert np.max(np.abs(div.coeffs)) <= 1e-14 * max(scale, 1.0)
 
 
 _GRID16 = gr.make_grid(16, 16, 4 * np.pi, 4 * np.pi)
