@@ -43,9 +43,68 @@ __all__ = [
 _BUMP_DELTA = 1e-4
 
 
+# Values per block of `fsum`, the block size of `kernel._CHUNK`: the block's
+# work arrays stay in cache and are reused from one block to the next.
+_FSUM_BLOCK = 65536
+# frexp exponents of finite doubles run from -1073 to 1024; bin = exponent + 1074
+_FSUM_BINS = 2099
+
+
 def fsum(values) -> float:
-    """Deterministic compensated summation (exactly rounded)."""
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+    """Exactly rounded sum: the same float as `math.fsum`, without a Python list.
+
+    Every finite double is m * 2**e with the integer mantissa M = m * 2**53
+    (np.frexp).  Block by block, np.bincount sums per exponent the integer
+    and fraction parts of M / 2**32; both partial sums are exact in float64
+    and are carried across blocks in int64.  Python ints combine the bins and
+    one int/int true division rounds the total once (Neal 2015, "small
+    superaccumulator").  Non-finite values and values large enough for
+    `math.fsum` to overflow on the way go to `math.fsum` itself, and so does
+    the sign of an exactly zero sum.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    n = flat.size
+    size = min(n, _FSUM_BLOCK)
+    m, e = np.empty(size), np.empty(size, dtype=np.intc)
+    ipart, bins = np.empty(size), np.empty(size, dtype=np.intp)
+    # per bin, the sum of M is hi * 2**32 + lo, with 0 <= lo < 2**32 between blocks
+    hi = np.zeros(_FSUM_BINS, dtype=np.int64)
+    lo = np.zeros(_FSUM_BINS, dtype=np.int64)
+    e_max = 0
+    for start in range(0, n, _FSUM_BLOCK):
+        block = flat[start:start + _FSUM_BLOCK]
+        k = block.size
+        mb, eb, ib, bb = m[:k], e[:k], ipart[:k], bins[:k]
+        np.frexp(block, out=(mb, eb))
+        mb *= 2.0**21
+        np.modf(mb, out=(mb, ib))  # M / 2**32 = ib + mb, both with the sign of M
+        np.add(eb, 1074, out=bb)
+        # per bin and block |sum ib| < 2**37 and |sum mb| < 2**16 in steps of
+        # 2**-32, so both float64 sums are exact
+        hi_bins = np.bincount(bb, weights=ib, minlength=_FSUM_BINS)
+        if not np.isfinite(hi_bins).all():  # inf or nan in the block
+            return math.fsum(flat.tolist())
+        lo_bins = np.bincount(bb, weights=mb, minlength=_FSUM_BINS) * 2.0**32
+        e_max = max(e_max, int(eb.max()))
+        hi += hi_bins.astype(np.int64)
+        lo += lo_bins.astype(np.int64)
+        hi += lo >> 32
+        lo &= 0xFFFFFFFF
+    # sum |x| < n * 2**e_max: below this math.fsum's partials cannot overflow
+    if e_max + n.bit_length() > 1021:
+        return math.fsum(flat.tolist())
+    nonzero = np.flatnonzero(hi | lo)
+    total, base = 0, 0
+    if nonzero.size:
+        base = int(nonzero[0])
+        for b, h, l in zip(nonzero.tolist(), hi[nonzero].tolist(), lo[nonzero].tolist()):
+            total += ((h << 32) + l) << (b - base)
+    if total == 0:
+        # only -0.0 values sum to -0.0, if math.fsum keeps that sign at all
+        return math.fsum([-0.0] if n and np.signbit(flat).all() else [])
+    # the total counts units of 2**(base - 1074 - 53)
+    scale = base - 1127
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 class GridError(ValueError):

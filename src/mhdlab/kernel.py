@@ -23,7 +23,6 @@ __all__ = [
     "KERNEL_FIELDS",
     "sinch",
     "coshc",
-    "divided_diff",
     "k_hat",
     "k1_hat",
     "kernel_values",
@@ -255,18 +254,6 @@ def sinch(z, t):
 def coshc(z, t):
     """Entire continuation of cosh(t*sqrt(z)); cos-form for z < 0."""
     return _as_result(_damped_pair(z, 0.0, t, half=1)[1], _all_scalar(z, t))
-
-
-def divided_diff(f: str, b, c, t):
-    """(f(b+c,t) - f(b-c,t)) / (2c) for f in {"sinch", "coshc"}, c >= 0.
-
-    Continuous down to c = 0, where it equals the z-derivative of f at b.
-    """
-    if f not in ("sinch", "coshc"):
-        raise ValueError(f"unknown function {f!r}; expected 'sinch' or 'coshc'")
-    if np.any(np.asarray(c) < 0):
-        raise ValueError("divided_diff requires c >= 0")
-    return _as_result(_dd_damped(f, b, c, t, 0.0), _all_scalar(b, c, t))
 
 
 # The symbols a batch evaluation can return, besides the coordinates t, xi,

@@ -102,6 +102,8 @@ class SolverConfig:
         for name, val in (("Lx", self.Lx), ("Ly", self.Ly)):
             if val <= 0:
                 problems.append(f"{name}: {val} must be positive")
+        if self.seed < 0:
+            problems.append(f"seed: {self.seed} must be nonnegative")
         if self.init_spec not in ("gaussian", "random"):
             problems.append(f"init_spec: {self.init_spec!r} not in ('gaussian', 'random')")
         problems += _grid.x_param_problems(self.M, self.eps, self.gamma, self.gamma_bar)

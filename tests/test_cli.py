@@ -159,6 +159,15 @@ class TestSimulate:
         assert "config errors:" in err and f"  - {field}: {value!r} must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("init", ["random", "gaussian"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, init):
+        cfg = self._config(tmp_path, seed=-1, init=init)
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "config errors:" in err and "  - seed: -1 must be nonnegative" in err
+        assert not out.exists()
+
     def test_time_not_whole_steps_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, T=1.0, dt=0.3, cadence=0.3)
         out = tmp_path / "x"

@@ -191,6 +191,110 @@ def mixed_norm(f):
     return gr.x_norm_snapshot(gr.PerturbationState(z, z, f, z), 0.0).entries["v:L2xLinfy"]
 
 
+def assert_fsum_matches(values, reference=None):
+    """`gr.fsum` gives the float `math.fsum` gives, sign of zero included, or
+    raises the same exception type."""
+    if reference is None:
+        reference = np.asarray(values, dtype=float).ravel().tolist()
+    try:
+        want = math.fsum(reference)
+    except (OverflowError, ValueError) as err:
+        with pytest.raises(type(err)):
+            gr.fsum(values)
+        return
+    got = gr.fsum(values)
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
+
+
+def spread_floats():
+    """Finite doubles of every scale: subnormals and signed zeros, 1e-300 to
+    1e300, and any finite double (which reaches the overflow cases)."""
+    tiny = st.floats(min_value=-1e-306, max_value=1e-306)
+    scaled = st.builds(lambda s, m, p: s * m * 10.0 ** p, st.sampled_from([-1.0, 1.0]),
+                       st.floats(1.0, 10.0), st.integers(-300, 299))
+    return st.one_of(tiny, scaled, st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestExactSum:
+    """`grid.fsum` is exactly rounded: bit for bit the result of `math.fsum`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(spread_floats(), max_size=60))
+    def test_matches_math_fsum(self, xs):
+        assert_fsum_matches(xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(spread_floats(), min_size=1, max_size=30), st.randoms(use_true_random=False))
+    def test_exact_cancellation(self, xs, rnd):
+        both = xs + [-x for x in xs]
+        rnd.shuffle(both)
+        assert_fsum_matches(both)
+        assert_fsum_matches(both + [5e-324])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(spread_floats(), min_size=1, max_size=20),
+           st.sampled_from([65535, 65536, 65537, 3 * 65536 + 5]))
+    def test_across_block_boundaries(self, xs, size):
+        assert_fsum_matches(np.resize(np.array(xs), size))
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+        np.zeros(70000), -np.zeros(70000),
+        [5e-324], [5e-324, 5e-324, -5e-324], [5e-324, -5e-324], [-5e-324],
+        [2.2250738585072014e-308, -5e-324], [1e-300, 1e300, -1e300],
+        [1.0, -0.5, -0.5], [1e-16, 1.0, 1e16], [2.0**53, 1.0, 1e-300],
+        [1e300] * 1000, [-1e-300] * 1000,
+    ])
+    def test_fixed_cases(self, values):
+        assert_fsum_matches(values)
+
+    @pytest.mark.parametrize("values", [
+        [np.nan, 1.0], [np.inf], [-np.inf, 1e308], [np.inf, -np.inf],
+        [1e308, 1e308, -1e308], [1e308, -1e308, 1e308],
+        [1.7976931348623157e308, 1e292], [1.7976931348623157e308] * 2,
+        [-1.7976931348623157e308, 1.7976931348623157e308],
+    ])
+    def test_nonfinite_and_overflow(self, values):
+        assert_fsum_matches(values)
+
+    def test_nonfinite_in_a_later_block(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.ones(70000)
+            x[69000] = bad
+            assert_fsum_matches(x)
+
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 2**21 + 3])
+    def test_sizes(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
+        assert_fsum_matches(x)
+        # every value with the largest mantissa of one exponent: the fullest bins
+        assert_fsum_matches(np.full(size, 1.0 - 2.0**-53))
+
+    def test_views_lists_and_ints(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((300, 400)) * 1e10
+        assert_fsum_matches(a)
+        assert_fsum_matches(a[::3, 1::2])
+        assert_fsum_matches(a.T)
+        assert_fsum_matches(np.asfortranarray(a))
+        assert_fsum_matches(a.tolist()[5], reference=a.tolist()[5])
+        assert_fsum_matches([1, 2, 3, -7], reference=[1, 2, 3, -7])
+        assert_fsum_matches(7, reference=[7])
+        assert_fsum_matches(np.arange(100000, dtype=np.int64))
+
+    def test_not_a_plain_sum(self):
+        x = [1e16, 1.0, -1e16]
+        assert gr.fsum(x) == 1.0
+        assert np.sum(x) != 1.0
+        big = np.resize([1e16, 1.0, -1e16], 3 * 65536)
+        assert gr.fsum(big) == 65536.0 != np.sum(big)
+
+
 class TestNorms:
     def test_constant_norm(self):
         # unit-area-normalized box: ||1||_2 = 1
