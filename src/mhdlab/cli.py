@@ -67,6 +67,8 @@ def _parse_float_list(text: str):
 def cmd_kernel_scan(ns) -> int:
     t_start = time.time()
     ts = _parse_float_list(ns.t)
+    if not np.isfinite(ts).all():
+        raise ValueError(f"--t: times must be finite, got {ns.t}")
     ks = np.linspace(-ns.kmax, ns.kmax, ns.n)
     rows = [["t", "xi", "eta", "A", "K", "K1", "dtK", "ddtK", "comp",
              "comp_x", "dt_comp"] + [f"envelope_{i}" for i in range(1, 9)]]
@@ -263,9 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    return ns.func(ns)
+    ns = build_parser().parse_args(argv)
+    try:
+        return ns.func(ns)
+    except ValueError as err:  # the library's named input errors: exit 2, like a usage error
+        print(f"mhdlab {ns.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

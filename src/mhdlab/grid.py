@@ -1,9 +1,10 @@
 """Periodic Fourier discretization: grids, fields, multipliers, norms.
 
-Transforms use the continuum convention: the forward transform carries the
-cell-area factor dx*dy, so a stored coefficient approximates the integral
-Fourier transform of the field and symbol formulas apply verbatim.  With this
-normalization Parseval reads  ||f||_L2^2 = sum |fhat|^2 / (Lx*Ly).
+Fields are real and stored on the half spectrum (nx, ny//2 + 1) of `rfft2`, in
+the continuum convention: the forward transform carries the cell-area factor
+dx*dy, so a coefficient approximates the integral Fourier transform and symbol
+formulas apply verbatim.  Parseval reads  ||f||_L2^2 = sum m_l |fhat_kl|^2 / (Lx*Ly),
+with column multiplicity m = 1, 2, ..., 2, 1.
 
 Physical arrays are indexed [i, j] <-> (x_i, y_j); serialized files are
 written x-fastest (see `save_field`).
@@ -113,11 +114,12 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class FourierGrid:
-    """Wavenumber lattice of an nx-by-ny periodic box of side Lx-by-Ly.
+    """Half wavenumber lattice of an nx-by-ny periodic box of side Lx-by-Ly.
 
-    `xi`/`eta` are the true wavenumbers 2*pi*k/L in standard FFT layout;
+    `xi`/`eta` are the true wavenumbers 2*pi*k/L in `fftfreq`/`rfftfreq` layout;
     `xi_d`/`eta_d` zero the (unpaired) Nyquist entry and are the arrays to use
     for odd-order derivative symbols, which keeps real fields real.
+    `multiplicity` counts the full-spectrum modes each column stands for.
     """
 
     nx: int
@@ -128,6 +130,7 @@ class FourierGrid:
     eta: np.ndarray = field(repr=False)
     xi_d: np.ndarray = field(repr=False)
     eta_d: np.ndarray = field(repr=False)
+    multiplicity: np.ndarray = field(repr=False)
 
     @property
     def dx(self) -> float:
@@ -142,6 +145,15 @@ class FourierGrid:
         return self.Lx * self.Ly
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of every spectral array: the half spectrum."""
+        return self.nx, self.ny // 2 + 1
+
+    def coeff_norm(self, coeffs: np.ndarray) -> float:
+        """Euclidean norm of the full spectrum whose half is `coeffs`."""
+        return math.sqrt(float(np.sum(self.multiplicity * (coeffs.real**2 + coeffs.imag**2))))
+
+    @property
     def XI(self) -> np.ndarray:
         return self.xi[:, None]
 
@@ -151,7 +163,7 @@ class FourierGrid:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """Mode radius |(xi, eta)| on the (nx, ny) lattice, computed once, read-only."""
+        """Mode radius |(xi, eta)| on the half lattice, computed once, read-only."""
         a = np.hypot(self.XI, self.ETA)
         a.setflags(write=False)
         return a
@@ -175,19 +187,20 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> FourierGrid:
     if Lx <= 0 or Ly <= 0:
         raise GridError(f"invalid-dimension: box lengths must be positive, got {Lx}, {Ly}")
     xi = 2.0 * np.pi * np.fft.fftfreq(nx, d=Lx / nx)
-    eta = 2.0 * np.pi * np.fft.fftfreq(ny, d=Ly / ny)
+    eta = 2.0 * np.pi * np.fft.rfftfreq(ny, d=Ly / ny)
     xi_d, eta_d = xi.copy(), eta.copy()
     xi_d[nx // 2] = 0.0
-    eta_d[ny // 2] = 0.0
-    for a in (xi, eta, xi_d, eta_d):
+    eta_d[-1] = 0.0
+    multiplicity = np.r_[1.0, np.full(ny // 2 - 1, 2.0), 1.0]  # columns 0 and ny/2 self-conjugate
+    for a in (xi, eta, xi_d, eta_d, multiplicity):
         a.setflags(write=False)
-    return FourierGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly),
-                       xi=xi, eta=eta, xi_d=xi_d, eta_d=eta_d)
+    return FourierGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), xi=xi, eta=eta,
+                       xi_d=xi_d, eta_d=eta_d, multiplicity=multiplicity)
 
 
 @dataclass(frozen=True)
 class SpectralField:
-    """One real scalar unknown stored as complex Fourier coefficients."""
+    """One real scalar unknown stored as its half-spectrum Fourier coefficients."""
 
     grid: FourierGrid
     coeffs: np.ndarray
@@ -197,25 +210,15 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.nx, grid.ny):
             raise GridError(f"field shape {values.shape} != grid ({grid.nx}, {grid.ny})")
-        return cls(grid, np.fft.fft2(values) * (grid.dx * grid.dy))
+        return cls(grid, np.fft.rfft2(values) * (grid.dx * grid.dy))
 
     @classmethod
     def zeros(cls, grid: FourierGrid) -> "SpectralField":
-        return cls(grid, np.zeros((grid.nx, grid.ny), dtype=complex))
+        return cls(grid, np.zeros(grid.shape, dtype=complex))
 
     def to_physical(self) -> np.ndarray:
-        phys = np.fft.ifft2(self.coeffs) / (self.grid.dx * self.grid.dy)
-        return phys.real
-
-    def hermitian_defect(self) -> float:
-        """Relative deviation from coeffs(-k,-l) = conj(coeffs(k,l))."""
-        c = self.coeffs
-        flipped = c[(-np.arange(self.grid.nx)) % self.grid.nx][:, (-np.arange(self.grid.ny)) % self.grid.ny]
-        scale = np.max(np.abs(c)) or 1.0
-        return float(np.max(np.abs(flipped.conj() - c)) / scale)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermitian_defect() <= tol
+        g = self.grid
+        return np.fft.irfft2(self.coeffs, s=(g.nx, g.ny)) / (g.dx * g.dy)
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar)
@@ -227,12 +230,11 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
     """Scale coefficients modewise by the symbol m(xi, eta).
 
     `m` is a callable receiving broadcastable wavenumber arrays (or a
-    precomputed array).  Output is Hermitian-symmetric whenever the symbol
+    precomputed array).  The output is a real field whenever the symbol
     satisfies m(-xi,-eta) = conj(m(xi,eta)).
     """
     g = f.grid
-    values = m(g.XI, g.ETA) if callable(m) else np.asarray(m)
-    values = np.broadcast_to(values, (g.nx, g.ny))
+    values = np.broadcast_to(m(g.XI, g.ETA) if callable(m) else m, g.shape)
     populated = np.abs(f.coeffs) > 0
     if not np.all(np.isfinite(values[populated])):
         raise GridError("non-finite multiplier value at a populated mode")
@@ -310,9 +312,9 @@ def _finite_weight(grid: FourierGrid, s: float, homogeneity: str) -> np.ndarray:
     return np.where(np.isfinite(w), w, 0.0)
 
 
-def _l2(wc: np.ndarray, area: float) -> float:
+def _l2(wc: np.ndarray, grid: FourierGrid) -> float:
     """L^2 norm of the field with coefficients wc: Parseval, compensated sum."""
-    return math.sqrt(fsum(np.abs(wc) ** 2) / area)
+    return math.sqrt(fsum(grid.multiplicity * np.abs(wc) ** 2) / grid.area)
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneity: str = "inhomogeneous",
@@ -328,7 +330,7 @@ def sobolev_norm(f: SpectralField, s: float, homogeneity: str = "inhomogeneous",
         raise GridError("homogeneous-symbol-singularity: |grad|^s with s<0 on nonzero mean mode")
     wc = _finite_weight(f.grid, s, homogeneity) * f.coeffs
     if p == 2:
-        return _l2(wc, f.grid.area)
+        return _l2(wc, f.grid)
     if p == np.inf or p == "inf":
         return float(np.max(np.abs(SpectralField(f.grid, wc).to_physical())))
     raise GridError(f"unsupported p={p}; expected 2 or inf")
@@ -369,7 +371,7 @@ class PerturbationState:
         return cls(z, z, z, z)
 
     def stack(self) -> np.ndarray:
-        """Coefficients as one (4, nx, ny) complex array."""
+        """Coefficients as one (4, *grid.shape) complex array."""
         return np.stack([f.coeffs for f in self.fields])
 
     @classmethod
@@ -452,7 +454,7 @@ def energy_components(state: PerturbationState) -> np.ndarray:
 def hm_energy(grid: FourierGrid, comps: np.ndarray, M: int) -> tuple[float, list]:
     """H^M size of the `energy_components` stack, and the H^M norm of each."""
     w = _finite_weight(grid, M, "inhomogeneous")
-    norms = [_l2(w * c, grid.area) for c in comps]
+    norms = [_l2(w * c, grid) for c in comps]
     return math.sqrt(fsum([x ** 2 for x in norms])), norms
 
 
@@ -478,14 +480,14 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
     hg, hgb = (_finite_weight(g, s, "homogeneous") for s in (gamma, gamma_bar))
 
     def l2(wc):
-        return _l2(wc, g.area)
+        return _l2(wc, g)
 
     def vec_l2(*vals):
         return math.sqrt(fsum([x * x for x in vals]))
 
-    phys = np.fft.ifft2(np.stack([w32 * cn, w1 * cu, w1 * cv, w1 * (hgb * cp),
-                                  cn, cu, cv, px, py])) / (g.dx * g.dy)
-    n32, u1, v1, psi1, n, u, v, psi_x, psi_y = phys.real
+    phys = np.fft.irfft2(np.stack([w32 * cn, w1 * cu, w1 * cv, w1 * (hgb * cp),
+                                   cn, cu, cv, px, py]), s=(g.nx, g.ny)) / (g.dx * g.dy)
+    n32, u1, v1, psi1, n, u, v, psi_x, psi_y = phys
     entries = {
         "n:HM_L2": hm[0],
         "n:H3_L2": l2(w3 * cn),

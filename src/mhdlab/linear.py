@@ -243,17 +243,15 @@ def semigroup_matrix(t, xi, eta) -> np.ndarray:
 def kernel_semigroup_field(state: _grid.PerturbationState, t: float) -> _grid.PerturbationState:
     """Gridwise application of the kernel semigroup (viscosity cross-term 0).
 
-    Acts on the Nyquist-free band: the unpaired Nyquist modes of an even grid
-    have no conjugate partner, so they are projected away to keep physical
-    fields real (band-limited states are unaffected).
+    Acts on the Nyquist-free band: the unpaired Nyquist modes (row nx/2, last
+    column) have no conjugate partner, so they are projected away to keep
+    physical fields real (band-limited states are unaffected).
     """
     g = state.grid
-    XI = np.broadcast_to(g.XI, (g.nx, g.ny))
-    ETA = np.broadcast_to(g.ETA, (g.nx, g.ny))
-    m = semigroup_matrix(t, XI, ETA)
+    m = semigroup_matrix(t, np.broadcast_to(g.XI, g.shape), np.broadcast_to(g.ETA, g.shape))
     u = state.stack().copy()
     u[:, g.nx // 2, :] = 0.0
-    u[:, :, g.ny // 2] = 0.0
+    u[:, :, -1] = 0.0
     out = np.einsum("xyij,jxy->ixy", m, u)
     return _grid.PerturbationState.from_stack(g, out)
 
@@ -360,7 +358,7 @@ def _region_rho_range(region) -> tuple[float, float]:
 def parse_region(text: str):
     if text in ("le1", "all"):
         return text
-    if text.startswith("sim"):
+    if text.startswith("sim") and text[3:].replace(".", "", 1).isdigit():
         return ("annulus", float(text[3:]))
     raise ValueError(f"unknown region {text!r}; expected le1, all or sim<N>")
 
@@ -692,8 +690,8 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
     if times is None:
         times = default_decay_times()
     times = np.asarray(times, dtype=float)
-    if times.min() < 10.0 or times.max() / times.min() < 10.0**1.5:
-        raise ValueError("decay times must all be >= 10 and span >= 1.5 decades")
+    if times.size == 0 or times.min() < 10.0 or times.max() / times.min() < 10.0**1.5:
+        raise ValueError("decay times must be nonempty, all >= 10 and span >= 1.5 decades")
 
     def weighted(t, xi, eta):
         return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))

@@ -199,16 +199,12 @@ class TrajectoryRecord:
             yield row
 
 
-def _band_limit_mask(grid: FourierGrid) -> np.ndarray:
-    return grid.A <= grid.nyquist / 3.0
-
-
 def x0_surrogate(state: PerturbationState, M: int = 8) -> float:
     """Initial-data size: H^M of (n, u, grad psi) plus W^{5,1} of the same."""
     g = state.grid
     comps = _grid.energy_components(state)
-    phys = np.fft.ifft2((1.0 + g.A**2) ** 2.5 * comps) / (g.dx * g.dy)
-    mags = np.sqrt(sum(phys.real ** 2))
+    phys = np.fft.irfft2((1.0 + g.A**2) ** 2.5 * comps, s=(g.nx, g.ny)) / (g.dx * g.dy)
+    mags = np.sqrt(sum(phys ** 2))
     return _grid.hm_energy(g, comps, M)[0] + g.dx * g.dy * fsum(mags)
 
 
@@ -219,7 +215,7 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
         raise SolverError("delta must be nonnegative")
     if delta == 0.0:
         return PerturbationState.zeros(grid)
-    mask = _band_limit_mask(grid)
+    mask = grid.A <= grid.nyquist / 3.0
     A = grid.A
     if spec == "gaussian":
         # distinct off-center bumps per component; nonzero mean density.
@@ -238,7 +234,7 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
         coeffs = []
         for _ in range(4):
             white = rng.standard_normal((grid.nx, grid.ny))
-            c = np.fft.fft2(white) * (grid.dx * grid.dy)
+            c = np.fft.rfft2(white) * (grid.dx * grid.dy)
             coeffs.append(c * np.exp(-2.0 * A * A) * mask)
     else:
         raise SolverError(f"unknown initial-data recipe {spec!r}")
@@ -254,10 +250,10 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
                     lambda_forcing: bool = False) -> np.ndarray:
     """The four nonlinear right-hand sides as dealiased Fourier coefficients.
 
-    The 14 dealiased spectral factors are formed on the half spectrum (the
-    fields are real) and go to physical space in one batched inverse real
-    transform; the 5 products come back in one batched forward transform.
-    The viscous terms are combined in spectral space before the transform.
+    The 14 dealiased spectral factors go to physical space in one batched
+    inverse real transform; the 5 products come back in one batched forward
+    real transform.  The viscous terms are combined in spectral space before
+    the transform.
 
     Requires max|n| < 0.99 so the total density stays positive.  When
     `lambda_forcing` is set, the linear lam-coupling is added here as a
@@ -265,11 +261,10 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     """
     g = state.grid
     mask = g.dealias_mask(dealias_fraction)
-    half = g.ny // 2 + 1
-    cn, cu, cv, cp = (f.coeffs[:, :half] * mask[:, :half] for f in state.fields)
+    cn, cu, cv, cp = (f.coeffs * mask for f in state.fields)
     ikx = 1j * g.xi_d[:, None]
-    iky = 1j * g.eta_d[None, :half]
-    lap = -(g.XI**2 + g.ETA[:, :half]**2)
+    iky = 1j * g.eta_d[None, :]
+    lap = -(g.XI**2 + g.ETA**2)
     # lap u + lam (dxx u + dxy v) and lap v + lam (dxy u + dyy v) - lap psi
     visc_x = lap * cu + lam * (ikx * ikx * cu + ikx * iky * cv)
     visc_y = lap * cv + lam * (ikx * iky * cu + iky * iky * cv) - lap * cp
@@ -290,8 +285,7 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
         -(u * v_x + v * v_y) - (n * visc_y + psi_y * lap_psi) / rho - n * n_y,
         -(u * psi_x + v * psi_y),
     ])
-    hat = np.fft.fft2(products) * (g.dx * g.dy)
-    iky = 1j * g.eta_d[None, :]  # full spectrum from here on
+    hat = np.fft.rfft2(products) * (g.dx * g.dy)
     out = hat[1:]
     out[0] = ikx * hat[0] + iky * hat[1]  # conservative: ikx F(nu) + iky F(nv)
     if lambda_forcing:
@@ -325,11 +319,9 @@ class Stepper:
         aug[:, 0:4, 4:8] = np.eye(4)
         aug[:, 4:8, 8:12] = np.eye(4)
         aug *= self.dt
-        full = expm_batch(aug)
-        shape = (grid.nx, grid.ny, 4, 4)
-        self.E = np.ascontiguousarray(full[:, 0:4, 0:4].reshape(shape))
-        self.P1 = np.ascontiguousarray(full[:, 0:4, 4:8].reshape(shape))   # dt*phi1
-        self.P2 = np.ascontiguousarray(full[:, 0:4, 8:12].reshape(shape))  # dt^2*phi2
+        full = expm_batch(aug).reshape(grid.shape + (12, 12))
+        # exp(dt A), dt*phi1(dt A) and dt^2*phi2(dt A), each of shape grid.shape + (4, 4)
+        self.E, self.P1, self.P2 = (np.ascontiguousarray(full[..., :4, k:k + 4]) for k in (0, 4, 8))
 
     def _apply(self, mats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("xyij,jxy->ixy", mats, coeffs)
@@ -339,9 +331,9 @@ class Stepper:
         u = state.stack()
         if not nonlinear:
             out = self._apply(self.E, u)
-            _check_finite(np.linalg.norm(out))
+            _check_finite(g.coeff_norm(out))
             return PerturbationState.from_stack(g, out)
-        norm_before = np.linalg.norm(u)
+        norm_before = g.coeff_norm(u)
         nl = nonlinear_terms(state, self.lam, self.dealias_fraction,
                              lambda_forcing=not self.lambda_in_linear)
         mid = self._apply(self.E, u) + self._apply(self.P1, nl)
@@ -349,7 +341,7 @@ class Stepper:
         nl_mid = nonlinear_terms(mid_state, self.lam, self.dealias_fraction,
                                  lambda_forcing=not self.lambda_in_linear)
         out = mid + self._apply(self.P2, (nl_mid - nl) / self.dt)
-        norm_after = np.linalg.norm(out)
+        norm_after = g.coeff_norm(out)
         _check_finite(norm_after)
         if norm_after > 10.0 * norm_before and norm_before > 0:
             raise StepRejectedError(
@@ -392,7 +384,7 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
     if out_dir is not None and config.checkpoint_fields:
         checkpoints += _write_checkpoint(state, Path(out_dir), 0.0)
     try:
-        _check_finite(np.linalg.norm(state.stack()), "in the initial state")
+        _check_finite(g.coeff_norm(state.stack()), "in the initial state")
         for k in range(1, n_steps + 1):
             state = stepper.step(state, nonlinear=config.nonlinear)
             if k % steps_per_output == 0 or k == n_steps:

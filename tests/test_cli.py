@@ -49,6 +49,15 @@ class TestKernelScan:
         value = float(row[4])
         assert row[4] == "{:.17g}".format(value)
 
+    @pytest.mark.parametrize("times", ["1,nan", "inf", "0,-inf"])
+    def test_nonfinite_time_exit_2(self, tmp_path, capsys, times):
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(["kernel", "scan", "--t", times, "--n", "4",
+                                "--out", str(out)], capsys)
+        assert code == 2
+        assert f"--t: times must be finite, got {times}" in err
+        assert not out.exists()
+
 
 class TestLinearCommands:
     def test_oracle_test_json(self, tmp_path, capsys):
@@ -94,6 +103,29 @@ class TestLinearCommands:
                                  "--region", "le1", "--t", "0"], capsys)
         assert code == 0
         assert float(text.strip()) >= 0.0
+
+    # each invalid input is named on stderr with exit 2, no traceback
+    @pytest.mark.parametrize("argv,message", [
+        (["decay", "--prop", "kn1L", "--points", "0"], "decay times must be nonempty"),
+        (["decay", "--prop", "kn1L", "--t0", "5"], "all >= 10"),
+        (["oracle-test", "--samples", "0"], "invalid-budget: samples must be positive"),
+        (["symbol-norm", "--symbol", "A4K", "--t", "-1"], "t must be nonnegative"),
+        (["symbol-norm", "--symbol", "A4K", "--t", "1", "--region", "simx"],
+         "unknown region 'simx'"),
+    ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
+            "symbol-norm-bad-region"])
+    def test_invalid_input_exit_2(self, capsys, argv, message):
+        code, _, err = run_cli(["linear", *argv], capsys)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(**kwargs):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setattr(cli._linear, "oracle_scan", broken)
+        with pytest.raises(RuntimeError, match="not an input error"):
+            cli.main(["linear", "oracle-test", "--samples", "5"])
 
 
 class TestSimulate:

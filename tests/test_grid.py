@@ -14,6 +14,13 @@ def grid32():
     return gr.make_grid(32, 32, 2 * np.pi, 4 * np.pi)
 
 
+def roundtrip_defect(f):
+    """Relative change of f under to_physical then from_physical: 0 to rounding
+    only if column 0 and the Nyquist column are self-conjugate along xi."""
+    back = gr.SpectralField.from_physical(f.grid, f.to_physical()).coeffs
+    return float(np.max(np.abs(back - f.coeffs)) / (np.max(np.abs(f.coeffs)) or 1.0))
+
+
 def random_field(grid, seed=0, rough=0.2):
     rng = np.random.default_rng(seed)
     f = gr.SpectralField.from_physical(grid, rng.standard_normal((grid.nx, grid.ny)))
@@ -24,7 +31,17 @@ class TestMakeGrid:
     def test_small_box_wavenumbers(self):
         g = gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi)
         assert g.xi.tolist() == [0.0, 1.0, -2.0, -1.0]
-        assert g.eta.tolist() == [0.0, 1.0, -2.0, -1.0]
+        assert g.eta.tolist() == [0.0, 1.0, 2.0]
+        assert g.xi_d.tolist() == [0.0, 1.0, 0.0, -1.0]
+        assert g.eta_d.tolist() == [0.0, 1.0, 0.0]
+        assert g.shape == (4, 3)
+
+    def test_column_multiplicity(self):
+        for ny in (4, 6, 32):
+            g = gr.make_grid(8, ny, 2 * np.pi, 2 * np.pi)
+            assert g.multiplicity.tolist() == [1.0] + [2.0] * (ny // 2 - 1) + [1.0]
+            assert g.multiplicity.size == g.shape[1]
+            assert not g.multiplicity.flags.writeable
 
     def test_mode_radius(self):
         g = gr.make_grid(8, 8, 2 * np.pi, 2 * np.pi)
@@ -35,7 +52,7 @@ class TestMakeGrid:
         g = gr.make_grid(8, 8, 2 * np.pi, 2 * np.pi)
         assert g.A is g.A
         assert not g.A.flags.writeable
-        assert g.A.shape == (8, 8)
+        assert g.A.shape == g.shape == (8, 5)
 
     def test_spacing_scales_with_box(self):
         g = gr.make_grid(4, 4, 4 * np.pi, 4 * np.pi)
@@ -84,9 +101,14 @@ class TestTransforms:
         assert sorted(map(tuple, idx.tolist())) == [(1, 0), (31, 0)]
         assert abs(f.coeffs[1, 0]) == pytest.approx(abs(f.coeffs[31, 0]))
 
-    def test_hermitian_symmetry_of_real_fields(self, grid32):
+    def test_roundtrip_of_real_fields(self, grid32):
         f = random_field(grid32, seed=5)
-        assert f.is_hermitian(1e-12)
+        assert f.coeffs.shape == grid32.shape == (32, 17)
+        assert roundtrip_defect(f) <= 1e-12
+        # a half spectrum whose column 0 is not self-conjugate is no real field
+        bad = f.coeffs.copy()
+        bad[3, 0] += 1j * np.max(np.abs(bad))
+        assert roundtrip_defect(gr.SpectralField(grid32, bad)) > 0.1
 
     def test_parseval(self, grid32):
         rng = np.random.default_rng(2)
@@ -109,11 +131,10 @@ class TestMultipliers:
         assert np.max(np.abs(d.to_physical() + np.sin(x))) <= 1e-12
 
     def test_bessel_weight_on_single_mode(self, grid32):
-        coeffs = np.zeros((32, 32), complex)
+        coeffs = np.zeros(grid32.shape, complex)
         k = round(1.0 / grid32.xi[1])
         ky = round(1.0 / grid32.eta[1])
-        coeffs[k, ky] = 1.0
-        coeffs[-k, -ky] = 1.0
+        coeffs[k, ky] = 1.0  # the conjugate mode (-k, -ky) is implied
         f = gr.SpectralField(grid32, coeffs)
         out = gr.apply_multiplier(f, lambda XI, ETA: 1.0 + XI**2 + ETA**2)
         assert out.coeffs[k, ky] == pytest.approx(3.0)
@@ -170,7 +191,7 @@ class TestProjectors:
 
     def test_band_separation(self, grid32):
         # a field supported at A = 4N is annihilated by the N-band projector
-        coeffs = np.zeros((32, 32), complex)
+        coeffs = np.zeros(grid32.shape, complex)
         k = 8
         coeffs[k, 0] = 1.0
         coeffs[-k, 0] = 1.0
@@ -522,7 +543,7 @@ class TestOnePassSnapshot:
                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         gr.x_norm_snapshot(state, 1.0)
-        assert calls == ["ifft2"]
+        assert calls == ["irfft2"]
 
 
 class TestSerialization:

@@ -20,6 +20,31 @@ def grid32():
     return gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi)
 
 
+def roundtrip_defect(f):
+    """Relative change of f under to_physical then from_physical: 0 to rounding
+    only if column 0 and the Nyquist column are self-conjugate along xi."""
+    back = gr.SpectralField.from_physical(f.grid, f.to_physical()).coeffs
+    return float(np.max(np.abs(back - f.coeffs)) / (np.max(np.abs(f.coeffs)) or 1.0))
+
+
+def full_wavenumbers(grid):
+    """xi and eta of the full (nx, ny) spectrum in FFT layout, built apart from
+    the grid's half lattice."""
+    return (2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.Lx / grid.nx),
+            2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.Ly / grid.ny))
+
+
+def full_dealias_mask(grid, fraction=2.0 / 3.0):
+    xi, eta = full_wavenumbers(grid)
+    return ((np.abs(xi[:, None]) <= np.pi * grid.nx / grid.Lx * fraction)
+            & (np.abs(eta[None, :]) <= np.pi * grid.ny / grid.Ly * fraction))
+
+
+def full_spectrum(f):
+    """The (nx, ny) coefficients of a field, from its physical values."""
+    return np.fft.fft2(f.to_physical()) * (f.grid.dx * f.grid.dy)
+
+
 def single_field_state(grid, which, values):
     fields = [gr.SpectralField.zeros(grid) for _ in range(4)]
     fields[which] = gr.SpectralField.from_physical(grid, values)
@@ -158,10 +183,12 @@ class TestInitialData:
         state = sv.initial_data("gaussian", grid32, 1e-3)
         assert abs(state.n.coeffs[0, 0]) > 0.0
 
-    def test_real_fields(self, grid32):
-        state = sv.initial_data("random", grid32, 1e-3, seed=5)
-        for f in state.fields:
-            assert f.is_hermitian(1e-11)
+    def test_physical_roundtrip(self, grid32):
+        for spec in ("gaussian", "random"):
+            state = sv.initial_data(spec, grid32, 1e-3, seed=5)
+            for f in state.fields:
+                assert f.coeffs.shape == grid32.shape
+                assert roundtrip_defect(f) <= 1e-12
 
 
 class TestNonlinearTerms:
@@ -215,7 +242,7 @@ class TestNonlinearTerms:
 def random_real_state(grid, seed, size):
     """Random real fields band-limited to the 2/3 band, each of max |value| = size."""
     rng = np.random.default_rng(seed)
-    mask = grid.dealias_mask(2.0 / 3.0)
+    mask = full_dealias_mask(grid)
     fields = []
     for _ in range(4):
         phys = np.fft.ifft2(np.fft.fft2(rng.standard_normal((grid.nx, grid.ny))) * mask).real
@@ -224,21 +251,25 @@ def random_real_state(grid, seed, size):
 
 
 def per_field_nonlinear_terms(state, lam, lambda_forcing=False):
-    """Reference right-hand side: every factor and product through its own
-    full-spectrum transform, with the viscous terms combined in physical space."""
+    """Reference right-hand side on the full (nx, ny) spectrum: every factor and
+    product through its own complex transform, with the viscous terms combined
+    in physical space.  Returns the stored half, columns [:, :ny//2 + 1]."""
     g = state.grid
-    mask = g.dealias_mask()
-    ikx = 1j * g.xi_d[:, None]
-    iky = 1j * g.eta_d[None, :]
-    lap = -(g.XI**2 + g.ETA**2)
+    mask = full_dealias_mask(g)
+    xi, eta = full_wavenumbers(g)
+    xi_d, eta_d = xi.copy(), eta.copy()
+    xi_d[g.nx // 2] = eta_d[g.ny // 2] = 0.0
+    ikx = 1j * xi_d[:, None]
+    iky = 1j * eta_d[None, :]
+    lap = -(xi[:, None]**2 + eta[None, :]**2)
 
     def phys(coeffs):
-        return gr.SpectralField(g, coeffs * mask).to_physical()
+        return np.fft.ifft2(coeffs * mask).real / (g.dx * g.dy)
 
     def hat(values):
-        return gr.SpectralField.from_physical(g, values).coeffs
+        return np.fft.fft2(values) * (g.dx * g.dy)
 
-    cn, cu, cv, cp = (f.coeffs for f in state.fields)
+    cn, cu, cv, cp = (full_spectrum(f) for f in state.fields)
     n, u, v = phys(cn), phys(cu), phys(cv)
     n_x, n_y = phys(ikx * cn), phys(iky * cn)
     u_x, u_y = phys(ikx * cu), phys(iky * cu)
@@ -257,7 +288,7 @@ def per_field_nonlinear_terms(state, lam, lambda_forcing=False):
     if lambda_forcing:
         out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
         out[2] += lam * (ikx * iky * cu + iky * iky * cv)
-    return out * mask
+    return (out * mask)[..., :g.ny // 2 + 1]
 
 
 class TestBatchedNonlinearTerms:
@@ -271,6 +302,14 @@ class TestBatchedNonlinearTerms:
             nl = sv.nonlinear_terms(state, lam, lambda_forcing=lambda_forcing)
             ref = per_field_nonlinear_terms(state, lam, lambda_forcing=lambda_forcing)
             assert np.max(np.abs(nl - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lambda_forcing", [False, True])
+    def test_output_is_a_real_spectrum(self, grid32, lambda_forcing):
+        state = random_real_state(grid32, 5, 0.3)
+        nl = sv.nonlinear_terms(state, 0.4, lambda_forcing=lambda_forcing)
+        assert nl.shape == (4, *grid32.shape)
+        for coeffs in nl:
+            assert roundtrip_defect(gr.SpectralField(grid32, coeffs)) <= 1e-12
 
     @pytest.mark.parametrize("lambda_forcing", [False, True])
     def test_one_transform_each_way(self, grid32, monkeypatch, lambda_forcing):
@@ -295,12 +334,11 @@ class TestStepper:
     def test_linear_step_is_exact(self, grid32):
         state = sv.initial_data("random", grid32, 0.01, seed=3)
         one = sv.Stepper(grid32, 0.3, lam=0.2).step(state, nonlinear=False)
-        ref = np.empty((4, 32, 32), complex)
+        ref = np.empty((4, *grid32.shape), complex)
         u = state.stack()
-        for i in range(32):
-            for j in range(32):
-                m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], 0.2).entries
-                ref[:, i, j] = ln.matexp(m, 0.3) @ u[:, i, j]
+        for i, j in np.ndindex(grid32.shape):
+            m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], 0.2).entries
+            ref[:, i, j] = ln.matexp(m, 0.3) @ u[:, i, j]
         assert np.max(np.abs(one.stack() - ref)) <= 1e-12
 
     @pytest.mark.parametrize("dt,lam", [(0.3, 0.2), (0.05, 0.05), (0.01, 0.0)])
@@ -327,6 +365,49 @@ class TestStepper:
         bad = gr.PerturbationState.from_stack(grid32, u)
         with pytest.raises(sv.StepRejectedError, match="^non-finite-state"):
             sv.Stepper(grid32, 0.1).step(bad, nonlinear=nonlinear)
+
+    @staticmethod
+    def _column0_and_interior(grid):
+        """n = cos(x), whose two modes sit in column 0, and n = cos(y), whose
+        stored mode sits in column 1 (its conjugate is implied)."""
+        x = (np.arange(grid.nx) * grid.dx)[:, None] * np.ones((1, grid.ny))
+        y = (np.arange(grid.ny) * grid.dy)[None, :] * np.ones((grid.nx, 1))
+        return single_field_state(grid, 0, np.cos(x)), single_field_state(grid, 0, np.cos(y))
+
+    def test_coefficient_norm_counts_the_full_spectrum(self, grid32):
+        for state in self._column0_and_interior(grid32):
+            full = np.linalg.norm(np.stack([full_spectrum(f) for f in state.fields]))
+            assert grid32.coeff_norm(state.stack()) == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("grows,from_column0", [(12.0, True), (8.0, False)])
+    def test_growth_guard_reads_full_spectrum_norms(self, grid32, monkeypatch, grows,
+                                                    from_column0):
+        # energy moving between column 0 and the interior: the plain norm of the
+        # half array misreads the growth by sqrt(2), so it would pass x12 and
+        # reject x8
+        col0, interior = self._column0_and_interior(grid32)
+        before, after = (col0, interior) if from_column0 else (interior, col0)
+        target = grows * after.stack()
+        stepper = sv.Stepper(grid32, 0.1)
+        eye = np.broadcast_to(np.eye(4), grid32.shape + (4, 4))
+        stepper.E = stepper.P1 = stepper.P2 = eye  # a step returns u + nl
+        monkeypatch.setattr(sv, "nonlinear_terms",
+                            lambda state, *args, **kwargs: target - before.stack())
+
+        def full_norm(coeffs):
+            return np.linalg.norm([np.fft.fft2(gr.SpectralField(grid32, c).to_physical())
+                                   for c in coeffs])
+
+        ratio = full_norm(target) / full_norm(before.stack())
+        assert ratio == pytest.approx(grows, rel=1e-12)
+        half_ratio = np.linalg.norm(target) / np.linalg.norm(before.stack())
+        assert (half_ratio > 10.0) != (ratio > 10.0)
+        if ratio > 10.0:
+            with pytest.raises(sv.StepRejectedError, match=f"norm grew x{grows:.1f}"):
+                stepper.step(before)
+        else:
+            out = stepper.step(before).stack()
+            assert np.max(np.abs(out - target)) <= 1e-14 * np.max(np.abs(target))
 
     def test_zero_state_fixed_point(self, grid32):
         out = sv.Stepper(grid32, 0.1).step(gr.PerturbationState.zeros(grid32))
@@ -500,6 +581,6 @@ def test_step_keeps_real_fields_and_mass(seed, size, nonlinear):
     state = random_real_state(_GRID16, seed, size)
     out = _STEPPER16.step(state, nonlinear=nonlinear)
     for f in out.fields:
-        assert f.hermitian_defect() <= 1e-12
+        assert roundtrip_defect(f) <= 1e-12
     mass0 = state.n.coeffs[0, 0].real
     assert abs(out.n.coeffs[0, 0].real - mass0) <= 1e-12 * abs(mass0)

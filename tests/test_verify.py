@@ -136,7 +136,7 @@ class TestProjectorDerivative:
         # fields away from the moving band contribute nothing
         from mhdlab import grid as gr
         g = gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi)
-        coeffs = np.zeros((32, 32), complex)
+        coeffs = np.zeros(g.shape, complex)
         coeffs[1, 0] = coeffs[-1, 0] = 1.0  # A = 1
         s = 100.0  # cutoff ~ <s> = 100, far above A = 1
         h = 0.1 * math.sqrt(1 + s * s)
@@ -156,8 +156,8 @@ class TestNash:
     def test_single_mode_closed_form(self):
         from mhdlab import grid as gr
         g = gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi)
-        coeffs = np.zeros((32, 32), complex)
-        coeffs[1, 1] = coeffs[-1, -1] = g.area / 2.0  # psi = cos(x + y)
+        coeffs = np.zeros(g.shape, complex)
+        coeffs[1, 1] = g.area / 2.0  # psi = cos(x + y); the mode (-1, -1) is implied
         psi = gr.SpectralField(g, coeffs)
         gamma, gamma_bar = 0.75, 1.0
         A = math.sqrt(2.0)
