@@ -358,7 +358,7 @@ def _region_rho_range(region) -> tuple[float, float]:
 def parse_region(text: str):
     if text in ("le1", "all"):
         return text
-    if text.startswith("sim") and text[3:].replace(".", "", 1).isdigit():
+    if text.startswith("sim") and text[3:].replace(".", "", 1).isdigit() and float(text[3:]) > 0:
         return ("annulus", float(text[3:]))
     raise ValueError(f"unknown region {text!r}; expected le1, all or sim<N>")
 

@@ -112,8 +112,10 @@ class TestLinearCommands:
         (["symbol-norm", "--symbol", "A4K", "--t", "-1"], "t must be nonnegative"),
         (["symbol-norm", "--symbol", "A4K", "--t", "1", "--region", "simx"],
          "unknown region 'simx'"),
+        (["symbol-norm", "--symbol", "A4K", "--t", "1", "--region", "sim0"],
+         "unknown region 'sim0'"),
     ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
-            "symbol-norm-bad-region"])
+            "symbol-norm-bad-region", "symbol-norm-zero-scale"])
     def test_invalid_input_exit_2(self, capsys, argv, message):
         code, _, err = run_cli(["linear", *argv], capsys)
         assert code == 2

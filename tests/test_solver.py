@@ -395,8 +395,7 @@ class TestStepper:
                             lambda state, *args, **kwargs: target - before.stack())
 
         def full_norm(coeffs):
-            return np.linalg.norm([np.fft.fft2(gr.SpectralField(grid32, c).to_physical())
-                                   for c in coeffs])
+            return np.linalg.norm([full_spectrum(gr.SpectralField(grid32, c)) for c in coeffs])
 
         ratio = full_norm(target) / full_norm(before.stack())
         assert ratio == pytest.approx(grows, rel=1e-12)
