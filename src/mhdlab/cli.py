@@ -69,6 +69,8 @@ def cmd_kernel_scan(ns) -> int:
     ts = _parse_float_list(ns.t)
     if not np.isfinite(ts).all():
         raise ValueError(f"--t: times must be finite, got {ns.t}")
+    if negative := [t for t in ts if t < 0]:
+        raise ValueError(f"--t: times must be nonnegative, got {_fmt(negative[0])}")
     ks = np.linspace(-ns.kmax, ns.kmax, ns.n)
     rows = [["t", "xi", "eta", "A", "K", "K1", "dtK", "ddtK", "comp",
              "comp_x", "dt_comp"] + [f"envelope_{i}" for i in range(1, 9)]]

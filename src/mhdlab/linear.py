@@ -84,12 +84,13 @@ def matexp(m: np.ndarray, t: float) -> np.ndarray:
 
 
 def expm_batch(ms: np.ndarray) -> np.ndarray:
-    """exp(M) for a batch of small matrices, shape (..., d, d).
+    """exp(M) for a batch of small matrices, shape (..., d, d), in the input's
+    dtype: a real batch stays real, a complex one complex.
 
     scipy's expm chooses the Pade order and the squaring count per matrix
     (Al-Mohy & Higham 2009), so low modes are not over-squared.
     """
-    return scipy.linalg.expm(np.asarray(ms, dtype=complex))
+    return scipy.linalg.expm(np.asarray(ms))
 
 
 def _charpoly_coeffs(m: np.ndarray) -> np.ndarray:

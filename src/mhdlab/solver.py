@@ -296,12 +296,44 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     return out
 
 
+# M = _PHASE * R entrywise with R = D^-1 M D real, D = diag(1, i, i, i): the
+# couplings -i xi and -i eta sit in row and column 0 only
+_PHASE = np.outer([1, 1j, 1j, 1j], [1, -1j, -1j, -1j])
+# M(-xi, eta) = S1 M(xi, eta) S1 = _S1 * M(xi, eta) with S1 = diag(1, -1, 1, 1)
+_S1 = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+
+
+def _propagators(E, P1, P2, xi, eta, dt: float, lam: float, band: np.ndarray) -> None:
+    """Fill E, P1, P2, each of shape (len(xi), len(eta), 4, 4), with exp(dt A),
+    dt*phi1(dt A) and dt^2*phi2(dt A) on the lattice xi x eta.
+
+    The exponentials are taken of the real D^-1 (dt A) D and the phase is put
+    back after, which only multiplies by 1 or +-i.  Inside `band` one 12x12
+    augmented exponential gives all three; outside it only the 4x4 exp(dt A)
+    is built, and the phi blocks are 0.
+    """
+    gen = (symbol_matrix(xi[:, None], eta[None, :], lam).entries / _PHASE).real
+    gen *= dt
+    aug = np.zeros((np.count_nonzero(band), 12, 12))
+    aug[:, 0:4, 0:4] = gen[band]
+    aug[:, 0:4, 4:8] = aug[:, 4:8, 8:12] = dt * np.eye(4)
+    full = expm_batch(aug)
+    E[band], P1[band], P2[band] = full[:, :4, :4], full[:, :4, 4:8], full[:, :4, 8:12]
+    E[~band] = expm_batch(gen[~band])
+    P1[~band] = P2[~band] = 0.0
+    for m in (E, P1, P2):
+        m *= _PHASE
+
+
 class Stepper:
     """Second-order exponential integrator with precomputed mode propagators.
 
     Per mode the augmented matrix exp([[dtA, dtI, 0], [0, 0, dtI], [0, 0, 0]])
     supplies exp(dt A), dt*phi1(dt A), dt^2*phi2(dt A) in one batch; with the
-    nonlinearity zeroed a step is the exact linear flow.
+    nonlinearity zeroed a step is the exact linear flow.  The phi blocks P1, P2
+    only multiply dealiased terms, so they are built inside the dealias band
+    and are 0 outside it.  The rows xi >= 0 (and the unpaired -Nyquist row) are
+    built; the rows xi < 0 are their S1 reflections.
     """
 
     def __init__(self, grid: FourierGrid, dt: float, lam: float = 0.0,
@@ -313,15 +345,14 @@ class Stepper:
         self.dealias_fraction = dealias_fraction
         self.lambda_in_linear = lambda_in_linear
         lam_lin = lam if lambda_in_linear else 0.0
-        gen = symbol_matrix(grid.XI, grid.ETA, lam_lin).entries.reshape(-1, 4, 4)
-        aug = np.zeros((gen.shape[0], 12, 12), dtype=complex)
-        aug[:, 0:4, 0:4] = gen
-        aug[:, 0:4, 4:8] = np.eye(4)
-        aug[:, 4:8, 8:12] = np.eye(4)
-        aug *= self.dt
-        full = expm_batch(aug).reshape(grid.shape + (12, 12))
+        half = grid.nx // 2 + 1
+        band = grid.dealias_mask(dealias_fraction)[:half]
         # exp(dt A), dt*phi1(dt A) and dt^2*phi2(dt A), each of shape grid.shape + (4, 4)
-        self.E, self.P1, self.P2 = (np.ascontiguousarray(full[..., :4, k:k + 4]) for k in (0, 4, 8))
+        self.E, self.P1, self.P2 = mats = [np.empty(grid.shape + (4, 4), dtype=complex)
+                                           for _ in range(3)]
+        _propagators(*(m[:half] for m in mats), grid.xi[:half], grid.eta, self.dt, lam_lin, band)
+        for m in mats:
+            m[half:] = m[half - 2:0:-1] * _S1  # row nx - k from row k
 
     def _apply(self, mats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("xyij,jxy->ixy", mats, coeffs)

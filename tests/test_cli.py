@@ -58,6 +58,15 @@ class TestKernelScan:
         assert f"--t: times must be finite, got {times}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("times,named", [("-1", "-1"), ("0,0.5,-0.25", "-0.25")])
+    def test_negative_time_exit_2(self, tmp_path, capsys, times, named):
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(["kernel", "scan", "--t", times, "--n", "4",
+                                "--out", str(out)], capsys)
+        assert code == 2
+        assert f"--t: times must be nonnegative, got {named}" in err
+        assert not out.exists()
+
 
 class TestLinearCommands:
     def test_oracle_test_json(self, tmp_path, capsys):

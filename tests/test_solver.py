@@ -442,6 +442,89 @@ class TestStepper:
         assert np.max(np.abs(xa.stack() - xs.stack())) <= 1e-5 * scale
 
 
+def reference_propagators(grid, dt, lam):
+    """E, P1, P2 from one complex 12x12 augmented exponential per stored mode
+    of the whole lattice: the build the real, reflected, band-limited one
+    replaces, kept here as its reference."""
+    gen = ln.symbol_matrix(grid.XI, grid.ETA, lam).entries.reshape(-1, 4, 4)
+    aug = np.zeros((gen.shape[0], 12, 12), dtype=complex)
+    aug[:, 0:4, 0:4] = gen
+    aug[:, 0:4, 4:8] = np.eye(4)
+    aug[:, 4:8, 8:12] = np.eye(4)
+    aug *= dt
+    full = ln.expm_batch(aug).reshape(grid.shape + (12, 12))
+    return tuple(full[..., :4, k:k + 4] for k in (0, 4, 8))
+
+
+def per_mode_error(got, ref):
+    """max |got - ref| of each mode's 4x4 block over the block's max |ref|."""
+    return np.max(np.abs(got - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+
+
+# xi and eta up to 4 with dt = 0.05, as on the default 256^2 run; the stiff
+# grid reaches dt*|A| ~ 25, where expm squares several times
+_MILD = gr.make_grid(64, 48, 16 * np.pi, 12 * np.pi)
+_STIFF = gr.make_grid(64, 48, 4 * np.pi, 3 * np.pi)
+_LAMS = [(lam, inside) for lam in (0.0, 0.05, 0.3) for inside in (True, False)]
+_LAM_IDS = [f"lam{lam}-{'linear' if inside else 'split'}" for lam, inside in _LAMS]
+
+
+class TestStepperBuild:
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.3])
+    def test_phase_times_real_generator_is_the_symbol(self, lam):
+        g = gr.make_grid(256, 256, 64 * np.pi, 64 * np.pi)
+        m = ln.symbol_matrix(g.XI, g.ETA, lam).entries
+        real = m / sv._PHASE
+        assert not np.any(real.imag)
+        assert np.array_equal(sv._PHASE * real.real, m)
+
+    @pytest.mark.parametrize("grid", [_MILD, _STIFF], ids=["mild", "stiff"])
+    @pytest.mark.parametrize("lam,lambda_in_linear", _LAMS, ids=_LAM_IDS)
+    def test_reflected_rows_equal_a_direct_build(self, grid, lam, lambda_in_linear):
+        stepper = sv.Stepper(grid, 0.05, lam, lambda_in_linear=lambda_in_linear)
+        half = grid.nx // 2 + 1
+        band = grid.dealias_mask()[half:]
+        built = (stepper.E, stepper.P1, stepper.P2)
+        direct = [np.empty_like(m[half:]) for m in built]
+        sv._propagators(*direct, grid.xi[half:], grid.eta, 0.05,
+                        lam if lambda_in_linear else 0.0, band)
+        for got, ref in zip(built, direct):
+            assert np.array_equal(got[half:], ref)
+
+    @pytest.mark.parametrize("grid,fraction", [
+        (_MILD, 2.0 / 3.0), (_MILD, 1.0),
+        (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 2.0 / 3.0),
+        (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 1.0),
+    ], ids=["mild", "mild-no-dealias", "4x4", "4x4-no-dealias"])
+    @pytest.mark.parametrize("lam,lambda_in_linear", _LAMS, ids=_LAM_IDS)
+    def test_matches_complex_full_lattice_build(self, grid, fraction, lam, lambda_in_linear):
+        stepper = sv.Stepper(grid, 0.05, lam, fraction, lambda_in_linear)
+        E, P1, P2 = reference_propagators(grid, 0.05, lam if lambda_in_linear else 0.0)
+        band = grid.dealias_mask(fraction)
+        assert np.max(per_mode_error(stepper.E, E)) <= 1e-15
+        for got, ref in ((stepper.P1, P1), (stepper.P2, P2)):
+            assert np.max(per_mode_error(got, ref)[band]) <= 1e-15
+            assert not np.any(got[~band])
+
+    # at 256^2 the 129 x 129 modes with xi >= 0 (and the -Nyquist row) hold
+    # 86 x 86 of the 2/3 band
+    @pytest.mark.parametrize("fraction,inside,outside", [(2.0 / 3.0, 7396, 9245),
+                                                         (1.0, 16641, 0)])
+    def test_two_real_expm_batches(self, monkeypatch, fraction, inside, outside):
+        # one 12x12 batch on the band, one 4x4 batch on the rest (empty when
+        # nothing is dealiased)
+        calls = []
+
+        def recorded(ms):
+            calls.append((ms.dtype, ms.shape))
+            return ln.expm_batch(ms)
+
+        monkeypatch.setattr(sv, "expm_batch", recorded)
+        g = gr.make_grid(256, 256, 64 * np.pi, 64 * np.pi)
+        sv.Stepper(g, 0.05, 0.05, fraction)
+        assert calls == [(np.float64, (inside, 12, 12)), (np.float64, (outside, 4, 4))]
+
+
 class TestSimulate:
     def test_mass_conservation_and_energy(self, tmp_path):
         cfg = sv.SolverConfig(nx=32, ny=32, Lx=8 * np.pi, Ly=8 * np.pi,
