@@ -28,7 +28,8 @@ __all__ = [
     "X_ENTRY_WEIGHTS",
     "make_grid",
     "apply_multiplier",
-    "lp_project",
+    "to_physical",
+    "to_spectral",
     "sobolev_norm",
     "energy_components",
     "hm_energy",
@@ -175,8 +176,15 @@ class FourierGrid:
 
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
         kx_max = np.pi * self.nx / self.Lx * fraction
-        ky_max = np.pi * self.ny / self.Ly * fraction
-        return (np.abs(self.XI) <= kx_max) & (np.abs(self.ETA) <= ky_max)
+        return (np.abs(self.XI) <= kx_max) & (np.abs(self.ETA) <= self._ky_max(fraction))
+
+    def dealias_columns(self, fraction: float = 2.0 / 3.0) -> int:
+        """Number of leading columns that hold the dealias band: eta grows
+        along the half spectrum, so every later column is outside it."""
+        return int(np.count_nonzero(self.eta <= self._ky_max(fraction)))
+
+    def _ky_max(self, fraction: float) -> float:
+        return np.pi * self.ny / self.Ly * fraction
 
 
 def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> FourierGrid:
@@ -198,6 +206,40 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> FourierGrid:
                        xi_d=xi_d, eta_d=eta_d, multiplicity=multiplicity)
 
 
+# The transform policy.  One transform per array: a batch of arrays is larger
+# than the core's cache, one (nx, ny) array is not, and every 1-D transform
+# sees the same numbers either way, so the values are those of the batched
+# irfft2 / rfft2 bit for bit.  The pass along x runs only on the columns held
+# (inverse) or kept (forward); the other columns are zero.  The transforms are
+# looked up as attributes of np.fft at every call.
+
+def to_physical(grid: FourierGrid, spectra) -> np.ndarray:
+    """Physical values of each half-spectrum array in `spectra`, stacked.
+
+    An array of shape (nx, nc) holds the first nc <= ny//2 + 1 columns and
+    the later columns are zero: the ifft along x runs on those nc columns and
+    irfft along y pads the rest, the two passes of numpy's irfftn.
+    """
+    out = np.empty((len(spectra), grid.nx, grid.ny))
+    for c, o in zip(spectra, out):
+        np.fft.irfft(np.fft.ifft(c, axis=0), n=grid.ny, axis=1, out=o)
+        o /= grid.dx * grid.dy
+    return out
+
+
+def to_spectral(grid: FourierGrid, values, ncols: int | None = None) -> np.ndarray:
+    """Half-spectrum coefficients of each physical array in `values`, stacked,
+    on the first `ncols` columns (all of them by default): rfft along y, then
+    the fft along x on the kept columns only, the two passes of numpy's rfftn.
+    """
+    nc = grid.shape[1] if ncols is None else ncols
+    out = np.empty((len(values), grid.nx, nc), dtype=complex)
+    for f, o in zip(values, out):
+        np.fft.fft(np.fft.rfft(f, axis=1)[:, :nc], axis=0, out=o)
+        o *= grid.dx * grid.dy
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """One real scalar unknown stored as its half-spectrum Fourier coefficients."""
@@ -210,15 +252,14 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.nx, grid.ny):
             raise GridError(f"field shape {values.shape} != grid ({grid.nx}, {grid.ny})")
-        return cls(grid, np.fft.rfft2(values) * (grid.dx * grid.dy))
+        return cls(grid, to_spectral(grid, [values])[0])
 
     @classmethod
     def zeros(cls, grid: FourierGrid) -> "SpectralField":
         return cls(grid, np.zeros(grid.shape, dtype=complex))
 
     def to_physical(self) -> np.ndarray:
-        g = self.grid
-        return np.fft.irfft2(self.coeffs, s=(g.nx, g.ny)) / (g.dx * g.dy)
+        return to_physical(self.grid, [self.coeffs])[0]
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar)
@@ -264,24 +305,6 @@ def bump_chi(x: np.ndarray) -> np.ndarray:
     """Smooth radial bump: 1 on |x| <= 1, 0 on |x| >= 1 + 1e-4."""
     ax = np.abs(np.asarray(x, dtype=float))
     return _smooth_step((1.0 + _BUMP_DELTA - ax) / _BUMP_DELTA)
-
-
-def lp_projector_symbol(grid: FourierGrid, N: float, kind: str) -> np.ndarray:
-    A = grid.A
-    if kind == "le":
-        return bump_chi(A / N)
-    if kind == "eq":
-        return bump_chi(A / N) - bump_chi(A / (N / 2.0))
-    if kind == "ge":
-        return 1.0 - bump_chi(A / N)
-    raise GridError(f"unknown projector kind {kind!r}; expected 'le', 'eq' or 'ge'")
-
-
-def lp_project(f: SpectralField, N: float, kind: str = "le") -> SpectralField:
-    """Smooth frequency cutoff at dyadic scale N ('le', 'eq' or 'ge')."""
-    if N <= 0:
-        raise GridError("projector scale N must be positive")
-    return SpectralField(f.grid, f.coeffs * lp_projector_symbol(f.grid, N, kind))
 
 
 def homog_weight(grid: FourierGrid, s: float) -> np.ndarray:
@@ -464,7 +487,7 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
     the H^M energy and the sup norms of the state.
 
     One pass: each weight is built once, and every physical-space value comes
-    from one batched inverse transform.
+    from one `to_physical` call.
     """
     problems = x_param_problems(M, eps, gamma, gamma_bar)
     if problems:
@@ -485,9 +508,8 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
     def vec_l2(*vals):
         return math.sqrt(fsum([x * x for x in vals]))
 
-    phys = np.fft.irfft2(np.stack([w32 * cn, w1 * cu, w1 * cv, w1 * (hgb * cp),
-                                   cn, cu, cv, px, py]), s=(g.nx, g.ny)) / (g.dx * g.dy)
-    n32, u1, v1, psi1, n, u, v, psi_x, psi_y = phys
+    n32, u1, v1, psi1, n, u, v, psi_x, psi_y = to_physical(
+        g, [w32 * cn, w1 * cu, w1 * cv, w1 * (hgb * cp), cn, cu, cv, px, py])
     entries = {
         "n:HM_L2": hm[0],
         "n:H3_L2": l2(w3 * cn),

@@ -203,7 +203,7 @@ def x0_surrogate(state: PerturbationState, M: int = 8) -> float:
     """Initial-data size: H^M of (n, u, grad psi) plus W^{5,1} of the same."""
     g = state.grid
     comps = _grid.energy_components(state)
-    phys = np.fft.irfft2((1.0 + g.A**2) ** 2.5 * comps, s=(g.nx, g.ny)) / (g.dx * g.dy)
+    phys = _grid.to_physical(g, (1.0 + g.A**2) ** 2.5 * comps)
     mags = np.sqrt(sum(phys ** 2))
     return _grid.hm_energy(g, comps, M)[0] + g.dx * g.dy * fsum(mags)
 
@@ -234,7 +234,7 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
         coeffs = []
         for _ in range(4):
             white = rng.standard_normal((grid.nx, grid.ny))
-            c = np.fft.rfft2(white) * (grid.dx * grid.dy)
+            c = _grid.to_spectral(grid, [white])[0]
             coeffs.append(c * np.exp(-2.0 * A * A) * mask)
     else:
         raise SolverError(f"unknown initial-data recipe {spec!r}")
@@ -248,48 +248,49 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
 def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
                     dealias_fraction: float = 2.0 / 3.0,
                     lambda_forcing: bool = False) -> np.ndarray:
-    """The four nonlinear right-hand sides as dealiased Fourier coefficients.
+    """The four nonlinear right-hand sides as dealiased Fourier coefficients,
+    of shape (4, nx, nc): the first nc = `grid.dealias_columns` columns of the
+    half spectrum, which hold the dealias band; every later column is zero.
 
-    The 14 dealiased spectral factors go to physical space in one batched
-    inverse real transform; the 5 products come back in one batched forward
-    real transform.  The viscous terms are combined in spectral space before
-    the transform.
+    The 14 dealiased spectral factors are formed on those columns only and go
+    to physical space one by one; the 5 products come back one by one, on
+    those columns only (see `grid.to_physical`).  The viscous terms are
+    combined in spectral space before the transform.
 
     Requires max|n| < 0.99 so the total density stays positive.  When
     `lambda_forcing` is set, the linear lam-coupling is added here as a
     forcing term instead of living in the propagator (the split treatment).
     """
     g = state.grid
-    mask = g.dealias_mask(dealias_fraction)
-    cn, cu, cv, cp = (f.coeffs * mask for f in state.fields)
+    nc = g.dealias_columns(dealias_fraction)
+    mask = g.dealias_mask(dealias_fraction)[:, :nc]
+    cn, cu, cv, cp = (f.coeffs[:, :nc] * mask for f in state.fields)
     ikx = 1j * g.xi_d[:, None]
-    iky = 1j * g.eta_d[None, :]
-    lap = -(g.XI**2 + g.ETA**2)
+    iky = 1j * g.eta_d[None, :nc]
+    lap = -(g.XI**2 + g.ETA[:, :nc]**2)
     # lap u + lam (dxx u + dxy v) and lap v + lam (dxy u + dyy v) - lap psi
     visc_x = lap * cu + lam * (ikx * ikx * cu + ikx * iky * cv)
     visc_y = lap * cv + lam * (ikx * iky * cu + iky * iky * cv) - lap * cp
-    spec = np.stack([cn, cu, cv, ikx * cn, iky * cn, ikx * cu, iky * cu, ikx * cv, iky * cv,
-                     ikx * cp, iky * cp, lap * cp, visc_x, visc_y])
-    phys = np.fft.irfft2(spec, s=(g.nx, g.ny))
-    phys /= g.dx * g.dy
-    n, u, v, n_x, n_y, u_x, u_y, v_x, v_y, psi_x, psi_y, lap_psi, visc_x, visc_y = phys
+    n, u, v, n_x, n_y, u_x, u_y, v_x, v_y, psi_x, psi_y, lap_psi, visc_x, visc_y = (
+        _grid.to_physical(g, [cn, cu, cv, ikx * cn, iky * cn, ikx * cu, iky * cu,
+                              ikx * cv, iky * cv, ikx * cp, iky * cp, lap * cp,
+                              visc_x, visc_y]))
     max_n = float(np.max(np.abs(n)))
     if max_n >= 0.99:
         raise DensityCollapseError(f"density-collapse: max|n| = {max_n:.3f} >= 0.99")
     rho = 1.0 + n
 
-    products = np.stack([
+    hat = _grid.to_spectral(g, [
         -(n * u),  # density flux, differentiated below
         -(n * v),
         -(u * u_x + v * u_y) - (n * visc_x + psi_x * lap_psi) / rho - n * n_x,
         -(u * v_x + v * v_y) - (n * visc_y + psi_y * lap_psi) / rho - n * n_y,
         -(u * psi_x + v * psi_y),
-    ])
-    hat = np.fft.rfft2(products) * (g.dx * g.dy)
+    ], nc)
     out = hat[1:]
     out[0] = ikx * hat[0] + iky * hat[1]  # conservative: ikx F(nu) + iky F(nv)
     if lambda_forcing:
-        cu, cv = state.u.coeffs, state.v.coeffs
+        cu, cv = state.u.coeffs[:, :nc], state.v.coeffs[:, :nc]
         out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
         out[2] += lam * (ikx * iky * cu + iky * iky * cv)
     out *= mask
@@ -304,8 +305,9 @@ _S1 = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 
 
 def _propagators(E, P1, P2, xi, eta, dt: float, lam: float, band: np.ndarray) -> None:
-    """Fill E, P1, P2, each of shape (len(xi), len(eta), 4, 4), with exp(dt A),
-    dt*phi1(dt A) and dt^2*phi2(dt A) on the lattice xi x eta.
+    """Fill E with exp(dt A) on the lattice xi x eta, and P1, P2 with
+    dt*phi1(dt A) and dt^2*phi2(dt A) on its first P1.shape[1] columns, which
+    hold `band`; each is indexed [xi, eta, i, j].
 
     The exponentials are taken of the real D^-1 (dt A) D and the phase is put
     back after, which only multiplies by 1 or +-i.  Inside `band` one 12x12
@@ -318,11 +320,24 @@ def _propagators(E, P1, P2, xi, eta, dt: float, lam: float, band: np.ndarray) ->
     aug[:, 0:4, 0:4] = gen[band]
     aug[:, 0:4, 4:8] = aug[:, 4:8, 8:12] = dt * np.eye(4)
     full = expm_batch(aug)
-    E[band], P1[band], P2[band] = full[:, :4, :4], full[:, :4, 4:8], full[:, :4, 8:12]
+    in_phi = band[:, :P1.shape[1]]
+    E[band], P1[in_phi], P2[in_phi] = full[:, :4, :4], full[:, :4, 4:8], full[:, :4, 8:12]
     E[~band] = expm_batch(gen[~band])
-    P1[~band] = P2[~band] = 0.0
+    P1[~in_phi] = P2[~in_phi] = 0.0
     for m in (E, P1, P2):
         m *= _PHASE
+
+
+def _apply(mats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """out[i] = sum over j of mats[i, j] * coeffs[j], summed in the order of j;
+    `mats` has shape (4, 4, *block) and `coeffs` (4, *block)."""
+    out = np.empty(coeffs.shape, dtype=complex)
+    term = np.empty(coeffs.shape[1:], dtype=complex)
+    for i in range(4):
+        np.multiply(mats[i, 0], coeffs[0], out=out[i])
+        for j in range(1, 4):
+            out[i] += np.multiply(mats[i, j], coeffs[j], out=term)
+    return out
 
 
 class Stepper:
@@ -330,10 +345,15 @@ class Stepper:
 
     Per mode the augmented matrix exp([[dtA, dtI, 0], [0, 0, dtI], [0, 0, 0]])
     supplies exp(dt A), dt*phi1(dt A), dt^2*phi2(dt A) in one batch; with the
-    nonlinearity zeroed a step is the exact linear flow.  The phi blocks P1, P2
-    only multiply dealiased terms, so they are built inside the dealias band
-    and are 0 outside it.  The rows xi >= 0 (and the unpaired -Nyquist row) are
-    built; the rows xi < 0 are their S1 reflections.
+    nonlinearity zeroed a step is the exact linear flow.
+
+    Each propagator is stored as one (4, 4, nx, ncols) array, entry [i, j]
+    over the modes.  E covers the whole half lattice: a state may hold modes
+    outside the dealias band, and their linear flow is exact.  The phi blocks
+    P1, P2 only multiply the nonlinear terms, which live on the dealias band,
+    so they cover the band's nc = `grid.dealias_columns` leading columns and
+    are 0 there outside the band.  The rows xi >= 0 (and the unpaired
+    -Nyquist row) are built; the rows xi < 0 are their S1 reflections.
     """
 
     def __init__(self, grid: FourierGrid, dt: float, lam: float = 0.0,
@@ -347,31 +367,33 @@ class Stepper:
         lam_lin = lam if lambda_in_linear else 0.0
         half = grid.nx // 2 + 1
         band = grid.dealias_mask(dealias_fraction)[:half]
-        # exp(dt A), dt*phi1(dt A) and dt^2*phi2(dt A), each of shape grid.shape + (4, 4)
-        self.E, self.P1, self.P2 = mats = [np.empty(grid.shape + (4, 4), dtype=complex)
-                                           for _ in range(3)]
-        _propagators(*(m[:half] for m in mats), grid.xi[:half], grid.eta, self.dt, lam_lin, band)
-        for m in mats:
-            m[half:] = m[half - 2:0:-1] * _S1  # row nx - k from row k
-
-    def _apply(self, mats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("xyij,jxy->ixy", mats, coeffs)
+        nc = grid.dealias_columns(dealias_fraction)
+        self.E, self.P1, self.P2 = mats = [
+            np.empty((4, 4, grid.nx, ncols), dtype=complex)
+            for ncols in (grid.shape[1], nc, nc)]
+        blocks = [m.transpose(2, 3, 0, 1) for m in mats]  # indexed [xi, eta, i, j]
+        _propagators(*(b[:half] for b in blocks), grid.xi[:half], grid.eta, self.dt,
+                     lam_lin, band)
+        for b in blocks:
+            b[half:] = b[half - 2:0:-1] * _S1  # row nx - k from row k
 
     def step(self, state: PerturbationState, nonlinear: bool = True) -> PerturbationState:
         g = self.grid
         u = state.stack()
+        out = _apply(self.E, u)
         if not nonlinear:
-            out = self._apply(self.E, u)
             _check_finite(g.coeff_norm(out))
             return PerturbationState.from_stack(g, out)
         norm_before = g.coeff_norm(u)
-        nl = nonlinear_terms(state, self.lam, self.dealias_fraction,
-                             lambda_forcing=not self.lambda_in_linear)
-        mid = self._apply(self.E, u) + self._apply(self.P1, nl)
-        mid_state = PerturbationState.from_stack(g, mid)
-        nl_mid = nonlinear_terms(mid_state, self.lam, self.dealias_fraction,
-                                 lambda_forcing=not self.lambda_in_linear)
-        out = mid + self._apply(self.P2, (nl_mid - nl) / self.dt)
+        lambda_forcing = not self.lambda_in_linear
+        nl = nonlinear_terms(state, self.lam, self.dealias_fraction, lambda_forcing)
+        band = out[..., :nl.shape[-1]]  # the columns the phi blocks act on
+        band += _apply(self.P1, nl)  # out holds the midpoint state
+        nl_mid = nonlinear_terms(PerturbationState.from_stack(g, out), self.lam,
+                                 self.dealias_fraction, lambda_forcing)
+        nl_mid -= nl
+        nl_mid /= self.dt
+        band += _apply(self.P2, nl_mid)
         norm_after = g.coeff_norm(out)
         _check_finite(norm_after)
         if norm_after > 10.0 * norm_before and norm_before > 0:
@@ -391,10 +413,14 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
     """Run the configured trajectory, recording diagnostics at the cadence.
 
     On density collapse or step rejection the run aborts gracefully with the
-    diagnostic recorded in `TrajectoryRecord.aborted`.
+    diagnostic recorded in `TrajectoryRecord.aborted`.  A `state0` on another
+    grid than the config's is a `ConfigError`.
     """
     config.validate()
     g = make_grid(config.nx, config.ny, config.Lx, config.Ly)
+    if state0 is not None and _box(state0.grid) != _box(g):
+        raise ConfigError([f"state0: grid {_box(state0.grid)} differs from the "
+                           f"config's {_box(g)}"])
     state = state0 if state0 is not None else initial_data(
         config.init_spec, g, config.delta, config.seed, M=config.M)
     stepper = Stepper(g, config.dt, config.lam, config.dealias,
@@ -436,6 +462,10 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
                        seed=config.seed, aborted=record.aborted,
                        final_time=record.times[-1] if record.times else None)
     return record
+
+
+def _box(grid: FourierGrid) -> str:
+    return f"nx={grid.nx}, ny={grid.ny}, Lx={grid.Lx!r}, Ly={grid.Ly!r}"
 
 
 def _write_checkpoint(state: PerturbationState, out: Path, t: float) -> list:

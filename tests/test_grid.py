@@ -21,6 +21,15 @@ def roundtrip_defect(f):
     return float(np.max(np.abs(back - f.coeffs)) / (np.max(np.abs(f.coeffs)) or 1.0))
 
 
+def smooth_cutoff(f, N, kind="le"):
+    """f times the smooth cutoff chi(A/N) ('le') or the dyadic annulus
+    chi(A/N) - chi(2A/N) ('eq'): band-limited test data."""
+    chi = gr.bump_chi(f.grid.A / N)
+    if kind == "eq":
+        chi = chi - gr.bump_chi(f.grid.A / (N / 2.0))
+    return gr.SpectralField(f.grid, f.coeffs * chi)
+
+
 def random_field(grid, seed=0, rough=0.2):
     rng = np.random.default_rng(seed)
     f = gr.SpectralField.from_physical(grid, rng.standard_normal((grid.nx, grid.ny)))
@@ -165,38 +174,25 @@ class TestMultipliers:
 
 
 class TestProjectors:
-    def test_projection_multiplier_idempotent(self, grid32):
-        f = random_field(grid32, seed=3)
-        once = gr.lp_project(f, 4.0, "le")
-        twice = gr.lp_project(once, 4.0, "le")
-        sym = gr.lp_projector_symbol(grid32, 4.0, "le")
-        flat = np.abs(sym * (1.0 - sym)) < 1e-14
-        assert np.allclose(twice.coeffs[flat], once.coeffs[flat], atol=1e-14)
-
-    def test_le_plus_gt_is_identity(self, grid32):
-        f = random_field(grid32, seed=4)
-        total = gr.lp_project(f, 2.0, "le").coeffs + gr.lp_project(f, 2.0, "ge").coeffs
-        assert np.array_equal(total, f.coeffs)
-
     def test_dyadic_telescoping(self, grid32):
         f = random_field(grid32, seed=6)
         n0 = 0.25
-        total = gr.lp_project(f, n0, "le").coeffs.copy()
+        total = smooth_cutoff(f, n0, "le").coeffs.copy()
         n = n0
         while n < 4.0 * grid32.nyquist:
             n *= 2.0
-            total = total + gr.lp_project(f, n, "eq").coeffs
+            total = total + smooth_cutoff(f, n, "eq").coeffs
         err = np.max(np.abs(total - f.coeffs)) / np.max(np.abs(f.coeffs))
         assert err <= 1e-12
 
     def test_band_separation(self, grid32):
-        # a field supported at A = 4N is annihilated by the N-band projector
+        # a field supported at A = 4N is annihilated by the N-band annulus
         coeffs = np.zeros(grid32.shape, complex)
         k = 8
         coeffs[k, 0] = 1.0
         coeffs[-k, 0] = 1.0
         f = gr.SpectralField(grid32, coeffs)
-        band = gr.lp_project(f, grid32.xi[k] / 4.0, "eq")
+        band = smooth_cutoff(f, grid32.xi[k] / 4.0, "eq")
         assert np.max(np.abs(band.coeffs)) == 0.0
 
     def test_bump_profile(self):
@@ -332,7 +328,7 @@ class TestNorms:
 
     def test_sobolev_identity(self, grid32):
         # band-limited below Nyquist so derivative arrays are exact
-        f = gr.lp_project(random_field(grid32, seed=8), grid32.nyquist / 2.0, "le")
+        f = smooth_cutoff(random_field(grid32, seed=8), grid32.nyquist / 2.0, "le")
         lhs = gr.sobolev_norm(f, 2.0) ** 2
         lap = gr.apply_multiplier(f, lambda XI, ETA: -(XI**2 + ETA**2))
         rhs = (gr.l2_norm(f) ** 2
@@ -371,7 +367,7 @@ class TestNorms:
         for trial in range(100):
             m_scale = 2.0 ** rng.integers(1, 4)
             f = gr.SpectralField.from_physical(g, rng.standard_normal((64, 64)))
-            f = gr.lp_project(f, m_scale, "eq")
+            f = smooth_cutoff(f, m_scale, "eq")
             l1 = g.dx * g.dy * gr.fsum(np.abs(f.to_physical()))
             l2 = gr.l2_norm(f)
             linf = gr.sobolev_norm(f, 0.0, p=np.inf)
@@ -501,7 +497,7 @@ def observation_states(grid):
             grid, mean + 1e-2 * rng.standard_normal((grid.nx, grid.ny)))
 
     z = gr.SpectralField.zeros(grid)
-    psi = gr.lp_project(rough(0.3), 4.0, "le")
+    psi = smooth_cutoff(rough(0.3), 4.0, "le")
     return {"zero": gr.PerturbationState.zeros(grid),
             "rough": gr.PerturbationState(rough(0.02), rough(-0.01), rough(0.05), rough(0.3)),
             "psi_only": gr.PerturbationState(z, z, z, psi)}
@@ -529,21 +525,74 @@ class TestOnePassSnapshot:
         psi = states["psi_only"].psi.coeffs
         assert 0 < np.count_nonzero(psi) < psi.size // 2
 
-    def test_one_inverse_transform(self, grid32, monkeypatch):
+    def test_one_inverse_transform_per_array(self, grid32, monkeypatch):
         state = observation_states(grid32)["rough"]
         calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
-            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        for name in ("ifft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(calls, name))
         gr.x_norm_snapshot(state, 1.0)
-        assert calls == ["irfft2"]
+        assert calls == [("ifft", grid32.shape), ("irfft", grid32.shape)] * 9
+
+
+def counted(calls, name):
+    """np.fft.<name> recording (name, shape of the array transformed) per call."""
+    fn = getattr(np.fft, name)
+
+    def wrapper(a, *args, **kwargs):
+        calls.append((name, np.shape(a)))
+        return fn(a, *args, **kwargs)
+    return wrapper
+
+
+# 32^2, a non-square box with Lx != Ly, no dealiasing (every column, Nyquist
+# included), and the smallest grid
+_TRANSFORM_CASES = [
+    (gr.make_grid(32, 32, 2 * np.pi, 4 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 48, 2 * np.pi, 5 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 32, 2 * np.pi, 4 * np.pi), 1.0),
+    (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 1.0),
+]
+_TRANSFORM_IDS = ["32x32", "32x48", "32x32-no-dealias", "4x4", "4x4-no-dealias"]
+
+
+@pytest.mark.parametrize("grid,fraction", _TRANSFORM_CASES, ids=_TRANSFORM_IDS)
+class TestBandTransforms:
+    def test_dealias_columns_hold_the_band(self, grid, fraction):
+        mask = grid.dealias_mask(fraction)
+        nc = grid.dealias_columns(fraction)
+        assert mask[:, :nc].any(axis=0).all() and not mask[:, nc:].any()
+        if fraction == 1.0:
+            assert nc == grid.shape[1]
+
+    def test_inverse_on_the_band_columns_is_irfft2(self, grid, fraction):
+        rng = np.random.default_rng(7)
+        mask = grid.dealias_mask(fraction)
+        nc = grid.dealias_columns(fraction)
+        coeffs = (rng.standard_normal((3, *grid.shape))
+                  + 1j * rng.standard_normal((3, *grid.shape))) * mask
+        ref = np.fft.irfft2(coeffs, s=(grid.nx, grid.ny)) / (grid.dx * grid.dy)
+        assert np.array_equal(gr.to_physical(grid, coeffs[..., :nc]), ref)
+        assert np.array_equal(gr.to_physical(grid, coeffs), ref)
+        assert np.array_equal(gr.SpectralField(grid, coeffs[0]).to_physical(), ref[0])
+
+    def test_forward_on_the_band_columns_is_rfft2(self, grid, fraction):
+        values = np.random.default_rng(8).standard_normal((3, grid.nx, grid.ny))
+        nc = grid.dealias_columns(fraction)
+        ref = np.fft.rfft2(values) * (grid.dx * grid.dy)
+        assert np.array_equal(gr.to_spectral(grid, values, nc), ref[..., :nc])
+        assert np.array_equal(gr.to_spectral(grid, values), ref)
+        assert np.array_equal(gr.SpectralField.from_physical(grid, values[0]).coeffs, ref[0])
+
+    def test_x_pass_runs_on_the_band_columns_only(self, grid, fraction, monkeypatch):
+        nc = grid.dealias_columns(fraction)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(calls, name))
+        gr.to_physical(grid, np.zeros((2, grid.nx, nc), complex))
+        gr.to_spectral(grid, np.zeros((2, grid.nx, grid.ny)), nc)
+        assert calls == [("ifft", (grid.nx, nc)), ("irfft", (grid.nx, nc))] * 2 + [
+            ("rfft", (grid.nx, grid.ny)), ("fft", (grid.nx, nc))] * 2
 
 
 class TestSerialization:

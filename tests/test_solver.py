@@ -45,6 +45,13 @@ def full_spectrum(f):
     return np.fft.fft2(f.to_physical()) * (f.grid.dx * f.grid.dy)
 
 
+def padded(coeffs, grid):
+    """Band-column coefficients (..., nx, nc) on the whole half spectrum."""
+    out = np.zeros(coeffs.shape[:-1] + (grid.shape[1],), complex)
+    out[..., :coeffs.shape[-1]] = coeffs
+    return out
+
+
 def single_field_state(grid, which, values):
     fields = [gr.SpectralField.zeros(grid) for _ in range(4)]
     fields[which] = gr.SpectralField.from_physical(grid, values)
@@ -199,7 +206,7 @@ class TestNonlinearTerms:
     def test_velocity_self_advection(self, grid32):
         x = (np.arange(32) * grid32.dx)[:, None] * np.ones((1, 32))
         state = single_field_state(grid32, 1, np.cos(x))
-        nl = sv.nonlinear_terms(state, lam=0.4)
+        nl = padded(sv.nonlinear_terms(state, lam=0.4), grid32)
         n1 = gr.SpectralField(grid32, nl[1]).to_physical()
         assert np.max(np.abs(n1 - 0.5 * np.sin(2 * x))) <= 1e-12
         for k in (0, 2, 3):
@@ -233,7 +240,7 @@ class TestNonlinearTerms:
         fields = [gr.apply_multiplier(
             gr.SpectralField.from_physical(grid32, rng.standard_normal((32, 32))),
             0.05 * np.exp(-0.1 * grid32.A**2)) for _ in range(4)]
-        nl = sv.nonlinear_terms(gr.PerturbationState(*fields))
+        nl = padded(sv.nonlinear_terms(gr.PerturbationState(*fields)), grid32)
         outside = ~grid32.dealias_mask()
         for k in range(4):
             assert np.max(np.abs(nl[k][outside])) == 0.0
@@ -291,6 +298,65 @@ def per_field_nonlinear_terms(state, lam, lambda_forcing=False):
     return (out * mask)[..., :g.ny // 2 + 1]
 
 
+def batched_nonlinear_terms(state, lam, dealias_fraction=2.0 / 3.0, lambda_forcing=False):
+    """The right-hand side with one batched irfft2 over the 14 factors and one
+    batched rfft2 over the 5 products, on the whole half spectrum: the
+    transform layout the per-array, band-column one replaces, kept here as its
+    bitwise reference."""
+    g = state.grid
+    mask = g.dealias_mask(dealias_fraction)
+    cn, cu, cv, cp = (f.coeffs * mask for f in state.fields)
+    ikx = 1j * g.xi_d[:, None]
+    iky = 1j * g.eta_d[None, :]
+    lap = -(g.XI**2 + g.ETA**2)
+    visc_x = lap * cu + lam * (ikx * ikx * cu + ikx * iky * cv)
+    visc_y = lap * cv + lam * (ikx * iky * cu + iky * iky * cv) - lap * cp
+    spec = np.stack([cn, cu, cv, ikx * cn, iky * cn, ikx * cu, iky * cu, ikx * cv, iky * cv,
+                     ikx * cp, iky * cp, lap * cp, visc_x, visc_y])
+    phys = np.fft.irfft2(spec, s=(g.nx, g.ny))
+    phys /= g.dx * g.dy
+    n, u, v, n_x, n_y, u_x, u_y, v_x, v_y, psi_x, psi_y, lap_psi, visc_x, visc_y = phys
+    rho = 1.0 + n
+    products = np.stack([
+        -(n * u),
+        -(n * v),
+        -(u * u_x + v * u_y) - (n * visc_x + psi_x * lap_psi) / rho - n * n_x,
+        -(u * v_x + v * v_y) - (n * visc_y + psi_y * lap_psi) / rho - n * n_y,
+        -(u * psi_x + v * psi_y),
+    ])
+    hat = np.fft.rfft2(products) * (g.dx * g.dy)
+    out = hat[1:]
+    out[0] = ikx * hat[0] + iky * hat[1]
+    if lambda_forcing:
+        cu, cv = state.u.coeffs, state.v.coeffs
+        out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
+        out[2] += lam * (ikx * iky * cu + iky * iky * cv)
+    out *= mask
+    return out
+
+
+def rough_state(grid, seed, size):
+    """Random real fields with every mode populated, Nyquist included, each of
+    max |value| = size."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(4):
+        phys = rng.standard_normal((grid.nx, grid.ny))
+        fields.append(gr.SpectralField.from_physical(grid, size * phys / np.max(np.abs(phys))))
+    return gr.PerturbationState(*fields)
+
+
+# 32^2, a non-square box with Lx != Ly, no dealiasing (every column, Nyquist
+# included), and the smallest grid
+_BAND_CASES = [
+    (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 48, 2 * np.pi, 5 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 1.0),
+    (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 2.0 / 3.0),
+]
+_BAND_IDS = ["32x32", "32x48", "32x32-no-dealias", "4x4"]
+
+
 class TestBatchedNonlinearTerms:
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("lam", [0.0, 0.4])
@@ -299,7 +365,7 @@ class TestBatchedNonlinearTerms:
         grid = gr.make_grid(n, n, 4 * np.pi, 4 * np.pi)
         for seed in range(3):
             state = random_real_state(grid, seed, 0.3)
-            nl = sv.nonlinear_terms(state, lam, lambda_forcing=lambda_forcing)
+            nl = padded(sv.nonlinear_terms(state, lam, lambda_forcing=lambda_forcing), grid)
             ref = per_field_nonlinear_terms(state, lam, lambda_forcing=lambda_forcing)
             assert np.max(np.abs(nl - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -307,27 +373,43 @@ class TestBatchedNonlinearTerms:
     def test_output_is_a_real_spectrum(self, grid32, lambda_forcing):
         state = random_real_state(grid32, 5, 0.3)
         nl = sv.nonlinear_terms(state, 0.4, lambda_forcing=lambda_forcing)
-        assert nl.shape == (4, *grid32.shape)
-        for coeffs in nl:
+        assert nl.shape == (4, grid32.nx, grid32.dealias_columns())
+        for coeffs in padded(nl, grid32):
             assert roundtrip_defect(gr.SpectralField(grid32, coeffs)) <= 1e-12
 
+
+class TestBandNonlinearTerms:
+    @pytest.mark.parametrize("grid,fraction", _BAND_CASES, ids=_BAND_IDS)
     @pytest.mark.parametrize("lambda_forcing", [False, True])
-    def test_one_transform_each_way(self, grid32, monkeypatch, lambda_forcing):
+    def test_bitwise_equal_to_batched_transforms(self, grid, fraction, lambda_forcing):
+        state = rough_state(grid, 3, 0.3)
+        nl = sv.nonlinear_terms(state, 0.4, fraction, lambda_forcing)
+        ref = batched_nonlinear_terms(state, 0.4, fraction, lambda_forcing)
+        nc = grid.dealias_columns(fraction)
+        assert nl.shape == (4, grid.nx, nc)
+        assert np.array_equal(nl, ref[..., :nc])
+        assert not np.any(ref[..., nc:])
+        assert np.any(nl)
+
+    @pytest.mark.parametrize("lambda_forcing", [False, True])
+    def test_one_transform_per_array_on_the_band_columns(self, grid32, monkeypatch,
+                                                         lambda_forcing):
         state = random_real_state(grid32, 0, 0.3)
         calls = []
 
         def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
             return wrapper
 
         for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         sv.nonlinear_terms(state, lam=0.4, lambda_forcing=lambda_forcing)
-        inverse = [name for name in calls if name.startswith("i")]
-        assert len(inverse) == 1 and len(calls) == 2, calls
+        band = (32, grid32.dealias_columns())
+        assert calls == ([("ifft", band), ("irfft", band)] * 14
+                         + [("rfft", (32, 32)), ("fft", band)] * 5)
 
 
 class TestStepper:
@@ -351,11 +433,11 @@ class TestStepper:
         for i, j in zip(*np.nonzero((grid32.A <= 4.0) & (grid32.XI != 0.0))):
             m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], lam).entries
             minv = np.linalg.inv(m)
-            e = stepper.E[i, j]
+            e = stepper.E[:, :, i, j]
             p1 = minv @ (e - eye)
             p2 = minv @ minv @ (e - eye - dt * m)
-            assert np.max(np.abs(stepper.P1[i, j] - p1)) <= 1e-8 * np.max(np.abs(p1))
-            assert np.max(np.abs(stepper.P2[i, j] - p2)) <= 1e-8 * np.max(np.abs(p2))
+            assert np.max(np.abs(stepper.P1[:, :, i, j] - p1)) <= 1e-8 * np.max(np.abs(p1))
+            assert np.max(np.abs(stepper.P2[:, :, i, j] - p2)) <= 1e-8 * np.max(np.abs(p2))
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_nonfinite_state_rejected(self, grid32, nonlinear):
@@ -369,10 +451,15 @@ class TestStepper:
     @staticmethod
     def _column0_and_interior(grid):
         """n = cos(x), whose two modes sit in column 0, and n = cos(y), whose
-        stored mode sits in column 1 (its conjugate is implied)."""
-        x = (np.arange(grid.nx) * grid.dx)[:, None] * np.ones((1, grid.ny))
-        y = (np.arange(grid.ny) * grid.dy)[None, :] * np.ones((grid.nx, 1))
-        return single_field_state(grid, 0, np.cos(x)), single_field_state(grid, 0, np.cos(y))
+        stored mode sits in column 1 (its conjugate is implied); the
+        coefficients are set exactly, so every other mode is 0."""
+        def density(*modes):
+            coeffs = np.zeros((4, *grid.shape), complex)
+            for mode in modes:
+                coeffs[(0, *mode)] = grid.area / 2.0
+            return gr.PerturbationState.from_stack(grid, coeffs)
+
+        return density((1, 0), (-1, 0)), density((0, 1))
 
     def test_coefficient_norm_counts_the_full_spectrum(self, grid32):
         for state in self._column0_and_interior(grid32):
@@ -389,10 +476,14 @@ class TestStepper:
         before, after = (col0, interior) if from_column0 else (interior, col0)
         target = grows * after.stack()
         stepper = sv.Stepper(grid32, 0.1)
-        eye = np.broadcast_to(np.eye(4), grid32.shape + (4, 4))
-        stepper.E = stepper.P1 = stepper.P2 = eye  # a step returns u + nl
+        nc = stepper.P1.shape[-1]
+        # both states sit inside the band, so nl does too
+        assert not np.any(target[..., nc:]) and not np.any(before.stack()[..., nc:])
+        eye = np.eye(4)[:, :, None, None]
+        stepper.E = np.broadcast_to(eye, stepper.E.shape)  # a step returns u + nl
+        stepper.P1 = stepper.P2 = np.broadcast_to(eye, stepper.P1.shape)
         monkeypatch.setattr(sv, "nonlinear_terms",
-                            lambda state, *args, **kwargs: target - before.stack())
+                            lambda state, *args, **kwargs: (target - before.stack())[..., :nc])
 
         def full_norm(coeffs):
             return np.linalg.norm([full_spectrum(gr.SpectralField(grid32, c)) for c in coeffs])
@@ -407,6 +498,39 @@ class TestStepper:
         else:
             out = stepper.step(before).stack()
             assert np.max(np.abs(out - target)) <= 1e-14 * np.max(np.abs(target))
+
+    def test_propagator_layout(self, grid32):
+        stepper = sv.Stepper(grid32, 0.1)
+        nc = grid32.dealias_columns()
+        assert stepper.E.shape == (4, 4, *grid32.shape)
+        assert stepper.P1.shape == stepper.P2.shape == (4, 4, grid32.nx, nc) == (4, 4, 32, 11)
+        assert all(m.flags.c_contiguous for m in (stepper.E, stepper.P1, stepper.P2))
+
+    @pytest.mark.parametrize("grid,fraction", _BAND_CASES, ids=_BAND_IDS)
+    @pytest.mark.parametrize("lambda_in_linear", [True, False])
+    def test_modes_outside_the_band_flow_by_E(self, grid, fraction, lambda_in_linear):
+        # E acts on the whole half lattice; the phi terms only inside the band
+        stepper = sv.Stepper(grid, 0.05, 0.3, fraction, lambda_in_linear)
+        state = rough_state(grid, 4, 0.05)
+        band = grid.dealias_mask(fraction)
+        u = state.stack()
+        assert np.all(u[:, ~band] != 0) or band.all()
+        out = stepper.step(state).stack()
+        linear = np.einsum("ijxy,jxy->ixy", stepper.E, u)
+        assert np.array_equal(out[:, ~band], linear[:, ~band])
+        ref = full_lattice_step(stepper, state)
+        assert np.array_equal(out[:, band], ref[:, band])
+        assert not np.array_equal(out[:, band], linear[:, band])
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_real_coefficient_arrays_step_as_complex(self, grid32, nonlinear):
+        state = sv.initial_data("random", grid32, 1e-3, seed=2)
+        real = gr.PerturbationState.from_stack(grid32, state.stack().real)
+        cast = gr.PerturbationState.from_stack(grid32, state.stack().real.astype(complex))
+        stepper = sv.Stepper(grid32, 0.1, lam=0.05)
+        out = stepper.step(real, nonlinear).stack()
+        assert out.dtype == complex
+        assert np.array_equal(out, stepper.step(cast, nonlinear).stack())
 
     def test_zero_state_fixed_point(self, grid32):
         out = sv.Stepper(grid32, 0.1).step(gr.PerturbationState.zeros(grid32))
@@ -442,6 +566,27 @@ class TestStepper:
         assert np.max(np.abs(xa.stack() - xs.stack())) <= 1e-5 * scale
 
 
+def full_lattice_step(stepper, state):
+    """One step with E, P1, P2 on the whole half lattice in the [xi, eta, i, j]
+    layout and einsum applies: the step the band-column applies replace, kept
+    here as their reference."""
+    g = stepper.grid
+    E, P1, P2 = (padded(m, g).transpose(2, 3, 0, 1) for m in (stepper.E, stepper.P1, stepper.P2))
+
+    def apply(mats, coeffs):
+        return np.einsum("xyij,jxy->ixy", mats, coeffs)
+
+    def rhs(st):
+        return padded(sv.nonlinear_terms(st, stepper.lam, stepper.dealias_fraction,
+                                         not stepper.lambda_in_linear), g)
+
+    u = state.stack()
+    nl = rhs(state)
+    mid = apply(E, u) + apply(P1, nl)
+    nl_mid = rhs(gr.PerturbationState.from_stack(g, mid))
+    return mid + apply(P2, (nl_mid - nl) / stepper.dt)
+
+
 def reference_propagators(grid, dt, lam):
     """E, P1, P2 from one complex 12x12 augmented exponential per stored mode
     of the whole lattice: the build the real, reflected, band-limited one
@@ -454,6 +599,11 @@ def reference_propagators(grid, dt, lam):
     aug *= dt
     full = ln.expm_batch(aug).reshape(grid.shape + (12, 12))
     return tuple(full[..., :4, k:k + 4] for k in (0, 4, 8))
+
+
+def blocks(mats):
+    """A propagator indexed [xi, eta, i, j]: a view of its (4, 4, nx, ncols) array."""
+    return mats.transpose(2, 3, 0, 1)
 
 
 def per_mode_error(got, ref):
@@ -484,7 +634,7 @@ class TestStepperBuild:
         stepper = sv.Stepper(grid, 0.05, lam, lambda_in_linear=lambda_in_linear)
         half = grid.nx // 2 + 1
         band = grid.dealias_mask()[half:]
-        built = (stepper.E, stepper.P1, stepper.P2)
+        built = [blocks(m) for m in (stepper.E, stepper.P1, stepper.P2)]
         direct = [np.empty_like(m[half:]) for m in built]
         sv._propagators(*direct, grid.xi[half:], grid.eta, 0.05,
                         lam if lambda_in_linear else 0.0, band)
@@ -501,9 +651,13 @@ class TestStepperBuild:
         stepper = sv.Stepper(grid, 0.05, lam, fraction, lambda_in_linear)
         E, P1, P2 = reference_propagators(grid, 0.05, lam if lambda_in_linear else 0.0)
         band = grid.dealias_mask(fraction)
-        assert np.max(per_mode_error(stepper.E, E)) <= 1e-15
+        nc = grid.dealias_columns(fraction)
+        assert not np.any(band[:, nc:])
+        band = band[:, :nc]
+        assert np.max(per_mode_error(blocks(stepper.E), E)) <= 1e-15
         for got, ref in ((stepper.P1, P1), (stepper.P2, P2)):
-            assert np.max(per_mode_error(got, ref)[band]) <= 1e-15
+            got = blocks(got)
+            assert np.max(per_mode_error(got, ref[:, :nc])[band]) <= 1e-15
             assert not np.any(got[~band])
 
     # at 256^2 the 129 x 129 modes with xi >= 0 (and the -Nyquist row) hold
@@ -615,32 +769,58 @@ class TestSimulate:
         lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # header + t = 0, 1, 2
 
-    def test_one_snapshot_and_one_inverse_transform_per_observation(self, grid32,
-                                                                     monkeypatch):
-        # linear steps make no transform, so every inverse transform of the
-        # run belongs to an observation
+    def test_one_snapshot_per_observation_and_no_transform_outside_it(self, grid32,
+                                                                        monkeypatch):
+        # linear steps make no transform, so every transform of the run
+        # belongs to an observation
         cfg = sv.SolverConfig(nx=32, ny=32, Lx=grid32.Lx, Ly=grid32.Ly, T=1.0, dt=0.1,
                               cadence=0.2, nonlinear=False)
         state0 = random_real_state(grid32, 3, 0.1)
-        snaps, inverse = [], []
+        snaps, inside, outside = [], [], []
 
         def observed(*args, **kwargs):
+            inside.append(True)
             snaps.append(gr.x_norm_snapshot(*args, **kwargs))
+            inside.pop()
             return snaps[-1]
 
         def counted(fn):
             def wrapper(*args, **kwargs):
-                inverse.append(fn.__name__)
+                if not inside:
+                    outside.append(fn.__name__)
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(sv, "x_norm_snapshot", observed)
-        for name in ("ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"):
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         rec = sv.simulate(cfg, state0=state0)
-        assert len(rec.times) == len(snaps) == len(inverse) == 6
+        assert len(rec.times) == len(snaps) == 6
+        assert outside == []
         assert rec.energy == [s.energy for s in snaps]
         assert rec.sup_n == [s.sup_n for s in snaps]
+
+    @pytest.mark.parametrize("n,L", [(32, 4 * np.pi), (16, 8 * np.pi), (32, 8.0 * np.pi + 1e-9)])
+    def test_state_on_another_grid_is_a_config_error(self, tmp_path, n, L):
+        # a 4 pi state under an 8 pi config ran to the end under the wrong box;
+        # a 16^2 state died in a numpy broadcast
+        cfg = sv.SolverConfig(nx=32, ny=32, Lx=8 * np.pi, Ly=8 * np.pi,
+                              T=0.5, dt=0.05, cadence=0.25, delta=1e-3)
+        state0 = sv.initial_data("gaussian", gr.make_grid(n, n, L, L), 1e-3)
+        with pytest.raises(sv.ConfigError, match="^state0: grid nx=") as err:
+            sv.simulate(cfg, state0=state0, out_dir=tmp_path)
+        assert err.value.problems == [
+            f"state0: grid nx={n}, ny={n}, Lx={L!r}, Ly={L!r} differs from the config's "
+            f"nx=32, ny=32, Lx={8 * np.pi!r}, Ly={8 * np.pi!r}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_state_on_the_config_grid_runs(self):
+        cfg = sv.SolverConfig(nx=32, ny=32, Lx=8 * np.pi, Ly=8 * np.pi,
+                              T=0.1, dt=0.05, cadence=0.05, delta=1e-3)
+        grid = gr.make_grid(32, 32, 8 * np.pi, 8 * np.pi)
+        rec = sv.simulate(cfg, state0=sv.initial_data("gaussian", grid, 1e-3))
+        assert rec.aborted is None and len(rec.times) == 3
 
     def test_deterministic_trajectory(self, tmp_path):
         cfg = sv.SolverConfig(nx=16, ny=16, Lx=4 * np.pi, Ly=4 * np.pi,
