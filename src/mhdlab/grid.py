@@ -151,8 +151,16 @@ class FourierGrid:
         return self.nx, self.ny // 2 + 1
 
     def coeff_norm(self, coeffs: np.ndarray) -> float:
-        """Euclidean norm of the full spectrum whose half is `coeffs`."""
-        return math.sqrt(float(np.sum(self.multiplicity * (coeffs.real**2 + coeffs.imag**2))))
+        """Euclidean norm of the full spectrum whose half is `coeffs`.
+
+        One pass over the float view sums the squares per column (real and
+        imaginary parts interleaved); the columns are then weighted by their
+        multiplicity.
+        """
+        f = np.ascontiguousarray(coeffs, dtype=complex).view(np.float64)
+        f = f.reshape(-1, f.shape[-1])
+        col = np.einsum("ij,ij->j", f, f)
+        return math.sqrt(float(np.dot(col[0::2] + col[1::2], self.multiplicity)))
 
     @property
     def XI(self) -> np.ndarray:

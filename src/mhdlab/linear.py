@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from . import grid as _grid
-from . import kernel as _kernel
 from .kernel import kernel_values
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "symbol_matrix",
     "matexp",
     "char_poly_check",
-    "char_poly_roots",
     "kernel_semigroup_field",
     "semigroup_matrix",
     "symbol_norm",
@@ -121,18 +119,6 @@ def char_poly_check(xi: float, eta: float) -> float:
         dtype=complex,
     )
     return float(np.max(np.abs(got - target)))
-
-
-def char_poly_roots(xi: float, eta: float) -> np.ndarray:
-    """The four exponential-branch rates -A^2/2 +- sqrt(b +- c)."""
-    A, b, c = (float(v) for v in _kernel._split_bc(xi, eta))
-    roots = []
-    for sgn_c in (+1.0, -1.0):
-        z = b + sgn_c * c
-        root = complex(math.sqrt(z)) if z >= 0 else 1j * math.sqrt(-z)
-        a = 0.5 * A**2
-        roots.extend([-a + root, -a - root])
-    return np.array(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +373,86 @@ def _rho_edges(region, n_rho: int, t: float) -> np.ndarray:
     return edges
 
 
-def _polar_mesh(region, n_rho: int, theta_levels: int, n_gl: int, t: float = 0.0):
-    rho, w_rho = _gauss_panels(_rho_edges(region, n_rho, t), n_gl)
-    theta, w_theta = _gauss_panels(_theta_edges(theta_levels), n_gl)
-    A = np.exp(rho)[:, None]
-    xi = A * np.cos(theta)[None, :]
-    eta = A * np.sin(theta)[None, :]
-    # dA dxi deta = A^2 drho dtheta on the quadrant; factor 4 for symmetry
-    w2d = 4.0 * (np.exp(2.0 * rho) * w_rho)[:, None] * w_theta[None, :]
-    return xi, eta, w2d
+def _carried_nodes(edges: np.ndarray, prev_edges: np.ndarray, n_gl: int,
+                   prev_nodes: int) -> np.ndarray:
+    """For each Gauss node on `edges`, the index of the same node on the
+    previous level's `prev_edges`, or -1.
+
+    A node is carried when its panel has both edges equal to those of a
+    previous panel bit for bit, so its coordinate and weight are bitwise the
+    same.  A previous level with another node count per panel carries none.
+    """
+    if prev_nodes != n_gl * (prev_edges.size - 1):
+        return np.full(n_gl * (edges.size - 1), -1)
+    j = np.minimum(np.searchsorted(prev_edges, edges[:-1]), prev_edges.size - 2)
+    same = (prev_edges[j] == edges[:-1]) & (prev_edges[j + 1] == edges[1:])
+    return np.where(same[:, None], j[:, None] * n_gl + np.arange(n_gl), -1).ravel()
 
 
 def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
-              theta_levels: int, n_gl: int) -> float:
-    xi, eta, w2d = _polar_mesh(region, n_rho, theta_levels, n_gl, t=t)
+              theta_levels: int, n_gl: int, carry: list | None = None) -> float:
+    """One quadrature level of the L^q norm of symbol_fn(t, .) over a region.
+
+    The mesh is a Gauss-Legendre product in (rho = log A, theta) over one
+    quadrant.  `carry` is an optional caller-owned list for the successive
+    levels of one integral.  It holds the previous level's rho edges, theta
+    edges and per-node terms (w * |S|^q, or |S| for q = inf) in row-major
+    (rho, theta) layout.  A node whose rho and theta panels both have a
+    previous panel's edges copies its term; every other node goes to
+    symbol_fn in one call.  The list is then set to this level.  Each node is
+    computed elementwise and grid.fsum is exactly rounded, so the result is
+    bitwise that of a level without a carry.
+    """
+    rho_edges, theta_edges = _rho_edges(region, n_rho, t), _theta_edges(theta_levels)
+    rho, w_rho = _gauss_panels(rho_edges, n_gl)
+    theta, w_theta = _gauss_panels(theta_edges, n_gl)
+    A = np.exp(rho)
+    cos, sin = np.cos(theta), np.sin(theta)
+    new_r, all_c = np.arange(rho.size), np.arange(theta.size)
+    old_r = new_c = all_c[:0]
+    if carry:
+        prev_rho, prev_theta, prev_terms = carry
+        src_r = _carried_nodes(rho_edges, prev_rho, n_gl, prev_terms.shape[0])
+        src_c = _carried_nodes(theta_edges, prev_theta, n_gl, prev_terms.shape[1])
+        old_c = np.flatnonzero(src_c >= 0)
+        if old_c.size:
+            old_r, new_r = np.flatnonzero(src_r >= 0), np.flatnonzero(src_r < 0)
+            new_c = np.flatnonzero(src_c < 0)
+    # The new nodes, as two blocks built by broadcasting (no per-node index
+    # arrays): new rows by every column, then carried rows by new columns.
+    blocks = [np.ix_(new_r, all_c), np.ix_(old_r, new_c)]
+    ends = np.cumsum([0] + [r.size * c.size for r, c in blocks])
+    xi, eta = np.empty(ends[-1]), np.empty(ends[-1])
+    for (r, c), lo, hi in zip(blocks, ends, ends[1:]):
+        np.multiply(A[r], cos[c], out=xi[lo:hi].reshape(r.size, c.size))
+        np.multiply(A[r], sin[c], out=eta[lo:hi].reshape(r.size, c.size))
     vals = np.abs(symbol_fn(t, xi, eta))
+    del xi, eta
+    if not np.isinf(q):
+        # dA dxi deta = A^2 drho dtheta on the quadrant; factor 4 for symmetry
+        w_r = 4.0 * (np.exp(2.0 * rho) * w_rho)
+        vals **= q
+        for (r, c), lo, hi in zip(blocks, ends, ends[1:]):
+            vals[lo:hi] *= (w_r[r] * w_theta[c]).ravel()
+    if old_r.size:
+        terms = np.empty((rho.size, theta.size))
+        terms[new_r] = vals[:ends[1]].reshape(new_r.size, theta.size)
+        terms[blocks[1]] = vals[ends[1]:].reshape(old_r.size, new_c.size)
+        terms[np.ix_(old_r, old_c)] = prev_terms[np.ix_(src_r[old_r], src_c[old_c])]
+    else:
+        terms = vals.reshape(rho.size, theta.size)
+    if carry is not None:
+        carry[:] = [rho_edges, theta_edges, terms]
     if np.isinf(q):
-        best = float(np.max(vals))
+        best = float(np.max(terms))
         if best == 0.0:
             return best
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        rho0 = math.log(math.hypot(xi[i, j], eta[i, j]))
-        theta0 = math.atan2(eta[i, j], xi[i, j])
+        i, j = np.unravel_index(np.argmax(terms), terms.shape)
+        xi0, eta0 = A[i] * cos[j], A[i] * sin[j]
+        rho0 = math.log(math.hypot(xi0, eta0))
+        theta0 = math.atan2(eta0, xi0)
         return _polish_max(symbol_fn, t, region, rho0, theta0, best)
-    return _grid.fsum(w2d * vals**q) ** (1.0 / q)
+    return _grid.fsum(terms) ** (1.0 / q)
 
 
 def _polish_max(symbol_fn, t, region, rho0, theta0, best) -> float:
@@ -452,13 +494,17 @@ def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float,
     result is refinement-checked by doubling resolution (< 1% change
     required, else QuadratureError).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {float(t)!r}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     symbol_fn = SYMBOLS[symbol_id] if isinstance(symbol_id, str) else symbol_id
     if q_xi == q_eta:
+        carry = []  # each level evaluates only the panels new since the last
+
         def eval_at(mult):
-            return _lq_polar(symbol_fn, t, region, q_xi,
-                             n_rho=12 * mult, theta_levels=8 + 6 * mult, n_gl=8)
+            return _lq_polar(symbol_fn, t, region, q_xi, n_rho=12 * mult,
+                             theta_levels=8 + 6 * mult, n_gl=8, carry=carry)
     else:
         def eval_at(mult):
             return _mixed_cartesian(symbol_fn, t, region, q_xi, q_eta, mult)
@@ -691,6 +737,10 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
     if times is None:
         times = default_decay_times()
     times = np.asarray(times, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ValueError(f"decay times must be finite, got {float(times.flat[bad[0]])!r} "
+                         f"at index {int(bad[0])}")
     if times.size == 0 or times.min() < 10.0 or times.max() / times.min() < 10.0**1.5:
         raise ValueError("decay times must be nonempty, all >= 10 and span >= 1.5 decades")
 
@@ -698,13 +748,15 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
         return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))
 
     q = 2.0 if norm_kind == "l2" else 1.0
-    values = np.array([
-        _refined(
-            lambda m: _lq_polar(weighted, t, "all", q,
-                                n_rho=14 * m, theta_levels=8 + 6 * m, n_gl=8),
+
+    def value(t):
+        carry = []  # each level evaluates only the panels new since the last
+        return _refined(
+            lambda m: _lq_polar(weighted, t, "all", q, n_rho=14 * m,
+                                theta_levels=8 + 6 * m, n_gl=8, carry=carry),
             1, f"decay({prop_id}, t={t})")
-        for t in times
-    ])
+
+    values = np.array([value(t) for t in times])
     if np.all(values == 0.0):
         return DecayReport(prop_id, times, values, 0.0, 0.0, target,
                            (float(times[0]), float(times[-1])), degenerate=True)

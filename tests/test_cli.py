@@ -123,8 +123,11 @@ class TestLinearCommands:
          "unknown region 'simx'"),
         (["symbol-norm", "--symbol", "A4K", "--t", "1", "--region", "sim0"],
          "unknown region 'sim0'"),
+        (["decay", "--prop", "kn1L", "--t0", "nan"], "decay times must be finite, got nan"),
+        (["symbol-norm", "--symbol", "A4K", "--t", "inf"], "t must be finite, got inf"),
     ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
-            "symbol-norm-bad-region", "symbol-norm-zero-scale"])
+            "symbol-norm-bad-region", "symbol-norm-zero-scale", "decay-nan-t0",
+            "symbol-norm-infinite-t"])
     def test_invalid_input_exit_2(self, capsys, argv, message):
         code, _, err = run_cli(["linear", *argv], capsys)
         assert code == 2

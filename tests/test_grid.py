@@ -52,6 +52,24 @@ class TestMakeGrid:
             assert g.multiplicity.size == g.shape[1]
             assert not g.multiplicity.flags.writeable
 
+    def test_coeff_norm_weights_columns_by_multiplicity(self, grid32):
+        rng = np.random.default_rng(8)
+        coeffs = rng.standard_normal((4, 32, 17)) + 1j * rng.standard_normal((4, 32, 17))
+        want = math.sqrt(float(np.sum(grid32.multiplicity * np.abs(coeffs) ** 2)))
+        assert grid32.coeff_norm(coeffs) == pytest.approx(want, rel=1e-13)
+        assert grid32.coeff_norm(coeffs[1]) == pytest.approx(
+            math.sqrt(float(np.sum(grid32.multiplicity * np.abs(coeffs[1]) ** 2))), rel=1e-13)
+        # a strided view (every other row of a larger array, stack reversed)
+        big = np.zeros((4, 64, 17), complex)
+        big[:, ::2] = coeffs
+        assert grid32.coeff_norm(big[::-1, ::2]) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_coeff_norm_nonfinite(self, grid32, bad):
+        coeffs = np.zeros((4, 32, 17), complex)
+        coeffs[2, 5, 16] = complex(0.0, bad)
+        assert not math.isfinite(grid32.coeff_norm(coeffs))
+
     def test_mode_radius(self):
         g = gr.make_grid(8, 8, 2 * np.pi, 2 * np.pi)
         assert g.A[1, 1] == pytest.approx(math.sqrt(2.0))

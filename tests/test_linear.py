@@ -98,6 +98,19 @@ class TestMatexp:
             assert np.allclose(batch[k], ln.matexp(mats[k], 1.0), rtol=1e-11, atol=1e-12)
 
 
+def char_poly_roots(xi, eta):
+    """Reference: the four exponential-branch rates -A^2/2 +- sqrt(b +- c),
+    one scalar square root each, from kernel._split_bc."""
+    A, b, c = (float(v) for v in kn._split_bc(xi, eta))
+    roots = []
+    for sgn_c in (+1.0, -1.0):
+        z = b + sgn_c * c
+        root = complex(math.sqrt(z)) if z >= 0 else 1j * math.sqrt(-z)
+        a = 0.5 * A**2
+        roots.extend([-a + root, -a - root])
+    return np.array(roots)
+
+
 class TestCharPoly:
     def test_zero_mode_residual_zero(self):
         assert ln.char_poly_check(0.0, 0.0) == 0.0
@@ -121,7 +134,7 @@ class TestCharPoly:
         for _ in range(200):
             xi, eta = rng.uniform(-8, 8, 2)
             a2 = xi * xi + eta * eta
-            for root in ln.char_poly_roots(xi, eta):
+            for root in char_poly_roots(xi, eta):
                 p = (root**2 + a2 * root + a2) ** 2 - a2 * eta * eta
                 assert abs(p) <= 1e-8 * (1.0 + a2**4)
 
@@ -133,7 +146,7 @@ class TestCharPoly:
             for z in (b + c, b - c):
                 root = complex(math.sqrt(z)) if z >= 0 else 1j * math.sqrt(-z)
                 want += [-0.5 * A**2 + root, -0.5 * A**2 - root]
-            assert ln.char_poly_roots(xi, eta).tobytes() == np.array(want).tobytes()
+            assert char_poly_roots(xi, eta).tobytes() == np.array(want).tobytes()
 
 
 class TestKernelSemigroup:
@@ -314,6 +327,11 @@ class TestSymbolNorms:
         with pytest.raises(ValueError):
             ln.symbol_norm("A4K", "le1", 1.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_time(self, t):
+        with pytest.raises(ValueError, match=f"t must be finite, got {float(t)!r}"):
+            ln.symbol_norm("A4K", "le1", 1.0, 1.0, t)
+
     def test_region_parsing(self):
         assert ln.parse_region("le1") == "le1"
         assert ln.parse_region("sim2") == ("annulus", 2.0)
@@ -446,6 +464,13 @@ class TestDecayExperiments:
         with pytest.raises(ValueError, match="1.5 decades"):
             ln.propagator_decay_experiment("kn5L", times=[10.0, 50.0, 100.0])
 
+    @pytest.mark.parametrize("bad,at", [(np.nan, 1), (np.inf, 2), (-np.inf, 0)])
+    def test_rejects_nonfinite_time(self, bad, at):
+        times = [10.0, 100.0, 1000.0]
+        times[at] = bad
+        with pytest.raises(ValueError, match=f"finite, got {bad!r} at index {at}"):
+            ln.propagator_decay_experiment("kn5L", times=times)
+
     def test_report_serializes(self):
         times = np.geomspace(10, 10**2.6, 6)
         rep = ln.propagator_decay_experiment("kn5L", times=times)
@@ -458,6 +483,100 @@ class TestDecayExperiments:
         rep = ln.propagator_decay_experiment("kn5L")
         assert abs(rep.fitted_slope + 1.0) <= 0.1
         assert rep.r_squared >= 0.98
+
+
+def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, n_gl, carry=None):
+    """Reference quadrature level: the whole polar mesh built as one 2-D
+    product and evaluated in one call; `carry` is ignored."""
+    rho, w_rho = ln._gauss_panels(ln._rho_edges(region, n_rho, t), n_gl)
+    theta, w_theta = ln._gauss_panels(ln._theta_edges(theta_levels), n_gl)
+    A = np.exp(rho)[:, None]
+    xi = A * np.cos(theta)[None, :]
+    eta = A * np.sin(theta)[None, :]
+    w2d = 4.0 * (np.exp(2.0 * rho) * w_rho)[:, None] * w_theta[None, :]
+    vals = np.abs(symbol_fn(t, xi, eta))
+    if np.isinf(q):
+        best = float(np.max(vals))
+        if best == 0.0:
+            return best
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        rho0 = math.log(math.hypot(xi[i, j], eta[i, j]))
+        theta0 = math.atan2(eta[i, j], xi[i, j])
+        return ln._polish_max(symbol_fn, t, region, rho0, theta0, best)
+    return gr.fsum(w2d * vals**q) ** (1.0 / q)
+
+
+def shared_panels(edges, prev_edges):
+    """Number of panels of `edges` whose two edges are a panel of `prev_edges`."""
+    prev = set(zip(prev_edges[:-1].tolist(), prev_edges[1:].tolist()))
+    return sum(p in prev for p in zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ln.QuadratureError as err:
+        return str(err)
+
+
+class TestCarriedLevels:
+    """A level that copies the previous level's shared panels gives the bits
+    of a level built from scratch."""
+
+    @pytest.mark.parametrize("prop", sorted(ln.PROPAGATORS))
+    def test_decay_values_match_fresh_levels(self, prop, monkeypatch):
+        times = [10.0, 1000.0]
+        got = ln.propagator_decay_experiment(prop, times=times).values
+        monkeypatch.setattr(ln, "_lq_polar", fresh_lq_polar)
+        want = ln.propagator_decay_experiment(prop, times=times).values
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("region", ["le1", "all", ("annulus", 2.0)])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    def test_symbol_norm_matches_fresh_levels(self, q, region, monkeypatch):
+        for sym, t in (("A4K", 100.0), ("xicomp", 10.0)):
+            got = _outcome(ln.symbol_norm, sym, region, q, q, t)
+            with monkeypatch.context() as m:
+                m.setattr(ln, "_lq_polar", fresh_lq_polar)
+                want = _outcome(ln.symbol_norm, sym, region, q, q, t)
+            assert repr(got) == repr(want), (sym, t)
+
+    @pytest.mark.parametrize("q", [2.0, np.inf])
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_without_previous_level_matches_fresh(self, owned, q):
+        sym = ln.SYMBOLS["A4K"]
+        carry = [] if owned else None
+        got = ln._lq_polar(sym, 300.0, "all", q, 14, 14, 8, carry=carry)
+        assert got.hex() == fresh_lq_polar(sym, 300.0, "all", q, 14, 14, 8).hex()
+        if carry is not None:
+            rho_edges, theta_edges, terms = carry
+            assert rho_edges.tobytes() == ln._rho_edges("all", 14, 300.0).tobytes()
+            assert theta_edges.tobytes() == ln._theta_edges(14).tobytes()
+            assert terms.shape == (8 * (rho_edges.size - 1), 8 * (theta_edges.size - 1))
+
+    def test_other_node_count_carries_nothing(self):
+        sym = ln.SYMBOLS["A4K"]
+        carry = []
+        ln._lq_polar(sym, 300.0, "all", 2.0, 14, 14, 6, carry=carry)
+        got = ln._lq_polar(sym, 300.0, "all", 2.0, 28, 20, 8, carry=carry)
+        assert got.hex() == fresh_lq_polar(sym, 300.0, "all", 2.0, 28, 20, 8).hex()
+
+    @pytest.mark.parametrize("t", [316.0, 1e4])
+    def test_second_level_evaluates_only_new_panels(self, t, monkeypatch):
+        sym = ln.SYMBOLS["A4K"]
+        carry = []
+        ln._lq_polar(sym, t, "all", 2.0, 14, 14, 8, carry=carry)
+        points = []
+        kv = ln.kernel_values
+        monkeypatch.setattr(ln, "kernel_values", lambda t, xi, eta, **kw:
+                            points.append(np.size(xi)) or kv(t, xi, eta, **kw))
+        ln._lq_polar(sym, t, "all", 2.0, 28, 20, 8, carry=carry)
+        rho1, rho2 = ln._rho_edges("all", 14, t), ln._rho_edges("all", 28, t)
+        theta1, theta2 = ln._theta_edges(14), ln._theta_edges(20)
+        mesh = (rho2.size - 1) * (theta2.size - 1)
+        shared = shared_panels(rho2, rho1) * shared_panels(theta2, theta1)
+        assert points == [64 * (mesh - shared)]
+        assert 0 < points[0] < 64 * mesh
 
 
 class TestFitLoglog:
