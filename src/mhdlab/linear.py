@@ -311,11 +311,14 @@ def _leggauss(n_gl: int):
 
 
 def _gauss_panels(edges: np.ndarray, n_gl: int):
+    """Gauss-Legendre nodes and weights of the panels between consecutive
+    edges along the last axis; 2-D edges give one row of nodes per row."""
     x, w = _leggauss(n_gl)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = (*edges.shape[:-1], -1)
+    nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
+    weights = (half[..., None] * w).reshape(shape)
     return nodes, weights
 
 
@@ -345,8 +348,12 @@ def _region_rho_range(region) -> tuple[float, float]:
 def parse_region(text: str):
     if text in ("le1", "all"):
         return text
-    if text.startswith("sim") and text[3:].replace(".", "", 1).isdigit() and float(text[3:]) > 0:
-        return ("annulus", float(text[3:]))
+    if text.startswith("sim") and text[3:].replace(".", "", 1).isdigit():
+        n = float(text[3:])
+        if n == math.inf:
+            raise ValueError(f"region sim<N>: N must be finite, got {n!r}")
+        if n > 0:
+            return ("annulus", n)
     raise ValueError(f"unknown region {text!r}; expected le1, all or sim<N>")
 
 
@@ -524,16 +531,44 @@ def _refined(eval_at, resolution: int, what: str, max_doublings: int = 3) -> flo
     raise QuadratureError(f"quadrature-nonconvergence in {what}")
 
 
-def _xi_edges(lo: float, hi: float, n_base: int) -> np.ndarray:
-    """Panels on [lo, hi], geometrically refined toward lo when lo ~ 0."""
+def _panel_edges(lo: np.ndarray, hi: np.ndarray, n_base: int) -> list:
+    """Panel edges on each row's [lo, hi], geometrically refined toward lo
+    when lo ~ 0, as [(rows, edges)] with one pair per distinct edge count.
+
+    Row i holds lo_i, the edges lo_i + s_i 4^k (s_i = 1e-8 (hi_i - lo_i)) for
+    every s_i 4^k < hi_i - lo_i, and n_base uniform edges, clipped to
+    [lo_i, hi_i], sorted, with equal neighbours dropped (np.unique row by
+    row), so each row's edges are bitwise those of the row built alone.
+    `edges` has shape (rows.size, count).
+    """
     span = hi - lo
-    edges = [lo]
     scale = span * 1e-8
-    while scale < span:
-        edges.append(lo + scale)
-        scale *= 4.0
-    edges.extend(lo + np.linspace(0, span, n_base + 1)[1:])
-    return np.unique(np.clip(np.array(edges), lo, hi))
+    bad = np.flatnonzero(~(np.isfinite(span) & (scale > 0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"panel-underflow: the span {float(span[i])!r} of "
+                         f"[{float(lo[i])!r}, {float(hi[i])!r}] is too small to refine "
+                         "(1e-8 * span rounds to 0)")
+    cols = [lo]
+    inside = scale < span
+    while inside.any():
+        cols.append(np.where(inside, lo + scale, lo))  # a finished row repeats lo
+        scale = scale * 4.0
+        inside = scale < span
+    uniform = lo[:, None] + np.linspace(0, span, n_base + 1, axis=1)[:, 1:]
+    edges = np.concatenate([np.stack(cols, axis=1), uniform], axis=1)
+    np.clip(edges, lo[:, None], hi[:, None], out=edges)
+    edges.sort(axis=1)
+    keep = np.ones(edges.shape, dtype=bool)
+    np.not_equal(edges[:, 1:], edges[:, :-1], out=keep[:, 1:])
+    counts = keep.sum(axis=1)
+    if counts.min() == edges.shape[1]:
+        return [(np.arange(edges.shape[0]), edges)]
+    groups = []
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        groups.append((rows, edges[rows][keep[rows]].reshape(rows.size, count)))
+    return groups
 
 
 def _mixed_cartesian(symbol_fn, t: float, region, q_xi: float, q_eta: float,
@@ -541,39 +576,40 @@ def _mixed_cartesian(symbol_fn, t: float, region, q_xi: float, q_eta: float,
     """Nested norm: inner over eta for fixed xi, outer over xi (quadrant x4
     via evenness, i.e. x2 per axis for finite exponents).
 
-    The eta panels of every xi node are gathered into one batch, so a level
-    costs one symbol_fn call; each node's inner norm reduces its own slice.
+    The eta panels of every xi node are built at once, one array per group
+    of nodes with equal edge counts, and go to symbol_fn in one call; each
+    group reduces its nodes' inner norms row by row, which gives each node
+    the value of its own slice reduced alone.
     """
     rho_lo, rho_hi = _region_rho_range(region)
     a_lo, a_hi = math.exp(rho_lo), math.exp(rho_hi)
     if region == "le1" or region == "all":
         a_lo = 0.0
-    xi_nodes, xi_w = _gauss_panels(_xi_edges(0.0, a_hi, 12 * mult), 6)
+    [(_, xi_edges)] = _panel_edges(np.array([0.0]), np.array([a_hi]), 12 * mult)
+    xi_nodes, xi_w = _gauss_panels(xi_edges[0], 6)
+    x2 = xi_nodes * xi_nodes
+    e_hi2 = a_hi**2 - x2
+    e_hi = np.sqrt(np.maximum(e_hi2, 0.0))
+    e_lo = np.sqrt(np.maximum(a_lo**2 - x2, 0.0))
+    live = np.flatnonzero((e_hi2 > 0) & (e_hi > e_lo))
     inner = np.zeros_like(xi_nodes)  # a node whose eta chord is empty stays 0
-    rows, eta_nodes, eta_ws = [], [], []
-    for i, x in enumerate(xi_nodes):
-        e_hi2 = a_hi**2 - x * x
-        if e_hi2 <= 0:
-            continue
-        e_hi = math.sqrt(e_hi2)
-        e_lo = math.sqrt(max(a_lo**2 - x * x, 0.0))
-        if e_hi <= e_lo:
-            continue
-        nodes, w = _gauss_panels(_xi_edges(e_lo, e_hi, 10 * mult), 6)
-        rows.append(i)
-        eta_nodes.append(nodes)
-        eta_ws.append(w)
-    if rows:
-        xi_b = np.repeat(xi_nodes[rows], [w.size for w in eta_ws])
-        vals = np.abs(symbol_fn(t, xi_b, np.concatenate(eta_nodes)))
+    if live.size:
+        groups = [(live[rows], *_gauss_panels(edges, 6))
+                  for rows, edges in _panel_edges(e_lo[live], e_hi[live], 10 * mult)]
+        xi_b = np.concatenate([np.repeat(xi_nodes[i], eta.shape[1]) for i, eta, _ in groups])
+        eta_b = np.concatenate([eta.ravel() for _, eta, _ in groups])
+        vals = np.abs(symbol_fn(t, xi_b, eta_b))
+        del xi_b, eta_b
         stop = 0
-        for i, eta_w in zip(rows, eta_ws):
-            start, stop = stop, stop + eta_w.size
-            v = vals[start:stop]
+        for i, eta, eta_w in groups:
+            start, stop = stop, stop + eta.size
+            v = vals[start:stop].reshape(eta.shape)
             if np.isinf(q_eta):
-                inner[i] = float(np.max(v))
+                inner[i] = np.max(v, axis=1)
             else:
-                inner[i] = (2.0 * float(np.sum(eta_w * v**q_eta))) ** (1.0 / q_eta)
+                sums = np.sum(eta_w * v**q_eta, axis=1)
+                # Python's pow, not np.power, whose SIMD loops may round differently
+                inner[i] = [(2.0 * s) ** (1.0 / q_eta) for s in sums.tolist()]
     if np.isinf(q_xi):
         return float(np.max(inner))
     return (2.0 * float(np.sum(xi_w * inner**q_xi))) ** (1.0 / q_xi)

@@ -215,8 +215,13 @@ def check_sin_ratio(samples: int = 50000, seed: int = 0, cap: float = 10.0) -> S
 # ---------------------------------------------------------------------------
 # Basic quadrature bounds
 
-def _quad_claim(claim: str, t: float, params: dict, mult: int) -> float:
-    """Left-hand side of one basic quadrature claim at time t."""
+def _quad_claim(claim: str, t: float, params: dict, mult: int,
+                carry: list | None = None) -> float:
+    """Left-hand side of one basic quadrature claim at time t.
+
+    `carry` goes to the claim's one L^1 integral (see linear._lq_polar), so a
+    caller that keeps it across the levels of one t evaluates only new panels.
+    """
     beta = params.get("beta", 0.0)
     alpha = params.get("alpha", 0.0)
     beta_p = params.get("beta_prime", beta)
@@ -237,7 +242,7 @@ def _quad_claim(claim: str, t: float, params: dict, mult: int) -> float:
         return w * (np.abs(xi) <= A**2)
 
     def l1(fn, region):
-        return _linear._lq_polar(fn, t, region, 1.0, 10 * mult, 6 + 4 * mult, 8)
+        return _linear._lq_polar(fn, t, region, 1.0, 10 * mult, 6 + 4 * mult, 8, carry)
 
     def mixed(fn, region, qx, qe):
         return _linear._mixed_cartesian(fn, t, region, qx, qe, mult)
@@ -292,10 +297,11 @@ def check_basic_quadrature(claim: str, params: dict | None = None,
         t_grid = np.geomspace(100.0, 1e4, 10)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    def values(mult):
-        return np.array([_quad_claim(real_claim, t, p, mult) for t in t_grid])
+    def levels(t):
+        carry = []  # level 1's L^1 terms, reused by level 2 of the same t
+        return [_quad_claim(real_claim, t, p, mult, carry) for mult in (1, 2)]
 
-    v1, v2 = values(1), values(2)
+    v1, v2 = map(np.array, zip(*[levels(t) for t in t_grid]))
     slope, r2 = _linear.fit_loglog(t_grid, v2)
     rhs = (1.0 + t_grid**2) ** (t_slope / 2.0)
     ratios1 = v1 / rhs

@@ -125,9 +125,14 @@ class TestLinearCommands:
          "unknown region 'sim0'"),
         (["decay", "--prop", "kn1L", "--t0", "nan"], "decay times must be finite, got nan"),
         (["symbol-norm", "--symbol", "A4K", "--t", "inf"], "t must be finite, got inf"),
+        (["symbol-norm", "--symbol", "K", "--t", "1", "--q-xi", "1", "--q-eta", "inf",
+          "--region", "sim0." + "0" * 319 + "1"], "panel-underflow: the span 1e-320"),
+        (["symbol-norm", "--symbol", "K", "--t", "1", "--q-xi", "1", "--q-eta", "inf",
+          "--region", "sim" + "9" * 400], "N must be finite, got inf"),
     ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
             "symbol-norm-bad-region", "symbol-norm-zero-scale", "decay-nan-t0",
-            "symbol-norm-infinite-t"])
+            "symbol-norm-infinite-t", "symbol-norm-subnormal-scale",
+            "symbol-norm-infinite-scale"])
     def test_invalid_input_exit_2(self, capsys, argv, message):
         code, _, err = run_cli(["linear", *argv], capsys)
         assert code == 2

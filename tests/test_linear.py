@@ -337,6 +337,8 @@ class TestSymbolNorms:
         assert ln.parse_region("sim2") == ("annulus", 2.0)
         with pytest.raises(ValueError):
             ln.parse_region("blah")
+        with pytest.raises(ValueError, match="N must be finite, got inf"):
+            ln.parse_region("sim" + "9" * 400)
 
     @pytest.mark.slow
     def test_acceptance_slopes(self):
@@ -350,13 +352,26 @@ class TestSymbolNorms:
             assert r2 >= 0.98
 
 
+def xi_edges(lo, hi, n_base):
+    """Reference panel edges of one [lo, hi]: the per-node builder that
+    linear._panel_edges batches."""
+    span = hi - lo
+    edges = [lo]
+    scale = span * 1e-8
+    while scale < span:
+        edges.append(lo + scale)
+        scale *= 4.0
+    edges.extend(lo + np.linspace(0, span, n_base + 1)[1:])
+    return np.unique(np.clip(np.array(edges), lo, hi))
+
+
 def per_node_mixed_cartesian(symbol_fn, t, region, q_xi, q_eta, mult):
     """Reference mixed norm: one symbol call per xi node."""
     rho_lo, rho_hi = ln._region_rho_range(region)
     a_lo, a_hi = math.exp(rho_lo), math.exp(rho_hi)
     if region == "le1" or region == "all":
         a_lo = 0.0
-    xi_nodes, xi_w = ln._gauss_panels(ln._xi_edges(0.0, a_hi, 12 * mult), 6)
+    xi_nodes, xi_w = ln._gauss_panels(xi_edges(0.0, a_hi, 12 * mult), 6)
     inner = np.empty_like(xi_nodes)
     for i, x in enumerate(xi_nodes):
         e_hi2 = a_hi**2 - x * x
@@ -368,7 +383,7 @@ def per_node_mixed_cartesian(symbol_fn, t, region, q_xi, q_eta, mult):
         if e_hi <= e_lo:
             inner[i] = 0.0
             continue
-        eta_nodes, eta_w = ln._gauss_panels(ln._xi_edges(e_lo, e_hi, 10 * mult), 6)
+        eta_nodes, eta_w = ln._gauss_panels(xi_edges(e_lo, e_hi, 10 * mult), 6)
         vals = np.abs(symbol_fn(t, np.full_like(eta_nodes, x), eta_nodes))
         if np.isinf(q_eta):
             inner[i] = float(np.max(vals))
@@ -426,6 +441,28 @@ class TestBatchedMixedNorms:
         want = per_node_mixed_cartesian(_heat, 1.0, ("annulus", 1.0), *q, 1)
         assert got.hex() == want.hex()
 
+    @pytest.mark.parametrize("mult", [1, 2])
+    def test_no_per_node_panel_calls(self, mult, monkeypatch):
+        calls = {"_gauss_panels": 0, "_panel_edges": 0}
+
+        def counted(name):
+            fn = getattr(ln, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ln, name, counted(name))
+        ln._mixed_cartesian(_heat, 10.0, ("annulus", 1.0), 1.0, np.inf, mult)
+        # one build for the xi axis, one for every xi node's eta panels
+        assert calls == {"_gauss_panels": 2, "_panel_edges": 2}
+
+    def test_subnormal_scale_raises(self):
+        with pytest.raises(ValueError, match="panel-underflow: the span 1e-320"):
+            ln.symbol_norm("K", ("annulus", 1e-320), 1.0, np.inf, 1.0)
+
     @pytest.mark.parametrize("region", ["le1", ("annulus", 1.0)])
     def test_one_symbol_call_per_level(self, region):
         calls = []
@@ -444,6 +481,35 @@ class TestBatchedMixedNorms:
         assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
         with pytest.raises(ValueError):
             x[0] = 0.0
+
+
+class TestPanelEdges:
+    # lo + 1e-8 span rounds to lo (1.0, 1e8) or the geometric edge count is
+    # not 14 (subnormal spans), so rows differ in length
+    LO = [0.0, 0.0, 0.2, 1.0, 0.0, 0.0, 1e8, 0.0, 5.0]
+    HI = [1.0, 0.3, 0.9, 1.0 + 1e-12, 1e-310, 3e-316, 1e8 + 1e-6, 1e-300, 5.0 + 1e300]
+
+    @pytest.mark.parametrize("n_base", [10, 24])
+    def test_rows_match_per_row_builder(self, n_base):
+        groups = ln._panel_edges(np.array(self.LO), np.array(self.HI), n_base)
+        assert len(groups) >= 3
+        seen = []
+        for rows, edges in groups:
+            assert edges.shape[0] == rows.size
+            for i, row in zip(rows.tolist(), edges):
+                assert row.tobytes() == xi_edges(self.LO[i], self.HI[i], n_base).tobytes(), i
+                seen.append(i)
+        assert sorted(seen) == list(range(len(self.LO)))
+
+    def test_equal_counts_form_one_group(self):
+        lo, hi = np.array([0.0, 0.5]), np.array([1.0, 2.0])
+        [(rows, edges)] = ln._panel_edges(lo, hi, 12)
+        assert rows.tolist() == [0, 1] and edges.shape == (2, 27)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1e-320), (0.0, 2e-316), (0.0, np.inf)])
+    def test_unrefinable_span_raises(self, lo, hi):
+        with pytest.raises(ValueError, match="panel-underflow"):
+            ln._panel_edges(np.array([0.0, lo]), np.array([1.0, hi]), 10)
 
 
 class TestDecayExperiments:

@@ -115,6 +115,21 @@ class TestBasicQuadrature:
         with pytest.raises(KeyError):
             vf.check_basic_quadrature("nope")
 
+    def test_l1_levels_share_a_carry(self, monkeypatch):
+        # level 2 of each t reuses level 1's panels, with the bits of fresh levels
+        lq, carried = vf._linear._lq_polar, []
+
+        def recorded(*args):
+            carried.append(len(args[-1]))
+            return lq(*args)
+
+        monkeypatch.setattr(vf._linear, "_lq_polar", recorded)
+        got = vf.check_basic_quadrature("est_Axit1", t_grid=[100.0, 1000.0])
+        assert carried == [0, 3, 0, 3]
+        monkeypatch.setattr(vf._linear, "_lq_polar", lambda *args: lq(*args[:-1]))
+        want = vf.check_basic_quadrature("est_Axit1", t_grid=[100.0, 1000.0])
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
 
 class TestProjectorDerivative:
     def test_pass(self):
