@@ -71,7 +71,7 @@ def cmd_kernel_scan(ns) -> int:
         raise ValueError(f"--t: times must be finite, got {ns.t}")
     if negative := [t for t in ts if t < 0]:
         raise ValueError(f"--t: times must be nonnegative, got {_fmt(negative[0])}")
-    ks = np.linspace(-ns.kmax, ns.kmax, ns.n)
+    ks = _verify.sample_axis(ns.kmax, ns.n)
     rows = [["t", "xi", "eta", "A", "K", "K1", "dtK", "ddtK", "comp",
              "comp_x", "dt_comp"] + [f"envelope_{i}" for i in range(1, 9)]]
     XI, ETA = np.meshgrid(ks, ks, indexing="ij")

@@ -92,33 +92,34 @@ def expm_batch(ms: np.ndarray) -> np.ndarray:
 
 
 def _charpoly_coeffs(m: np.ndarray) -> np.ndarray:
-    """Coefficients of det(sI - m), descending, via Leverrier-Faddeev."""
-    d = m.shape[0]
-    coeffs = np.empty(d + 1, dtype=complex)
-    coeffs[0] = 1.0
+    """Coefficients of det(sI - m), descending, via Leverrier-Faddeev; for a
+    stack (..., d, d) the coefficients are on the last axis."""
+    d = m.shape[-1]
+    coeffs = np.empty(m.shape[:-2] + (d + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
     mk = np.array(m, dtype=complex)
     for k in range(1, d + 1):
-        ck = -np.trace(mk) / k
-        coeffs[k] = ck
+        ck = -np.trace(mk, axis1=-2, axis2=-1) / k
+        coeffs[..., k] = ck
         if k < d:
-            mk = m @ (mk + ck * np.eye(d))
+            mk = m @ (mk + ck[..., None, None] * np.eye(d))
     return coeffs
 
 
-def char_poly_check(xi: float, eta: float) -> float:
+def char_poly_check(xi, eta):
     """Residual between det(sI - M) and the factorized quartic target.
 
     The target is (s^2 + A^2 s + A^2)^2 - A^2 eta^2, i.e. the two quadratic
     factors s^2 + A^2 s + A^2 -+ A|eta|.  Returns the max absolute coefficient
-    difference; diagonalization holds when it is <= 1e-10 * (1 + A^8).
+    difference, a float for scalar (xi, eta) and an array over array-valued
+    ones; diagonalization holds when it is <= 1e-10 * (1 + A^8).
     """
     a2 = xi * xi + eta * eta
     got = _charpoly_coeffs(symbol_matrix(xi, eta, 0.0).entries)
-    target = np.array(
-        [1.0, 2.0 * a2, a2 * a2 + 2.0 * a2, 2.0 * a2 * a2, a2 * a2 - a2 * eta * eta],
-        dtype=complex,
-    )
-    return float(np.max(np.abs(got - target)))
+    target = np.stack([np.ones(np.shape(a2)), 2.0 * a2, a2 * a2 + 2.0 * a2,
+                       2.0 * a2 * a2, a2 * a2 - a2 * eta * eta], axis=-1)
+    resid = np.max(np.abs(got - target), axis=-1)
+    return float(resid) if resid.ndim == 0 else resid
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,12 @@ __all__ = [
     "check_basic_quadrature",
     "check_projector_derivative",
     "check_nash_anisotropic",
+    "sample_axis",
     "run_all",
     "run_claim",
     "CLAIMS",
     "SEEDED_CLAIMS",
+    "KERNEL_SCAN_CLAIMS",
     "BASIC_QUAD_CLAIMS",
 ]
 
@@ -94,45 +96,74 @@ _ESTIMATES = {
 }
 
 
-def _est_lhs(which: int, t, xi, eta) -> np.ndarray:
-    """|symbol| of estimate `which` less its rounding floor, clipped at 0."""
-    symbol, floor_key = _ESTIMATES[which]
-    kv, floors = _kernel.noise_floors(t, xi, eta)
-    return np.maximum(np.abs(symbol(kv)) - floors[floor_key], 0.0)
+def _kernel_scans(n_t: int, n_a: int, n_angle: int, c_decay: float,
+                  cap: float) -> dict[int, ScanResult]:
+    """The results of all eight estimates from one log-log scan.
 
-
-def scan_kernel_bounds(which: int, n_t: int = 12, n_a: int = 24, n_angle: int = 32,
-                       c_decay: float = _kernel.DEFAULT_C_DECAY,
-                       cap: float = 1e3) -> ScanResult:
-    """Fit the prefactor of pointwise estimate `which` over a log-log grid.
-
-    Measured magnitudes are reduced by their rounding floors (see
-    `kernel.noise_floors`) before the ratio against the envelope is taken;
-    this only affects samples whose symbol has cancelled to within ~1e-10 of
-    its assembly intermediates, far below any genuine violation of the cap.
+    Each scan time makes one kernel.noise_floors call; every estimate takes
+    its symbol, less its rounding floor, from that call.
     """
+    if n_t < 2:
+        raise ValueError(f"invalid-budget: n_t must be at least 2 (t = 0 and one "
+                         f"positive time), got {n_t}")
+    if n_a < 1 or n_angle < 1:
+        raise ValueError(f"invalid-budget: n_a and n_angle must be positive, "
+                         f"got {n_a} and {n_angle}")
+    if not (math.isfinite(c_decay) and c_decay > 0):
+        raise ValueError(f"invalid-budget: c_decay must be finite and positive, got {c_decay}")
 
-    def max_ratio(nt, na, nang):
+    def max_ratios(nt, na, nang):
         ts = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, nt - 1)])
         As = np.geomspace(1e-4, 1e3, na)
         angles = np.linspace(0.0, np.pi / 2, nang)
         AA, TH = np.meshgrid(As, angles, indexing="ij")
         xi = AA * np.cos(TH)
         eta = AA * np.sin(TH)
-        best, worst = 0.0, {}
+        best = {which: (0.0, {}) for which in _ESTIMATES}
         for t in ts:
-            lhs = _est_lhs(which, t, xi, eta)
-            rhs = _kernel.bound_envelope(which, t, xi, eta, c_decay)
-            r, w = _ratio_scan(lhs, rhs, {"t": t * np.ones_like(xi), "xi": xi, "eta": eta})
-            if r > best:
-                best, worst = r, w
-        return best, worst
+            kv, floors = _kernel.noise_floors(t, xi, eta)
+            lhs = {which: np.maximum(np.abs(symbol(kv)) - floors[floor_key], 0.0)
+                   for which, (symbol, floor_key) in _ESTIMATES.items()}
+            # the kernel values go, and each lhs after its envelope, so fewer
+            # arrays are live beside an envelope's temporaries (peak RSS)
+            del kv, floors
+            coords = {"t": t * np.ones_like(xi), "xi": xi, "eta": eta}
+            for which in _ESTIMATES:
+                rhs = _kernel.bound_envelope(which, t, xi, eta, c_decay)
+                r, w = _ratio_scan(lhs.pop(which), rhs, coords)
+                if r > best[which][0]:
+                    best[which] = (r, w)
+        return best
 
-    coarse, _ = max_ratio(n_t, n_a, n_angle)
-    fine, worst = max_ratio(2 * n_t - 1, 2 * n_a, 2 * n_angle)
+    coarse = max_ratios(n_t, n_a, n_angle)
+    fine = max_ratios(2 * n_t - 1, 2 * n_a, 2 * n_angle)
     samples = (2 * n_t - 1) * 2 * n_a * 2 * n_angle
-    return _finish(f"prop31_est{which}", samples, coarse, fine, worst, cap,
-                   extra={"c_decay": c_decay})
+    return {which: _finish(f"prop31_est{which}", samples, coarse[which][0], *fine[which],
+                           cap, extra={"c_decay": c_decay})
+            for which in _ESTIMATES}
+
+
+def scan_kernel_bounds(which: int, n_t: int = 12, n_a: int = 24, n_angle: int = 32,
+                       c_decay: float = _kernel.DEFAULT_C_DECAY,
+                       cap: float = 1e3, scans: dict | None = None) -> ScanResult:
+    """Fit the prefactor of pointwise estimate `which` over a log-log grid.
+
+    Measured magnitudes are reduced by their rounding floors (see
+    `kernel.noise_floors`) before the ratio against the envelope is taken;
+    this only affects samples whose symbol has cancelled to within ~1e-10 of
+    its assembly intermediates, far below any genuine violation of the cap.
+
+    The scan computes all eight estimates.  `scans` is an optional
+    caller-owned dict that keeps them, keyed by the scan's arguments, so the
+    eight claims of one pass scan once.
+    """
+    if which not in _ESTIMATES:
+        raise ValueError(f"unknown estimate id {which}; expected 1..8")
+    scans = {} if scans is None else scans
+    key = (n_t, n_a, n_angle, c_decay, cap)
+    if key not in scans:
+        scans[key] = _kernel_scans(*key)
+    return scans[key][which]
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +450,29 @@ def check_oracle(samples: int = 1000, seed: int = 0, tol: float = 1e-8) -> ScanR
                       refine_stable=True, cap=1.0, extra={"tolerance": tol})
 
 
+def sample_axis(kmax: float, n: int) -> np.ndarray:
+    """n equispaced samples of [-kmax, kmax]; an empty or degenerate axis is
+    a named error, not a scan of nothing."""
+    if n < 1:
+        raise ValueError(f"invalid-budget: n must be positive, got {n}")
+    if not (math.isfinite(kmax) and kmax > 0):
+        raise ValueError(f"invalid-budget: kmax must be finite and positive, got {kmax}")
+    return np.linspace(-kmax, kmax, n)
+
+
 def check_charpoly(kmax: float = 8.0, n: int = 64) -> ScanResult:
+    ks = sample_axis(kmax, n)
+    # blocks of about 512 modes (one row when n > 512): stacked 4x4 complex
+    # arrays of about 128 KiB leave the heap as small as a scalar loop (peak RSS)
+    rows = max(1, 512 // n)
+    resid = np.concatenate([
+        _linear.char_poly_check(*np.meshgrid(ks[lo:lo + rows], ks, indexing="ij"))
+        for lo in range(0, n, rows)])
     worstv, worst = 0.0, {}
-    for xi in np.linspace(-kmax, kmax, n):
-        for eta in np.linspace(-kmax, kmax, n):
-            a8 = (xi * xi + eta * eta) ** 4
-            r = _linear.char_poly_check(xi, eta) / (1e-10 * (1.0 + a8))
+    for i, xi in enumerate(ks):
+        for j, eta in enumerate(ks):
+            a8 = (xi * xi + eta * eta) ** 4  # a scalar power: an array one rounds differently
+            r = resid[i, j] / (1e-10 * (1.0 + a8))
             if r > worstv:
                 worstv, worst = r, {"xi": float(xi), "eta": float(eta), "ratio": r}
     verdict = "PASS" if worstv <= 1.0 else "FAIL"
@@ -466,23 +514,31 @@ CLAIMS = {
 
 # Claims whose checker draws random samples and takes a `seed`.
 SEEDED_CLAIMS = frozenset({"elem1", "sin_ratio", "projector_dt", "nash", "oracle"})
+# Claims whose checker shares one kernel scan through a `scans` dict.
+KERNEL_SCAN_CLAIMS = frozenset(f"prop31_est{k}" for k in _ESTIMATES)
 
 
-def run_claim(claim_id: str, seed: int = 0, **kwargs) -> ScanResult:
-    """Run one claim; `seed` reaches the checkers of SEEDED_CLAIMS only."""
+def run_claim(claim_id: str, seed: int = 0, scans: dict | None = None,
+              **kwargs) -> ScanResult:
+    """Run one claim; `seed` reaches the checkers of SEEDED_CLAIMS only, and
+    `scans` (see scan_kernel_bounds) those of KERNEL_SCAN_CLAIMS only."""
     if claim_id not in CLAIMS:
         raise KeyError(f"unknown claim {claim_id!r}; known: {sorted(CLAIMS)}")
     if claim_id in SEEDED_CLAIMS:
         kwargs["seed"] = seed
+    if claim_id in KERNEL_SCAN_CLAIMS and scans is not None:
+        kwargs["scans"] = scans
     return CLAIMS[claim_id](**kwargs)
 
 
 def run_all(report_path=None, seed: int = 0) -> dict:
     """Execute every checker; returns {claim_id: ScanResult}, sorted by id.
 
+    The eight kernel-estimate claims share one scan, kept for this pass only.
     Exit-status semantics are the caller's: any FAIL verdict means failure.
     """
-    results = {cid: run_claim(cid, seed) for cid in sorted(CLAIMS)}
+    scans = {}
+    results = {cid: run_claim(cid, seed, scans) for cid in sorted(CLAIMS)}
     if report_path is not None:
         payload = {cid: res.to_dict() for cid, res in results.items()}
         Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -65,10 +65,10 @@ class TestCriterion3SpecialValues:
 class TestCriterion4PointwiseScans:
     def test_all_eight_estimates(self):
         t0 = time.time()
-        worst = {}
+        worst, scans = {}, {}
         ok = True
         for which in range(1, 9):
-            res = vf.scan_kernel_bounds(which)
+            res = vf.scan_kernel_bounds(which, scans=scans)
             worst[which] = res.fitted_C
             ok &= res.verdict == "PASS" and res.fitted_C <= 1e3 and res.refine_stable
         elapsed = time.time() - t0

@@ -67,6 +67,18 @@ class TestKernelScan:
         assert f"--t: times must be nonnegative, got {named}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "0"], "invalid-budget: n must be positive, got 0"),
+        (["--kmax", "nan"], "invalid-budget: kmax must be finite and positive, got nan"),
+    ])
+    def test_empty_grid_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(["kernel", "scan", "--t", "0,1", *flags, "--out", str(out)],
+                               capsys)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestLinearCommands:
     def test_oracle_test_json(self, tmp_path, capsys):
@@ -129,10 +141,14 @@ class TestLinearCommands:
           "--region", "sim0." + "0" * 319 + "1"], "panel-underflow: the span 1e-320"),
         (["symbol-norm", "--symbol", "K", "--t", "1", "--q-xi", "1", "--q-eta", "inf",
           "--region", "sim" + "9" * 400], "N must be finite, got inf"),
+        (["charpoly", "--n", "0"], "invalid-budget: n must be positive, got 0"),
+        (["charpoly", "--kmax", "0"], "invalid-budget: kmax must be finite and positive, got 0.0"),
+        (["charpoly", "--kmax", "nan"], "invalid-budget: kmax must be finite and positive, got nan"),
     ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
             "symbol-norm-bad-region", "symbol-norm-zero-scale", "decay-nan-t0",
             "symbol-norm-infinite-t", "symbol-norm-subnormal-scale",
-            "symbol-norm-infinite-scale"])
+            "symbol-norm-infinite-scale", "charpoly-no-samples", "charpoly-zero-kmax",
+            "charpoly-nan-kmax"])
     def test_invalid_input_exit_2(self, capsys, argv, message):
         code, _, err = run_cli(["linear", *argv], capsys)
         assert code == 2

@@ -111,7 +111,39 @@ def char_poly_roots(xi, eta):
     return np.array(roots)
 
 
+def scalar_char_poly_check(xi, eta):
+    """Reference: det(sI - M) of one mode by scalar Leverrier-Faddeev, its max
+    coefficient residual against the factorized quartic target."""
+    m = ln.symbol_matrix(xi, eta, 0.0).entries
+    coeffs = np.empty(5, dtype=complex)
+    coeffs[0] = 1.0
+    mk = np.array(m, dtype=complex)
+    for k in range(1, 5):
+        ck = -np.trace(mk) / k
+        coeffs[k] = ck
+        if k < 4:
+            mk = m @ (mk + ck * np.eye(4))
+    a2 = xi * xi + eta * eta
+    target = np.array([1.0, 2.0 * a2, a2 * a2 + 2.0 * a2, 2.0 * a2 * a2,
+                       a2 * a2 - a2 * eta * eta], dtype=complex)
+    return float(np.max(np.abs(coeffs - target)))
+
+
 class TestCharPoly:
+    def test_batch_equals_scalar_reference(self):
+        ks = np.linspace(-8.0, 8.0, 64)
+        XI, ETA = np.meshgrid(ks, ks, indexing="ij")
+        got = ln.char_poly_check(XI, ETA)
+        assert got.shape == (64, 64)
+        want = np.array([[scalar_char_poly_check(xi, eta) for eta in ks] for xi in ks])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("xi,eta", [(3.0, 4.0), (np.float64(-2.5), np.float64(0.75))])
+    def test_scalar_gives_float(self, xi, eta):
+        got = ln.char_poly_check(xi, eta)
+        assert type(got) is float
+        assert got == scalar_char_poly_check(xi, eta)
+
     def test_zero_mode_residual_zero(self):
         assert ln.char_poly_check(0.0, 0.0) == 0.0
 

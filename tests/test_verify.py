@@ -10,6 +10,53 @@ from mhdlab import kernel as kr
 from mhdlab import verify as vf
 
 
+def parent_scan_kernel_bounds(which, n_t=12, n_a=24, n_angle=32,
+                              c_decay=kr.DEFAULT_C_DECAY, cap=1e3):
+    """Reference: one estimate's scan on its own, one noise_floors call per
+    estimate and time."""
+    symbol, floor_key = vf._ESTIMATES[which]
+
+    def max_ratio(nt, na, nang):
+        ts = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, nt - 1)])
+        AA, TH = np.meshgrid(np.geomspace(1e-4, 1e3, na), np.linspace(0.0, np.pi / 2, nang),
+                             indexing="ij")
+        xi, eta = AA * np.cos(TH), AA * np.sin(TH)
+        best, worst = 0.0, {}
+        for t in ts:
+            kv, floors = kr.noise_floors(t, xi, eta)
+            lhs = np.maximum(np.abs(symbol(kv)) - floors[floor_key], 0.0)
+            rhs = kr.bound_envelope(which, t, xi, eta, c_decay)
+            r, w = vf._ratio_scan(lhs, rhs, {"t": t * np.ones_like(xi), "xi": xi, "eta": eta})
+            if r > best:
+                best, worst = r, w
+        return best, worst
+
+    coarse, _ = max_ratio(n_t, n_a, n_angle)
+    fine, worst = max_ratio(2 * n_t - 1, 2 * n_a, 2 * n_angle)
+    samples = (2 * n_t - 1) * 2 * n_a * 2 * n_angle
+    return vf._finish(f"prop31_est{which}", samples, coarse, fine, worst, cap,
+                      extra={"c_decay": c_decay})
+
+
+def parent_check_charpoly(kmax=8.0, n=64):
+    """Reference: the diagonalization scan as one scalar check per mode."""
+    worstv, worst = 0.0, {}
+    for xi in np.linspace(-kmax, kmax, n):
+        for eta in np.linspace(-kmax, kmax, n):
+            a8 = (xi * xi + eta * eta) ** 4
+            r = vf._linear.char_poly_check(xi, eta) / (1e-10 * (1.0 + a8))
+            if r > worstv:
+                worstv, worst = r, {"xi": float(xi), "eta": float(eta), "ratio": r}
+    verdict = "PASS" if worstv <= 1.0 else "FAIL"
+    return vf.ScanResult(claim_id="charpoly", samples=n * n, max_ratio=worstv,
+                         fitted_C=worstv, worst=worst, verdict=verdict,
+                         refine_stable=True, cap=1.0)
+
+
+def as_json(res):
+    return json.dumps(res.to_dict(), sort_keys=True)
+
+
 class TestKernelBoundScans:
     @pytest.mark.parametrize("which", range(1, 9))
     def test_scan_passes(self, which):
@@ -47,6 +94,47 @@ class TestKernelBoundScans:
         b = vf.scan_kernel_bounds(2, n_t=6, n_a=8, n_angle=8)
         assert a.fitted_C == b.fitted_C
         assert a.worst == b.worst
+
+    @pytest.mark.parametrize("grid", [{}, {"n_t": 5, "n_a": 6, "n_angle": 4, "c_decay": 0.05}],
+                             ids=["default", "small-c0.05"])
+    def test_shared_scan_equals_per_estimate_scans(self, grid):
+        scans = {}
+        for which in range(1, 9):
+            got = vf.scan_kernel_bounds(which, **grid, scans=scans)
+            assert as_json(got) == as_json(parent_scan_kernel_bounds(which, **grid)), which
+        assert len(scans) == 1
+
+    def test_without_a_dict_each_call_scans(self):
+        a = vf.scan_kernel_bounds(3, n_t=4, n_a=4, n_angle=4)
+        assert as_json(a) == as_json(parent_scan_kernel_bounds(3, n_t=4, n_a=4, n_angle=4))
+
+    def test_dict_keyed_by_scan_arguments(self, monkeypatch):
+        calls = []
+        nf = kr.noise_floors
+        monkeypatch.setattr(kr, "noise_floors", lambda *a: calls.append(a[0]) or nf(*a))
+        small = {"n_t": 3, "n_a": 4, "n_angle": 4}
+        grids = [small, {**small, "n_angle": 5}, {**small, "c_decay": 0.05}, {**small, "cap": 1.0}]
+        scans = {}
+        got = [vf.scan_kernel_bounds(1, **grid, scans=scans) for grid in grids]
+        assert len(calls) == 4 * (3 + 5) and len(scans) == 4  # each grid scans once
+        again = vf.scan_kernel_bounds(2, **small, scans=scans)
+        assert len(calls) == 4 * (3 + 5)
+        assert again is scans[(3, 4, 4, kr.DEFAULT_C_DECAY, 1e3)][2]
+        monkeypatch.undo()
+        for grid, res in zip(grids, got):
+            assert as_json(res) == as_json(parent_scan_kernel_bounds(1, **grid)), grid
+
+    @pytest.mark.parametrize("kw", [{"n_t": 1}, {"n_t": 0}, {"n_a": 0}, {"n_angle": 0},
+                                    {"c_decay": 0.0}, {"c_decay": -1.0},
+                                    {"c_decay": math.nan}, {"c_decay": math.inf}])
+    def test_rejects_empty_or_vacuous_scan(self, kw):
+        # n_t = 1 scans only t = 0, where every lhs is 0: a vacuous PASS
+        with pytest.raises(ValueError, match="invalid-budget"):
+            vf.scan_kernel_bounds(1, **{"n_t": 3, "n_a": 4, "n_angle": 4, **kw})
+
+    def test_unknown_estimate(self):
+        with pytest.raises(ValueError, match="unknown estimate id 9"):
+            vf.scan_kernel_bounds(9, n_t=3, n_a=4, n_angle=4)
 
 
 class TestElem1:
@@ -186,6 +274,23 @@ class TestNash:
         assert 0.0 < ratio < 100.0
 
 
+class TestCharpoly:
+    def test_equals_scalar_loop(self):
+        assert as_json(vf.check_charpoly()) == as_json(parent_check_charpoly())
+
+    @pytest.mark.parametrize("kmax,n", [(4.0, 8), (8.0, 1), (3.0, 100)])
+    def test_other_grids_equal_scalar_loop(self, kmax, n):
+        # n = 100 builds its symbol matrices in 20 row blocks, the default in 8
+        got = vf.check_charpoly(kmax=kmax, n=n)
+        assert as_json(got) == as_json(parent_check_charpoly(kmax=kmax, n=n))
+
+    @pytest.mark.parametrize("kw", [{"n": 0}, {"n": -3}, {"kmax": 0.0}, {"kmax": -8.0},
+                                    {"kmax": math.nan}, {"kmax": math.inf}])
+    def test_rejects_empty_or_degenerate_grid(self, kw):
+        with pytest.raises(ValueError, match="invalid-budget"):
+            vf.check_charpoly(**kw)
+
+
 class TestRunClaim:
     def test_seed_not_passed_to_unseeded_claims(self, monkeypatch):
         calls = []
@@ -209,6 +314,24 @@ class TestRunClaim:
 
 
 class TestRunAll:
+    def test_kernel_claims_share_one_scan(self, monkeypatch):
+        calls, passed = [], {}
+        nf = kr.noise_floors
+        monkeypatch.setattr(kr, "noise_floors", lambda *a: calls.append(a[0]) or nf(*a))
+        for cid, fn in list(vf.CLAIMS.items()):
+            def recorded(cid=cid, fn=fn, **kw):
+                passed[cid] = sorted(kw)
+                return fn(**kw) if cid in vf.KERNEL_SCAN_CLAIMS else cid
+            monkeypatch.setitem(vf.CLAIMS, cid, recorded)
+        results = vf.run_all(seed=0)
+        assert len(calls) == 12 + 23  # one call per coarse and fine scan time
+        for which in range(1, 9):
+            cid = f"prop31_est{which}"
+            assert passed[cid] == ["scans"]
+            assert as_json(results[cid]) == as_json(parent_scan_kernel_bounds(which))
+        assert all(passed[cid] == (["seed"] if cid in vf.SEEDED_CLAIMS else [])
+                   for cid in set(vf.CLAIMS) - vf.KERNEL_SCAN_CLAIMS)
+
     @pytest.mark.slow
     def test_full_report(self, tmp_path):
         report = tmp_path / "report.json"
