@@ -45,8 +45,8 @@ __all__ = [
 _BUMP_DELTA = 1e-4
 
 
-# Values per block of `fsum`, the block size of `kernel._CHUNK`: the block's
-# work arrays stay in cache and are reused from one block to the next.
+# Values per block of `fsum`: the block's work arrays stay in cache and are
+# reused from one block to the next.
 _FSUM_BLOCK = 65536
 # frexp exponents of finite doubles run from -1073 to 1024; bin = exponent + 1074
 _FSUM_BINS = 2099

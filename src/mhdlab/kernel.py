@@ -48,22 +48,88 @@ _DD_SMALL_BT2 = 36.0
 _DD_REC_RATIO = 0.25
 
 
-def _split_bc(xi, eta):
-    """A = |(xi, eta)|, b = A^4/4 - A^2 and c = A|eta|, elementwise."""
+# Points per block when a large batch is evaluated block by block: the
+# block's work arrays (about 4 MB in all) stay resident and mostly in cache.
+_CHUNK = 16384
+
+
+class _Workspace:
+    """Work arrays for evaluating blocks of at most `size` points.
+
+    Calling it with a name returns the first n entries of that name's array,
+    allocated on first use and handed out again to every later block, so the
+    temporaries of a block stay resident instead of being released and
+    faulted in again block after block.  A name bound in `out` (the current
+    block's view of a result array) is returned as it is, so that result is
+    computed in place where it is kept.  The evaluation that owns a workspace
+    passes it down; nothing is kept at module level.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.out: dict[str, np.ndarray] = {}
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, n: int, dtype=float) -> np.ndarray:
+        if name in self.out:
+            return self.out[name]
+        arr = self._arrays.get(name)
+        if arr is None:
+            arr = self._arrays[name] = np.empty(self.size, dtype=dtype)
+        return arr[:n]
+
+
+def _take(x, idx, out):
+    """x at the positions idx, into `out`; a 0-d x is returned as it is.
+
+    The indices are in range; mode "clip" only spares the copy that mode
+    "raise" makes of `out`.
+    """
+    return x if np.ndim(x) == 0 else x.take(idx, out=out, mode="clip")
+
+
+def _gather(x, idx):
+    """x at the positions idx as a new array, for the rarely taken branches."""
+    return np.full(idx.size, x) if np.ndim(x) == 0 else x[idx]
+
+
+def _nested(xs, divisors, q, r):
+    """1 + xs/d0*(1 + xs/d1*(... (1 + xs/dk))) into q, with r as scratch."""
+    np.divide(xs, divisors[-1], out=q)
+    q += 1.0
+    for d in divisors[-2::-1]:
+        q *= np.divide(xs, d, out=r)
+        q += 1.0
+    return q
+
+
+def _split_bc(xi, eta, ws=None):
+    """A = |(xi, eta)|, b = A^4/4 - A^2 and c = A|eta|, elementwise.
+
+    Given a workspace, xi and eta are one flat block, and A, A^2, b and c are
+    written to its arrays "A", "a2", "b" and "c".
+    """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    A = np.hypot(xi, eta)
-    a2 = A * A
-    b = 0.25 * a2 * a2 - a2
-    c = A * np.abs(eta)
+
+    def out(name):
+        return None if ws is None else ws(name, xi.size)
+    A = np.hypot(xi, eta, out=out("A"))
+    a2 = np.multiply(A, A, out=out("a2"))
+    b = np.multiply(a2, 0.25, out=out("b"))
+    b *= a2
+    b -= a2
+    c = np.multiply(A, np.abs(eta, out=out("c")), out=out("c"))
     return A, b, c
 
 
-def _damped_pair(z, a, t, a2mz=None, half=None):
-    """Return (exp(-a t) * sinch(z, t), exp(-a t) * coshc(z, t)), elementwise.
+def _damped_pair(g, h, z, a, t, damp, a2mz, ws):
+    """Write exp(-a t) * sinch(z, t) into g and exp(-a t) * coshc(z, t) into h.
 
-    With `half` = 0 or 1 only that entry of the pair is computed and the
-    other is None.
+    z, a, damp = exp(-a t) and a2mz are flat arrays of one length, and t is
+    one too or 0-d.  g or h may be None, and then that half is not computed.
+    The points are split once into index arrays of the series, oscillatory
+    and positive branches.
 
     The product form matters: for z > 0 both factors can over/underflow even
     though the product is tame, so the positive branch is assembled from the
@@ -72,59 +138,65 @@ def _damped_pair(z, a, t, a2mz=None, half=None):
     computed as sqrt(z) - a = (z - a^2)/(sqrt(z) + a), avoiding the
     cancellation of two nearly equal large numbers.
     """
-    if a2mz is None:
-        z, a, t = np.broadcast_arrays(
-            np.asarray(z, dtype=float), np.asarray(a, dtype=float), np.asarray(t, dtype=float)
-        )
-        a2mz_ = None
-    else:
-        z, a, t, a2mz_ = np.broadcast_arrays(
-            np.asarray(z, dtype=float), np.asarray(a, dtype=float),
-            np.asarray(t, dtype=float), np.asarray(a2mz, dtype=float),
-        )
-    g = np.empty(z.shape, dtype=float) if half != 1 else None
-    h = np.empty(z.shape, dtype=float) if half != 0 else None
+    m = z.size
+    x = np.multiply(z, t, out=ws("pair.x", m))
+    x *= t
+    series = np.less_equal(np.abs(x, out=ws("pair.s", m)), _SERIES_Z,
+                           out=ws("pair.series", m, bool))
+    pos = np.logical_not(series, out=ws("pair.pos", m, bool))
+    osc = np.less(z, 0.0, out=ws("pair.osc", m, bool))
+    osc &= pos
+    pos ^= osc  # neither series nor z < 0
 
-    x = z * t * t
-    m_series = np.abs(x) <= _SERIES_Z
-    m_osc = (~m_series) & (z < 0.0)
-    m_pos = (~m_series) & (z >= 0.0)
-
-    if m_series.any():
-        xs, ts, as_ = x[m_series], t[m_series], a[m_series]
-        damp = np.exp(-as_ * ts)
+    idx = series.nonzero()[0]
+    if idx.size:
+        k = idx.size
+        xs = _take(x, idx, ws("pair.xs", k))
+        ds = _take(damp, idx, ws("pair.ds", k))
+        q, r = ws("pair.q", k), ws("pair.r", k)
         # truncation error below 3e-18 relative for |x| <= 1e-2
         if g is not None:
-            g[m_series] = damp * ts * (
-                1.0 + xs / 6.0 * (1.0 + xs / 20.0 * (1.0 + xs / 42.0 * (1.0 + xs / 72.0)))
-            )
+            p = _nested(xs, (6.0, 20.0, 42.0, 72.0), q, r)
+            np.multiply(ds, _take(t, idx, ws("pair.ts", k)), out=r)
+            g[idx] = np.multiply(r, p, out=r)
         if h is not None:
-            h[m_series] = damp * (
-                1.0 + xs / 2.0 * (1.0 + xs / 12.0 * (1.0 + xs / 30.0 * (1.0 + xs / 56.0)))
-            )
-    if m_osc.any():
-        s = np.sqrt(-z[m_osc])
-        w = t[m_osc] * s
-        damp = np.exp(-a[m_osc] * t[m_osc])
+            h[idx] = np.multiply(ds, _nested(xs, (2.0, 12.0, 30.0, 56.0), q, r), out=q)
+    idx = osc.nonzero()[0]
+    if idx.size:
+        k = idx.size
+        s = _take(z, idx, ws("pair.s", k))
+        np.sqrt(np.negative(s, out=s), out=s)
+        w = np.multiply(s, _take(t, idx, ws("pair.ts", k)), out=ws("pair.w", k))
+        ds = _take(damp, idx, ws("pair.ds", k))
         if g is not None:
-            g[m_osc] = damp * np.sin(w) / s
+            v = np.multiply(ds, np.sin(w, out=ws("pair.v", k)), out=ws("pair.v", k))
+            g[idx] = np.divide(v, s, out=v)
         if h is not None:
-            h[m_osc] = damp * np.cos(w)
-    if m_pos.any():
-        s = np.sqrt(z[m_pos])
-        ts, as_ = t[m_pos], a[m_pos]
-        if a2mz_ is None:
-            up = (s - as_) * ts
+            h[idx] = np.multiply(ds, np.cos(w, out=w), out=w)
+    idx = pos.nonzero()[0]
+    if idx.size:
+        k = idx.size
+        s = np.sqrt(_take(z, idx, ws("pair.s", k)), out=ws("pair.s", k))
+        ts = _take(t, idx, ws("pair.ts", k))
+        sa = _take(a, idx, ws("pair.sa", k))
+        if a2mz is None:
+            up = np.subtract(s, sa, out=ws("pair.up", k))
         else:
-            up = -(a2mz_[m_pos] / (s + as_)) * ts
+            up = _take(a2mz, idx, ws("pair.up", k))
+        sa += s
+        if a2mz is not None:
+            np.negative(np.divide(up, sa, out=up), out=up)
+        up *= ts
+        em = np.negative(sa, out=sa)
+        em *= ts
         with np.errstate(over="ignore"):
-            ep = np.exp(up)
-            em = np.exp(-(s + as_) * ts)
+            ep = np.exp(up, out=up)
+            np.exp(em, out=em)
         if g is not None:
-            g[m_pos] = (ep - em) / (2.0 * s)
+            v = np.subtract(ep, em, out=ws("pair.v", k))
+            g[idx] = np.divide(v, np.multiply(s, 2.0, out=s), out=v)
         if h is not None:
-            h[m_pos] = 0.5 * (ep + em)
-    return g, h
+            h[idx] = np.multiply(np.add(ep, em, out=ep), 0.5, out=ep)
 
 
 def _series_deriv(kind: str, j: int, b, t, nterms: int = 48):
@@ -161,8 +233,57 @@ def _series_deriv(kind: str, j: int, b, t, nterms: int = 48):
     return total
 
 
-def _dd_damped(kind: str, b, c, t, a, a2mb=None):
-    """exp(-a t) * (f(b+c,t) - f(b-c,t)) / (2c) for f = sinch or coshc.
+# The damped pairs at z = b + c ("gp", "hp": the sinch and coshc halves) and
+# z = b - c ("gm", "hm"), and what each kernel symbol, or the coshc divided
+# difference "dd_cosh", is assembled from.  K is the sinch divided difference.
+_SIDES = ("gp", "hp", "gm", "hm")
+_READS = {
+    "K": ("gp", "gm"), "dd_cosh": ("hp", "hm"),
+    "comp": ("gp", "gm"), "K1": ("hp", "hm"),
+    "dtK": ("K", "dd_cosh"), "dt_comp": ("comp", "K1"),
+    "ddtK": ("comp", "dtK", "K"), "comp_x": ("comp", "K"),
+    "dtK1": ("K1", "gp", "gm"), "ddt_comp": ("dt_comp", "dtK1"),
+}
+
+
+def _closure(names) -> set:
+    """The names together with everything they are assembled from."""
+    need, todo = set(), list(names)
+    while todo:
+        name = todo.pop()
+        if name not in need:
+            need.add(name)
+            todo.extend(_READS.get(name, ()))
+    return need
+
+
+def _damped(need, b, c, t, a, a2mb, ws):
+    """The damped values of one flat block that `need` names, into `ws`.
+
+    exp(-a t) is computed once.  The pairs at z = b +- c cover every point,
+    with only the halves something reads; the divided differences
+    exp(-a t) * (f(b+c,t) - f(b-c,t)) / (2c) for f = sinch ("K") and
+    f = coshc ("dd_cosh") share one branch split and read the two-point
+    values from those pairs.  `a2mb` is the exactly known a^2 - b (see
+    _damped_pair).
+    """
+    n = b.size
+    damp = np.negative(a, out=ws("damp", n))
+    damp *= t
+    np.exp(damp, out=damp)
+    g, h = "gp" in need, "hp" in need
+    zp = np.add(b, c, out=ws("zp", n))
+    _damped_pair(ws("gp", n) if g else None, ws("hp", n) if h else None,
+                 zp, a, t, damp, np.subtract(a2mb, c, out=ws("a2mz", n)), ws)
+    zm = np.subtract(b, c, out=ws("zm", n))
+    _damped_pair(ws("gm", n) if g else None, ws("hm", n) if h else None,
+                 zm, a, t, damp, np.add(a2mb, c, out=ws("a2mz", n)), ws)
+    if "K" in need or "dd_cosh" in need:
+        _divided_differences(need, b, c, t, a, damp, a2mb, ws)
+
+
+def _divided_differences(need, b, c, t, a, damp, a2mb, ws):
+    """The damped divided differences "K" (sinch) and "dd_cosh" (coshc).
 
     Three regimes, selected elementwise:
       * two-point difference when the variation of f across [b-c, b+c] is
@@ -172,70 +293,88 @@ def _dd_damped(kind: str, b, c, t, a, a2mb=None):
         c-expansion converges (c*t/sqrt(|b|) small);
       * two-point as fallback in the marginal zone, where its error is still
         graceful because the damped values there are many orders below scale.
-    The c -> 0 limit is the z-derivative of f at b.  `a2mb` optionally carries
-    an exactly known a^2 - b (see _damped_pair).
+    The c -> 0 limit is the z-derivative of f at b.
     """
-    if a2mb is None:
-        a2mb = np.square(np.asarray(a, dtype=float)) - np.asarray(b, dtype=float)
-    b, c, t, a, a2mb = np.broadcast_arrays(
-        np.asarray(b, dtype=float),
-        np.asarray(c, dtype=float),
-        np.asarray(t, dtype=float),
-        np.asarray(a, dtype=float),
-        np.asarray(a2mb, dtype=float),
-    )
-    out = np.empty(b.shape, dtype=float)
+    n = b.size
+    absb = np.abs(b, out=ws("dd.absb", n))
+    bt2 = np.add(absb, c, out=ws("dd.bt2", n))
+    w1 = np.sqrt(bt2, out=ws("dd.w1", n))
+    w1 *= t
+    w1 += 1.0  # 1 + w, w = t * sqrt(|b| + c)
+    v = np.multiply(c, t, out=ws("dd.v", n))
+    v *= t
+    v /= w1
+    two = np.greater(v, np.multiply(w1, _DD_V_REL, out=w1), out=ws("dd.two", n, bool))
+    bt2 *= t
+    bt2 *= t
+    small = np.less_equal(bt2, _DD_SMALL_BT2, out=ws("dd.small", n, bool))
+    rest = np.logical_not(two, out=ws("dd.rest", n, bool))
+    small &= rest
+    rest ^= small
+    # the rest takes the recurrence where it converges, else the two-point
+    # fallback; the ratio is computed for the rest only
+    idx = rest.nonzero()[0]
+    rec = idx
+    if idx.size:
+        bb, cc, tt = absb[idx], c[idx], _gather(t, idx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(bb > 0, cc * tt / np.sqrt(np.where(bb > 0, bb, 1.0)), np.inf)
+        converges = ratio <= _DD_REC_RATIO
+        rec = idx[converges]
+        two[idx[~converges]] = True
 
-    absb = np.abs(b)
-    w = t * np.sqrt(absb + c)
-    v = c * t * t / (1.0 + w)
-    m_two = v > _DD_V_REL * (1.0 + w)
-    m_small = (~m_two) & ((absb + c) * t * t <= _DD_SMALL_BT2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(absb > 0, c * t / np.sqrt(np.where(absb > 0, absb, 1.0)), np.inf)
-    m_rec = (~m_two) & (~m_small) & (ratio <= _DD_REC_RATIO)
-    m_two = m_two | (~m_small & ~m_rec)
-
-    sel = 0 if kind == "sinch" else 1
-    if m_two.any():
-        bb, cc, tt, aa = b[m_two], c[m_two], t[m_two], a[m_two]
-        amb = a2mb[m_two]
-        fp = _damped_pair(bb + cc, aa, tt, a2mz=amb - cc, half=sel)[sel]
-        fm = _damped_pair(bb - cc, aa, tt, a2mz=amb + cc, half=sel)[sel]
-        out[m_two] = (fp - fm) / (2.0 * cc)
-    if m_small.any():
-        bb, cc, tt, aa = b[m_small], c[m_small], t[m_small], a[m_small]
-        damp = np.exp(-aa * tt)
+    idx = two.nonzero()[0]
+    if idx.size:
+        k = idx.size
+        c2 = np.multiply(_take(c, idx, ws("dd.c2", k)), 2.0, out=ws("dd.c2", k))
+        for name, fp, fm in (("K", "gp", "gm"), ("dd_cosh", "hp", "hm")):
+            if name in need:
+                d = _take(ws(fp, n), idx, ws("dd.d", k))
+                d -= _take(ws(fm, n), idx, ws("dd.fm", k))
+                ws(name, n)[idx] = np.divide(d, c2, out=d)
+    idx = small.nonzero()[0]
+    if idx.size:
+        bb, cc, tt, dd = b[idx], c[idx], _gather(t, idx), damp[idx]
         c2 = cc * cc
-        if kind == "sinch":
-            d1 = _series_deriv("sinch", 1, bb, tt)
-            d3 = _series_deriv("sinch", 3, bb, tt)
-            d5 = _series_deriv("sinch", 5, bb, tt)
-            d7 = _series_deriv("sinch", 7, bb, tt)
-        else:
+        if "K" in need:
+            d1, d3, d5, d7 = (_series_deriv("sinch", j, bb, tt) for j in (1, 3, 5, 7))
+            ws("K", n)[idx] = dd * (d1 + c2 * (d3 / 6.0 + c2 * (d5 / 120.0 + c2 * d7 / 5040.0)))
+        if "dd_cosh" in need:
             # coshc' = (t/2) * sinch, so odd coshc-derivatives are even
             # sinch-derivatives scaled by t/2
-            d1 = 0.5 * tt * _series_deriv("sinch", 0, bb, tt)
-            d3 = 0.5 * tt * _series_deriv("sinch", 2, bb, tt)
-            d5 = 0.5 * tt * _series_deriv("sinch", 4, bb, tt)
-            d7 = 0.5 * tt * _series_deriv("sinch", 6, bb, tt)
-        out[m_small] = damp * (d1 + c2 * (d3 / 6.0 + c2 * (d5 / 120.0 + c2 * d7 / 5040.0)))
-    if m_rec.any():
-        bb, cc, tt, aa = b[m_rec], c[m_rec], t[m_rec], a[m_rec]
-        g0, h0 = _damped_pair(bb, aa, tt, a2mz=a2mb[m_rec])
+            d1, d3, d5, d7 = (0.5 * tt * _series_deriv("sinch", j, bb, tt) for j in (0, 2, 4, 6))
+            ws("dd_cosh", n)[idx] = dd * (
+                d1 + c2 * (d3 / 6.0 + c2 * (d5 / 120.0 + c2 * d7 / 5040.0)))
+    if rec.size:
+        bb, cc, tt = b[rec], c[rec], _gather(t, rec)
+        g0, h0 = np.empty(rec.size), np.empty(rec.size)
+        _damped_pair(g0, h0, bb, a[rec], tt, damp[rec], a2mb[rec], ws)
         t2h = 0.5 * tt * tt
         inv2b = 1.0 / (2.0 * bb)
         d = [g0, (tt * h0 - g0) * inv2b]
         for j in range(1, 7):
             d.append((t2h * d[j - 1] - (2 * j + 1) * d[j]) * inv2b)
         c2 = cc * cc
-        if kind == "sinch":
-            out[m_rec] = d[1] + c2 * (d[3] / 6.0 + c2 * (d[5] / 120.0 + c2 * d[7] / 5040.0))
-        else:
-            out[m_rec] = 0.5 * tt * (
-                d[0] + c2 * (d[2] / 6.0 + c2 * (d[4] / 120.0 + c2 * d[6] / 5040.0))
-            )
-    return out
+        if "K" in need:
+            ws("K", n)[rec] = d[1] + c2 * (d[3] / 6.0 + c2 * (d[5] / 120.0 + c2 * d[7] / 5040.0))
+        if "dd_cosh" in need:
+            ws("dd_cosh", n)[rec] = 0.5 * tt * (
+                d[0] + c2 * (d[2] / 6.0 + c2 * (d[4] / 120.0 + c2 * d[6] / 5040.0)))
+
+
+def _dd_damped(kind: str, b, c, t, a, a2mb=None):
+    """exp(-a t) * (f(b+c,t) - f(b-c,t)) / (2c) for f = sinch or coshc.
+
+    Inputs broadcast; `a2mb` optionally carries an exactly known a^2 - b.
+    """
+    if a2mb is None:
+        a2mb = np.square(np.asarray(a, dtype=float)) - np.asarray(b, dtype=float)
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (b, c, t, a, a2mb)))
+    name = "K" if kind == "sinch" else "dd_cosh"
+    ws = _Workspace(arrays[0].size)
+    ws.out = {name: np.empty(ws.size)}
+    _damped(_closure((name,)), *(np.ravel(x) for x in arrays), ws)
+    return ws.out[name].reshape(arrays[0].shape)
 
 
 def _as_result(arr, scalar: bool):
@@ -246,25 +385,30 @@ def _all_scalar(*xs) -> bool:
     return all(np.ndim(x) == 0 for x in xs)
 
 
+def _undamped(z, t, half: int):
+    z, t = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(t, dtype=float))
+    zf, tf = np.ravel(z), np.ravel(t)
+    a = np.zeros(zf.size)
+    out = np.empty(zf.size)
+    _damped_pair(out if half == 0 else None, out if half == 1 else None,
+                 zf, a, tf, np.exp(-a * tf), None, _Workspace(zf.size))
+    return _as_result(out.reshape(z.shape), z.ndim == 0)
+
+
 def sinch(z, t):
     """Entire continuation of sinh(t*sqrt(z))/sqrt(z); sin-form for z < 0."""
-    return _as_result(_damped_pair(z, 0.0, t, half=0)[0], _all_scalar(z, t))
+    return _undamped(z, t, 0)
 
 
 def coshc(z, t):
     """Entire continuation of cosh(t*sqrt(z)); cos-form for z < 0."""
-    return _as_result(_damped_pair(z, 0.0, t, half=1)[1], _all_scalar(z, t))
+    return _undamped(z, t, 1)
 
 
 # The symbols a batch evaluation can return, besides the coordinates t, xi,
 # eta and the mode radius A, which every evaluation carries.
 KERNEL_FIELDS = ("K", "K1", "dtK", "ddtK", "comp", "comp_x", "dt_comp", "ddt_comp", "dtK1")
 _COORDS = ("t", "xi", "eta", "A")
-
-# Points per block when a large batch is evaluated block by block: a few MB of
-# temporaries per block stay in cache and are reused instead of being freed
-# and faulted in again for every intermediate of a multi-MB batch.
-_CHUNK = 65536
 
 
 class KernelValues:
@@ -287,70 +431,44 @@ class KernelValues:
         raise AttributeError("KernelValues is read-only")
 
 
-class _Batch:
-    """The kernel symbols of one broadcast batch, each computed on first read
-    from the intermediates it depends on."""
+def _block(t, xi, eta, need, ws):
+    """Evaluate one flat block into the arrays of `ws` that `need` names."""
+    n = xi.size
+    A, b, c = _split_bc(xi, eta, ws)
+    a2 = ws("a2", n)
+    a = np.multiply(a2, 0.5, out=ws("a", n))
+    if need.isdisjoint(_SIDES):
+        return
+    _damped(need, b, c, t, a, a2, ws)
 
-    def __init__(self, t, xi, eta):
-        self.t, self.xi, self.eta = t, xi, eta
-        self.A, self.b, self.c = _split_bc(xi, eta)
-        self.a2 = self.A * self.A
-        self.a = 0.5 * self.a2
-
-    def values(self, fields) -> KernelValues:
-        return KernelValues(t=self.t, xi=self.xi, eta=self.eta, A=self.A,
-                            **{f: getattr(self, f) for f in fields})
-
-    @cached_property
-    def plus(self):
-        """Damped (sinch, coshc) pair at z = b + c."""
-        return _damped_pair(self.b + self.c, self.a, self.t, a2mz=self.a2 - self.c)
-
-    @cached_property
-    def minus(self):
-        """Damped (sinch, coshc) pair at z = b - c."""
-        return _damped_pair(self.b - self.c, self.a, self.t, a2mz=self.a2 + self.c)
-
-    @cached_property
-    def K(self):
-        return _dd_damped("sinch", self.b, self.c, self.t, self.a, a2mb=self.a2)
-
-    @cached_property
-    def dd_cosh(self):
-        return _dd_damped("coshc", self.b, self.c, self.t, self.a, a2mb=self.a2)
-
-    @cached_property
-    def comp(self):
-        return 0.5 * (self.plus[0] + self.minus[0])
-
-    @cached_property
-    def K1(self):
-        return 0.5 * (self.plus[1] + self.minus[1])
-
-    @cached_property
-    def dtK(self):
-        return -self.a * self.K + self.dd_cosh
-
-    @cached_property
-    def dt_comp(self):
-        return -self.a * self.comp + self.K1
-
-    @cached_property
-    def ddtK(self):
-        return self.comp - self.a2 * self.dtK - self.a2 * self.K
-
-    @cached_property
-    def comp_x(self):
-        return self.comp - self.eta * self.eta * self.K
-
-    @cached_property
-    def dtK1(self):
-        (gp, _), (gm, _) = self.plus, self.minus
-        return -self.a * self.K1 + 0.5 * ((self.b + self.c) * gp + (self.b - self.c) * gm)
-
-    @cached_property
-    def ddt_comp(self):
-        return -self.a * self.dt_comp + self.dtK1
+    def v(name):
+        return ws(name, n)
+    if "comp" in need:
+        np.multiply(np.add(v("gp"), v("gm"), out=v("comp")), 0.5, out=v("comp"))
+    if "K1" in need:
+        np.multiply(np.add(v("hp"), v("hm"), out=v("K1")), 0.5, out=v("K1"))
+    if "dtK" in need:
+        np.add(np.multiply(np.negative(a, out=v("dtK")), v("K"), out=v("dtK")),
+               v("dd_cosh"), out=v("dtK"))
+    if "dt_comp" in need:
+        np.add(np.multiply(np.negative(a, out=v("dt_comp")), v("comp"), out=v("dt_comp")),
+               v("K1"), out=v("dt_comp"))
+    if "ddtK" in need:
+        np.subtract(v("comp"), np.multiply(a2, v("dtK"), out=v("ddtK")), out=v("ddtK"))
+        np.subtract(v("ddtK"), np.multiply(a2, v("K"), out=v("tmp")), out=v("ddtK"))
+    if "comp_x" in need:
+        cx = np.multiply(np.multiply(eta, eta, out=v("comp_x")), v("K"), out=v("comp_x"))
+        np.subtract(v("comp"), cx, out=cx)
+    if "dtK1" in need:
+        # (b + c) gp + (b - c) gm, halved
+        zg = np.multiply(v("zp"), v("gp"), out=v("tmp"))
+        zg += np.multiply(v("zm"), v("gm"), out=v("dtK1"))
+        zg *= 0.5
+        np.add(np.multiply(np.negative(a, out=v("dtK1")), v("K1"), out=v("dtK1")), zg,
+               out=v("dtK1"))
+    if "ddt_comp" in need:
+        np.add(np.multiply(np.negative(a, out=v("ddt_comp")), v("dt_comp"), out=v("ddt_comp")),
+               v("dtK1"), out=v("ddt_comp"))
 
 
 def _broadcast(t, xi, eta):
@@ -359,30 +477,47 @@ def _broadcast(t, xi, eta):
     )
 
 
+def _evaluate(t, xi, eta, names, ws=None) -> dict:
+    """The arrays `names` of the batch (t, xi, eta), block by block.
+
+    xi and eta are broadcast to the batch's shape; t either is too or is 0-d,
+    and then stays a scalar.  `names` are kernel fields or intermediates of
+    _block ("A", "b", "c", "a2", "a" = A^2/2 and the pairs of _SIDES).  The
+    blocks have `ws.size` points; without a workspace one of at most _CHUNK
+    points is made for this call.
+    """
+    t = np.asarray(t, dtype=float)
+    shape, size = xi.shape, xi.size
+    if t.ndim:
+        t = np.ravel(np.broadcast_to(t, shape))
+    xi, eta = np.ravel(xi), np.ravel(eta)
+    out = {name: np.empty(size) for name in names}
+    if ws is None:
+        ws = _Workspace(min(size, _CHUNK))
+    need = _closure(names)
+    for start in range(0, size, max(ws.size, 1)):
+        block = slice(start, start + ws.size)
+        ws.out = {name: arr[block] for name, arr in out.items()}
+        _block(t[block] if t.ndim else t, xi[block], eta[block], need, ws)
+    ws.out = {}
+    return {name: arr.reshape(shape) for name, arr in out.items()}
+
+
 def kernel_values(t, xi, eta, fields=KERNEL_FIELDS) -> KernelValues:
     """Evaluate the kernel symbols named in `fields` at (t, xi, eta).
 
     Inputs broadcast; the coordinates and A are always returned.  Only the
     requested symbols and the intermediates they depend on are computed, so
-    the values are bitwise those of the all-field evaluation.  A batch larger
-    than one block is evaluated block by block over its flattened points.
+    the values are bitwise those of the all-field evaluation.  The batch is
+    evaluated block by block over its flattened points, every block in one
+    workspace that this call owns; a 0-d t stays a scalar.
     """
     fields = tuple(f for f in fields if f not in _COORDS)
     unknown = [f for f in fields if f not in KERNEL_FIELDS]
     if unknown:
         raise ValueError(f"unknown kernel fields {unknown}; known: {KERNEL_FIELDS + _COORDS}")
     t_, xi_, eta_ = _broadcast(t, xi, eta)
-    if t_.size <= _CHUNK:
-        return _Batch(t_, xi_, eta_).values(fields)
-    flat = [np.ravel(x) for x in (t_, xi_, eta_)]
-    out = {f: np.empty(t_.size) for f in ("A",) + fields}
-    for start in range(0, t_.size, _CHUNK):
-        block = slice(start, start + _CHUNK)
-        batch = _Batch(*(x[block] for x in flat))
-        for f, arr in out.items():
-            arr[block] = getattr(batch, f)
-    return KernelValues(t=t_, xi=xi_, eta=eta_,
-                        **{f: arr.reshape(t_.shape) for f, arr in out.items()})
+    return KernelValues(t=t_, xi=xi_, eta=eta_, **_evaluate(t, xi_, eta_, ("A",) + fields))
 
 
 def k_hat(t, xi, eta):
@@ -410,10 +545,11 @@ def noise_floors(t, xi, eta, rel: float = 1e-10) -> tuple[KernelValues, dict]:
     symbol magnitudes so that rounding noise deep below scale is not compared
     against legitimately tiny bounds.
     """
-    batch = _Batch(*_broadcast(t, xi, eta))
-    kv = batch.values(KERNEL_FIELDS)
-    b, c, a2, a = batch.b, batch.c, batch.a2, batch.a
-    (gp, hp), (gm, hm) = batch.plus, batch.minus
+    t_, xi_, eta_ = _broadcast(t, xi, eta)
+    v = _evaluate(t, xi_, eta_, ("A", "b", "c", "a2", "a") + KERNEL_FIELDS + _SIDES)
+    kv = KernelValues(t=t_, xi=xi_, eta=eta_, **{f: v[f] for f in ("A",) + KERNEL_FIELDS})
+    b, c, a2, a = v["b"], v["c"], v["a2"], v["a"]
+    gp, hp, gm, hm = (v[f] for f in _SIDES)
     eta2 = kv.eta * kv.eta
     # the coshc divided difference as recovered from the assembled symbols
     dd_cosh = kv.dtK + a * kv.K
@@ -456,8 +592,8 @@ def _envelope_terms(t, xi, eta, c_decay):
 
 def bound_envelope(which: int, t, xi, eta, c_decay: float = DEFAULT_C_DECAY):
     """Right-hand side of pointwise kernel estimate number `which` (1..8)."""
-    if c_decay <= 0:
-        raise ValueError("c_decay must be positive")
+    if not 0.0 < c_decay < np.inf:
+        raise ValueError(f"c_decay must be positive and finite, got {c_decay!r}")
     if which not in range(1, 9):
         raise ValueError(f"unknown estimate id {which}; expected 1..8")
     t_, xi_, eta_, A, hi, lo, aniso = _envelope_terms(t, xi, eta, c_decay)

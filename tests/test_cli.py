@@ -58,6 +58,15 @@ class TestKernelScan:
         assert f"--t: times must be finite, got {times}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("c_decay", ["nan", "inf", "-inf"])
+    def test_nonfinite_c_decay_exit_2(self, tmp_path, capsys, c_decay):
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(["kernel", "scan", "--t", "5", "--n", "4",
+                                f"--c-decay={c_decay}", "--out", str(out)], capsys)
+        assert code == 2
+        assert "c_decay must be positive and finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("times,named", [("-1", "-1"), ("0,0.5,-0.25", "-0.25")])
     def test_negative_time_exit_2(self, tmp_path, capsys, times, named):
         out = tmp_path / "scan.csv"

@@ -75,6 +75,13 @@ class TestSinchCoshc:
     def test_coshc_positive(self):
         assert kr.coshc(4.0, 0.5) == pytest.approx(math.cosh(1.0), rel=1e-14)
 
+    def test_nan_argument_gives_nan(self):
+        # a NaN z fails both branch tests, falls to the positive branch and
+        # gives NaN, never the contents of uninitialized memory
+        assert math.isnan(kr.sinch(math.nan, 1.0)) and math.isnan(kr.coshc(math.nan, 1.0))
+        kv = kr.kernel_values(1.0, np.array([math.nan, 1.0]), 0.5)
+        assert all(math.isnan(getattr(kv, f)[0]) for f in kr.KERNEL_FIELDS)
+
     def test_against_high_precision(self):
         rng = np.random.default_rng(11)
         for _ in range(400):
@@ -293,6 +300,11 @@ class TestBoundEnvelope:
         with pytest.raises(ValueError):
             kr.bound_envelope(1, 1.0, 1.0, 1.0, c_decay=0.0)
 
+    @pytest.mark.parametrize("c_decay", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_c_decay_rejected(self, c_decay):
+        with pytest.raises(ValueError, match="c_decay must be positive and finite"):
+            kr.bound_envelope(1, 1.0, 1.0, 1.0, c_decay=c_decay)
+
     def test_zero_mode_is_inf_for_singular_items(self):
         assert kr.bound_envelope(1, 1.0, 0.0, 0.0) == np.inf
 
@@ -305,8 +317,11 @@ class TestSelectiveEvaluation:
 
     @staticmethod
     def _reference(t, xi, eta):
-        # all fields over the whole batch in one block
-        return kr._Batch(*kr._broadcast(t, xi, eta)).values(kr.KERNEL_FIELDS)
+        # all fields over the whole batch in one block, with t broadcast
+        t_, xi_, eta_ = kr._broadcast(t, xi, eta)
+        one_block = kr._Workspace(max(t_.size, 1))
+        values = kr._evaluate(t_, xi_, eta_, ("A",) + kr.KERNEL_FIELDS, one_block)
+        return kr.KernelValues(t=t_, xi=xi_, eta=eta_, **values)
 
     @staticmethod
     def _assert_same(got, want, what):
@@ -345,7 +360,10 @@ class TestSelectiveEvaluation:
         self._assert_same(kr.k_hat(t, xi, eta), ref.K, "k_hat")
         self._assert_same(kr.k1_hat(t, xi, eta), ref.K1, "k1_hat")
 
-    @pytest.mark.parametrize("n", [kr._CHUNK - 1, kr._CHUNK, kr._CHUNK + 1])
+    # one point short of a block, one block, one point over; and the same
+    # around 65,536, which is four blocks of 16,384 points
+    @pytest.mark.parametrize("n", sorted({kr._CHUNK - 1, kr._CHUNK, kr._CHUNK + 1,
+                                          65535, 65536, 65537}))
     @pytest.mark.parametrize("t", [0.0, 1.0, 1e4])
     def test_flat_batches_around_one_block(self, n, t):
         rng = np.random.default_rng(n)
@@ -392,3 +410,99 @@ class TestSelectiveEvaluation:
         with pytest.raises(AttributeError, match="'comp'"):
             ln._symbol(lambda K: kr.kernel_values(1.0, 0.5, 0.5, fields=("K",)).comp)(
                 1.0, 0.5, 0.5)
+
+
+def _golden_batch():
+    """Fixed inputs reaching every branch; three times over 160 x 160 modes."""
+    axis = np.concatenate([[0.0, 1e-12, 1e-6, 0.05, 2.0], np.linspace(-8.0, 8.0, 155)])
+    return np.array([0.0, 1.0, 1e4])[:, None, None], axis[:, None], axis[None, :]
+
+
+def _branch_counts(t, xi, eta):
+    """How many points of the batch take each branch of the evaluation."""
+    t, xi, eta = np.broadcast_arrays(t, xi, eta)
+    A = np.hypot(xi, eta)
+    b, c = 0.25 * A**4 - A * A, A * np.abs(eta)
+    counts = {"xi=0": np.sum(xi == 0), "eta=0": np.sum(eta == 0), "A=0": np.sum(A == 0)}
+    for side, z in (("plus", b + c), ("minus", b - c)):
+        series = np.abs(z * t * t) <= kr._SERIES_Z
+        counts[f"{side}.series"] = np.sum(series)
+        counts[f"{side}.osc"] = np.sum(~series & (z < 0))
+        counts[f"{side}.pos"] = np.sum(~series & (z >= 0))
+    absb = np.abs(b)
+    w = t * np.sqrt(absb + c)
+    two = c * t * t / (1 + w) > kr._DD_V_REL * (1 + w)
+    small = ~two & ((absb + c) * t * t <= kr._DD_SMALL_BT2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rec = ~two & ~small & (c * t / np.sqrt(absb) <= kr._DD_REC_RATIO) & (absb > 0)
+    counts.update({"dd.two": np.sum(two | (~small & ~rec)), "dd.small": np.sum(small),
+                   "dd.rec": np.sum(rec)})
+    return {k: int(v) for k, v in counts.items()}
+
+
+class TestGoldenDigests:
+    """The bits of every kernel field, pinned as they were before the block
+    evaluation shared its intermediates and work arrays."""
+
+    DIGESTS = {
+        "A": "b8f44eede3923c9636da99a469a8652d3727b8939c3e2a21666969507cd6bfd7",
+        "K": "79f677018e42b199177ee95c013e7e57841f264ff29abfa2a2bec70436754baa",
+        "K1": "8a8bd127584510e7d139b80fdcca1465f5c79eeb67d6d4446f5c26ea91c4719e",
+        "dtK": "d5f87e33ccd2018db15f31dc64013b79710ea8fa48e166147db804c6a473eb9d",
+        "ddtK": "40b4d8d5ebceb3b5e7e1d4df59762a96fdc38a9d07011bd8d56c84344077d1bc",
+        "comp": "4c7a237dd5411b29291675c4a3f78fd061a65da35c073911395c66d35d3dfef3",
+        "comp_x": "f1de2961ecb037971480de731e4a94d5e27af8827065b86a53c74af880659810",
+        "dt_comp": "9217f92eb618d7132584b03affc8adc12237513a26ecbe9be4271e5f45409cda",
+        "ddt_comp": "a14a501d643d1dc6e481fa4208ba48e5d6b455cb4650347f2569bd0aa5f96252",
+        "dtK1": "8bdf174eff3f5dd7f79244c9dfa29e845659662b4de9dc04edc0978b8a5fffdc",
+    }
+
+    def test_inputs_reach_every_branch(self):
+        t, xi, eta = _golden_batch()
+        counts = _branch_counts(t, xi, eta)
+        assert all(n > 0 for n in counts.values()), counts
+        assert set(np.ravel(t)) == {0.0, 1.0, 1e4}
+        assert np.broadcast(t, xi, eta).size > kr._CHUNK
+
+    def test_every_field_matches_its_digest(self, recorded_math):
+        import hashlib
+
+        kv = kr.kernel_values(*_golden_batch())
+        got = {f: hashlib.sha256(np.ascontiguousarray(getattr(kv, f)).tobytes()).hexdigest()
+               for f in self.DIGESTS}
+        assert got == self.DIGESTS
+
+
+class TestBlockEvaluation:
+    """A 0-d t, a broadcast t and a reused workspace give the same bytes."""
+
+    @staticmethod
+    def _fields(kv):
+        return {f: np.asarray(getattr(kv, f)).tobytes() for f in ("A",) + kr.KERNEL_FIELDS}
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1e4])
+    def test_scalar_t_equals_broadcast_t(self, t):
+        _, xi, eta = _golden_batch()
+        xi, eta = np.broadcast_arrays(xi, eta)
+        scalar = kr.kernel_values(t, xi, eta)
+        full = kr.kernel_values(np.full(xi.shape, t), xi, eta)
+        assert self._fields(scalar) == self._fields(full)
+        assert scalar.t.shape == xi.shape and np.all(scalar.t == t)
+
+    def test_t_keeps_its_broadcast_shape(self):
+        kv = kr.kernel_values(np.array([[1.0], [2.0]]), np.linspace(0.0, 3.0, 5), 0.5,
+                              fields=("K",))
+        assert kv.t.shape == kv.xi.shape == kv.eta.shape == kv.K.shape == (2, 5)
+        assert kr.kernel_values(1.0, np.ones(4), 0.5, fields=("K1",)).t.shape == (4,)
+
+    def test_reused_workspace_gives_the_same_bytes(self):
+        t, xi, eta = kr._broadcast(*_golden_batch())
+        names = ("A",) + kr.KERNEL_FIELDS + kr._SIDES
+        fresh = kr._evaluate(t, xi, eta, names)
+        ws = kr._Workspace(kr._CHUNK)
+        # dirty the workspace with other inputs and other fields first
+        kr._evaluate(2.5, -xi[:, ::3], eta[:, ::3] + 0.25, ("K1", "dtK"), ws)
+        for _ in range(2):
+            reused = kr._evaluate(t, xi, eta, names, ws)
+            assert {f: a.tobytes() for f, a in reused.items()} == \
+                {f: a.tobytes() for f, a in fresh.items()}

@@ -576,6 +576,20 @@ class TestDecayExperiments:
         assert d["quantity_id"] == "kn5L"
         assert len(d["values"]) == 6
 
+    # the values of the benchmark's two decay experiments at three times of the
+    # criterion-6 window, as float.hex, recorded before the block evaluation of
+    # the kernel shared its intermediates; they pin the kernel and the
+    # quadrature together, bit for bit
+    PINNED = {
+        "kn1L": ["0x1.466bf68266a4bp-3", "0x1.a4c0c83f3d9b4p-4", "0x1.10c526dbdc8dap-4"],
+        "k1L": ["0x1.7d0dee97a8fb1p-4", "0x1.c575b5fb22cbfp-5", "0x1.1a1dd7988df4ap-5"],
+    }
+
+    @pytest.mark.parametrize("prop", sorted(PINNED))
+    def test_values_pinned(self, prop, recorded_math):
+        rep = ln.propagator_decay_experiment(prop, times=np.geomspace(316.0, 1e4, 3))
+        assert [float(v).hex() for v in rep.values] == self.PINNED[prop]
+
     @pytest.mark.slow
     def test_kn5L_slope(self):
         rep = ln.propagator_decay_experiment("kn5L")
