@@ -142,6 +142,12 @@ def cmd_linear_symbol_norm(ns) -> int:
     return 0
 
 
+def _print_progress(t: float, record) -> None:
+    """One stderr line per observation after t = 0."""
+    s = record.snapshots[-1]
+    print(f"t={t:.6g} energy={s.energy:.6e} sup_n={s.sup_n:.6e}", file=sys.stderr, flush=True)
+
+
 def cmd_simulate(ns) -> int:
     t_start = time.time()
     try:
@@ -155,7 +161,8 @@ def cmd_simulate(ns) -> int:
         return 2
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    record = _solver.simulate(cfg, out_dir=out)
+    record = _solver.simulate(cfg, out_dir=out,
+                              progress=_print_progress if ns.progress else None)
     outputs = [out / "trajectory.csv", out / "run_manifest.json"]
     _write_manifest(out / "manifest.json", ns, outputs, t_start, cfg.digest(),
                     seed=cfg.seed)
@@ -250,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the nonlinear solver")
     p_sim.add_argument("--config", default="", help="config JSON path")
     p_sim.add_argument("--out", required=True, help="output directory")
+    p_sim.add_argument("--progress", action="store_true",
+                       help="write one line per observation to stderr")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="inequality verification suites")

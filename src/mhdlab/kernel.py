@@ -21,8 +21,6 @@ import numpy as np
 __all__ = [
     "KernelValues",
     "KERNEL_FIELDS",
-    "sinch",
-    "coshc",
     "k_hat",
     "k1_hat",
     "kernel_values",
@@ -386,6 +384,8 @@ def _all_scalar(*xs) -> bool:
 
 
 def _undamped(z, t, half: int):
+    """sinch(z, t) for half 0, coshc(z, t) for half 1: the entire continuations
+    of sinh(t*sqrt(z))/sqrt(z) and cosh(t*sqrt(z)), sin- and cos-form for z < 0."""
     z, t = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(t, dtype=float))
     zf, tf = np.ravel(z), np.ravel(t)
     a = np.zeros(zf.size)
@@ -393,16 +393,6 @@ def _undamped(z, t, half: int):
     _damped_pair(out if half == 0 else None, out if half == 1 else None,
                  zf, a, tf, np.exp(-a * tf), None, _Workspace(zf.size))
     return _as_result(out.reshape(z.shape), z.ndim == 0)
-
-
-def sinch(z, t):
-    """Entire continuation of sinh(t*sqrt(z))/sqrt(z); sin-form for z < 0."""
-    return _undamped(z, t, 0)
-
-
-def coshc(z, t):
-    """Entire continuation of cosh(t*sqrt(z)); cos-form for z < 0."""
-    return _undamped(z, t, 1)
 
 
 # The symbols a batch evaluation can return, besides the coordinates t, xi,

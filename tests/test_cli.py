@@ -194,6 +194,19 @@ class TestSimulate:
         assert manifest["config_digest"]
         assert manifest["seed"] == 3  # the config's seed
 
+    def test_progress_lines_and_same_trajectory(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        code, _, quiet = run_cli(["simulate", "--config", str(cfg),
+                                  "--out", str(tmp_path / "quiet")], capsys)
+        assert code == 0 and quiet == ""
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--progress",
+                                "--out", str(tmp_path / "loud")], capsys)
+        assert code == 0
+        # observations at t = 0.5 and 1.0; none is reported for t = 0
+        assert [line.split()[0] for line in err.splitlines()] == ["t=0.5", "t=1"]
+        assert ((tmp_path / "loud" / "trajectory.csv").read_bytes()
+                == (tmp_path / "quiet" / "trajectory.csv").read_bytes())
+
     def test_invalid_lambda_names_field(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         cfg.write_text(cfg.read_text().replace('"lambda": 0.05', '"lambda": 1.5'))

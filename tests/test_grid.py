@@ -330,6 +330,76 @@ class TestExactSum:
         assert gr.fsum(big) == 65536.0 != np.sum(big)
 
 
+def parametrized_values(test):
+    """The `values` a parametrized test of `TestExactSum` runs on."""
+    return next(m.args[1] for m in test.pytestmark if m.name == "parametrize")
+
+
+@pytest.fixture
+def list_sizes(monkeypatch):
+    """Lengths of the lists handed to `math.fsum`, one entry per call."""
+    sizes, real = [], math.fsum
+
+    def spy(xs):
+        sizes.append(len(xs))
+        return real(xs)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    return sizes
+
+
+class TestExtractedSum:
+    """Above `_FSUM_SMALL` values `grid.fsum` decides by extraction passes;
+    from one value past that cutoff to past one block it still returns the
+    float of `math.fsum`."""
+
+    sizes = st.integers(gr._FSUM_SMALL + 1, gr._FSUM_BLOCK + 100)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes, st.integers(0, 2**32 - 1), st.booleans())
+    def test_one_signed(self, n, seed, wide):
+        # wide: 350 binades; narrow: every value in [1, 2), so a block's heads
+        # come close to the bound the extraction unit allows
+        rng = np.random.default_rng(seed)
+        if wide:
+            x = np.abs(rng.standard_normal(n)) * np.exp(-rng.uniform(0, 800, n))
+        else:
+            x = 1.0 + rng.random(n)
+        assert_fsum_matches(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes, st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_exact_cancellation(self, n, seed, n_left):
+        # pairs x, -x cancel exactly; n_left values of any scale are left over
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-300, 300, n // 2)
+        left = rng.standard_normal(n_left) * 10.0 ** rng.uniform(-320, 300, n_left)
+        x = np.concatenate([half, -half, left])
+        rng.shuffle(x)
+        assert_fsum_matches(x)
+
+    @pytest.mark.parametrize("size", [gr._FSUM_SMALL + 1, gr._FSUM_BLOCK + 1])
+    @pytest.mark.parametrize("values",
+                             parametrized_values(TestExactSum.test_fixed_cases)
+                             + parametrized_values(TestExactSum.test_nonfinite_and_overflow))
+    def test_fixed_cases_tiled(self, values, size):
+        assert_fsum_matches(np.resize(np.asarray(values, dtype=float), size))
+
+    def test_decay_like_sum_needs_no_list(self, list_sizes):
+        rng = np.random.default_rng(16)
+        x = np.abs(rng.standard_normal(100_000)) * np.exp(-rng.uniform(0, 800, 100_000))
+        got = gr.fsum(x)
+        assert list_sizes and max(list_sizes) < x.size  # the block heads and a bound only
+        assert got == math.fsum(x.tolist())
+
+    def test_tie_with_a_tiny_tail_takes_the_list(self, list_sizes):
+        # the heads sum to 1 + 2**-53, exactly halfway between two floats, and
+        # the tail 2**-1000 decides the rounding, which the bound cannot
+        x = [1.0, 2.0**-53, 2.0**-1000] + [0.0] * gr._FSUM_SMALL
+        assert gr.fsum(x) == 1.0000000000000002
+        assert list_sizes[-1] == len(x)
+
+
 class TestNorms:
     def test_constant_norm(self):
         # unit-area-normalized box: ||1||_2 = 1
