@@ -112,6 +112,8 @@ def cmd_linear_charpoly(ns) -> int:
 
 def cmd_linear_decay(ns) -> int:
     t_start = time.time()
+    if 0 < ns.points < 3:
+        raise ValueError(f"--points: a slope fit needs at least 3 times, got {ns.points}")
     times = np.geomspace(ns.t0, ns.t1, ns.points)
     report = _linear.propagator_decay_experiment(ns.prop, init=ns.init, times=times,
                                                  seed=ns.seed)

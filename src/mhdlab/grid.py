@@ -35,6 +35,7 @@ __all__ = [
     "hm_energy",
     "x_norm_snapshot",
     "x_param_problems",
+    "dimension_problems",
     "bump_chi",
     "save_field",
     "load_field",
@@ -192,13 +193,19 @@ class FourierGrid:
         return np.pi * self.ny / self.Ly * fraction
 
 
+def dimension_problems(nx: int, ny: int, Lx: float, Ly: float) -> list[str]:
+    """Every violated constraint on the grid dimensions, by name: nx and ny
+    even and >= 4, box lengths positive."""
+    problems = [f"{name}: {n} must be an even integer >= 4"
+                for name, n in (("nx", nx), ("ny", ny)) if n < 4 or n % 2]
+    return problems + [f"{name}: {val} must be positive"
+                       for name, val in (("Lx", Lx), ("Ly", Ly)) if val <= 0]
+
+
 def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> FourierGrid:
-    """Build the wavenumber lattice; nx, ny must be even and >= 4."""
-    for name, n in (("nx", nx), ("ny", ny)):
-        if n < 4 or n % 2 != 0:
-            raise GridError(f"invalid-dimension: {name}={n} must be an even integer >= 4")
-    if Lx <= 0 or Ly <= 0:
-        raise GridError(f"invalid-dimension: box lengths must be positive, got {Lx}, {Ly}")
+    """Build the wavenumber lattice; see dimension_problems."""
+    if problems := dimension_problems(nx, ny, Lx, Ly):
+        raise GridError("invalid-dimension: " + "; ".join(problems))
     xi = 2.0 * np.pi * np.fft.fftfreq(nx, d=Lx / nx)
     eta = 2.0 * np.pi * np.fft.rfftfreq(ny, d=Ly / ny)
     xi_d, eta_d = xi.copy(), eta.copy()

@@ -124,17 +124,17 @@ def _split_bc(xi, eta, ws=None):
 def _damped_pair(g, h, z, a, t, damp, a2mz, ws):
     """Write exp(-a t) * sinch(z, t) into g and exp(-a t) * coshc(z, t) into h.
 
-    z, a, damp = exp(-a t) and a2mz are flat arrays of one length, and t is
-    one too or 0-d.  g or h may be None, and then that half is not computed.
-    The points are split once into index arrays of the series, oscillatory
-    and positive branches.
+    z, a, damp = exp(-a t) and a2mz = a^2 - z are flat arrays of one length,
+    and t is one too or 0-d.  g or h may be None, and then that half is not
+    computed.  The points are split once into index arrays of the series,
+    oscillatory and positive branches.
 
     The product form matters: for z > 0 both factors can over/underflow even
     though the product is tame, so the positive branch is assembled from the
     exponentials exp((sqrt(z) - a) t) and exp(-(sqrt(z) + a) t) directly.
-    When the caller knows a^2 - z exactly (`a2mz`), the critical exponent is
-    computed as sqrt(z) - a = (z - a^2)/(sqrt(z) + a), avoiding the
-    cancellation of two nearly equal large numbers.
+    The caller knows a^2 - z exactly, so the critical exponent is computed as
+    sqrt(z) - a = (z - a^2)/(sqrt(z) + a), avoiding the cancellation of two
+    nearly equal large numbers.
     """
     m = z.size
     x = np.multiply(z, t, out=ws("pair.x", m))
@@ -177,13 +177,9 @@ def _damped_pair(g, h, z, a, t, damp, a2mz, ws):
         s = np.sqrt(_take(z, idx, ws("pair.s", k)), out=ws("pair.s", k))
         ts = _take(t, idx, ws("pair.ts", k))
         sa = _take(a, idx, ws("pair.sa", k))
-        if a2mz is None:
-            up = np.subtract(s, sa, out=ws("pair.up", k))
-        else:
-            up = _take(a2mz, idx, ws("pair.up", k))
+        up = _take(a2mz, idx, ws("pair.up", k))
         sa += s
-        if a2mz is not None:
-            np.negative(np.divide(up, sa, out=up), out=up)
+        np.negative(np.divide(up, sa, out=up), out=up)
         up *= ts
         em = np.negative(sa, out=sa)
         em *= ts
@@ -197,38 +193,41 @@ def _damped_pair(g, h, z, a, t, damp, a2mz, ws):
             h[idx] = np.multiply(np.add(ep, em, out=ep), 0.5, out=ep)
 
 
-def _series_deriv(kind: str, j: int, b, t, nterms: int = 48):
-    """j-th z-derivative of sinch/coshc at z=b via the entire power series.
+def _sinch_series(orders, b, t):
+    """The z-derivatives of sinch at z = b of the given orders, one row each,
+    by the entire power series: a_m = t^(2m+1)/(2m+1)!, and row j sums the
+    first 48 terms a_{k+j} (k+j)!/k! b^k.
 
-    Valid (fast, cancellation-safe) when t^2 * |b| is moderate; callers gate
-    on _DD_SMALL_BT2.
+    Valid (fast, cancellation-safe) when t^2 |b| is moderate; callers gate
+    on _DD_SMALL_BT2.  b and t are flat arrays of one length.
     """
-    b = np.asarray(b, dtype=float)
-    t = np.asarray(t, dtype=float)
     t2 = t * t
-    # coefficient a_{k+j} * (k+j)!/k! of b^k; k = 0 term:
-    if kind == "sinch":
-        # a_m = t^(2m+1)/(2m+1)!
-        term = t ** (2 * j + 1)
+    term = np.empty((len(orders), b.size))
+    for row, j in zip(term, orders):
+        first = t ** (2 * j + 1)  # the k = 0 term, a_j j!
         for i in range(1, 2 * j + 2):
-            term = term / i
-        for i in range(1, j + 1):  # (j)!/0! factor of the k=0 term
-            term = term * i
-    else:
-        term = t ** (2 * j)
-        for i in range(1, 2 * j + 1):
-            term = term / i
+            first = first / i
         for i in range(1, j + 1):
-            term = term * i
-    total = np.zeros(np.broadcast(b, t).shape, dtype=float)
-    term = np.broadcast_to(term, total.shape).astype(float).copy()
-    off = 1 if kind == "sinch" else 0
-    for k in range(nterms):
+            first = first * i
+        row[:] = first
+    # term k+1 over term k, over t^2 b: m / ((k+1) 2m (2m+1)) with m = k+j+1,
+    # one correctly rounded quotient of exact integers per row and k
+    k = np.arange(48.0)
+    m = k + np.array(orders, dtype=float)[:, None] + 1.0
+    ratios = m / ((k + 1.0) * (2.0 * m) * (2.0 * m + 1.0))
+    total = np.zeros_like(term)
+    for ratio in ratios.T:
         total += term
-        mj = k + j + 1
-        denom = (k + 1.0) * (2 * mj + off - 1.0) * (2 * mj + off)
-        term = term * t2 * b * (mj / denom)
+        term *= t2
+        term *= b
+        term *= ratio[:, None]
     return total
+
+
+def _c_taylor(c2, d1, d3, d5, d7):
+    """(f(b+c) - f(b-c)) / (2c) to order c^6 from the odd z-derivatives
+    d1, d3, d5, d7 of f at b, with c2 = c^2."""
+    return d1 + c2 * (d3 / 6.0 + c2 * (d5 / 120.0 + c2 * d7 / 5040.0))
 
 
 # The damped pairs at z = b + c ("gp", "hp": the sinch and coshc halves) and
@@ -334,15 +333,14 @@ def _divided_differences(need, b, c, t, a, damp, a2mb, ws):
     if idx.size:
         bb, cc, tt, dd = b[idx], c[idx], _gather(t, idx), damp[idx]
         c2 = cc * cc
+        # K reads the odd sinch derivatives; coshc' = (t/2) * sinch, so the
+        # odd coshc-derivatives of dd_cosh are the even sinch ones scaled by t/2
+        orders = [j for j in range(8) if ("K" if j % 2 else "dd_cosh") in need]
+        d = dict(zip(orders, _sinch_series(orders, bb, tt)))
         if "K" in need:
-            d1, d3, d5, d7 = (_series_deriv("sinch", j, bb, tt) for j in (1, 3, 5, 7))
-            ws("K", n)[idx] = dd * (d1 + c2 * (d3 / 6.0 + c2 * (d5 / 120.0 + c2 * d7 / 5040.0)))
+            ws("K", n)[idx] = dd * _c_taylor(c2, d[1], d[3], d[5], d[7])
         if "dd_cosh" in need:
-            # coshc' = (t/2) * sinch, so odd coshc-derivatives are even
-            # sinch-derivatives scaled by t/2
-            d1, d3, d5, d7 = (0.5 * tt * _series_deriv("sinch", j, bb, tt) for j in (0, 2, 4, 6))
-            ws("dd_cosh", n)[idx] = dd * (
-                d1 + c2 * (d3 / 6.0 + c2 * (d5 / 120.0 + c2 * d7 / 5040.0)))
+            ws("dd_cosh", n)[idx] = dd * _c_taylor(c2, *(0.5 * tt * d[j] for j in (0, 2, 4, 6)))
     if rec.size:
         bb, cc, tt = b[rec], c[rec], _gather(t, rec)
         g0, h0 = np.empty(rec.size), np.empty(rec.size)
@@ -354,10 +352,9 @@ def _divided_differences(need, b, c, t, a, damp, a2mb, ws):
             d.append((t2h * d[j - 1] - (2 * j + 1) * d[j]) * inv2b)
         c2 = cc * cc
         if "K" in need:
-            ws("K", n)[rec] = d[1] + c2 * (d[3] / 6.0 + c2 * (d[5] / 120.0 + c2 * d[7] / 5040.0))
+            ws("K", n)[rec] = _c_taylor(c2, *d[1::2])
         if "dd_cosh" in need:
-            ws("dd_cosh", n)[rec] = 0.5 * tt * (
-                d[0] + c2 * (d[2] / 6.0 + c2 * (d[4] / 120.0 + c2 * d[6] / 5040.0)))
+            ws("dd_cosh", n)[rec] = 0.5 * tt * _c_taylor(c2, *d[0::2])
 
 
 def _dd_damped(kind: str, b, c, t, a, a2mb=None):
@@ -391,7 +388,7 @@ def _undamped(z, t, half: int):
     a = np.zeros(zf.size)
     out = np.empty(zf.size)
     _damped_pair(out if half == 0 else None, out if half == 1 else None,
-                 zf, a, tf, np.exp(-a * tf), None, _Workspace(zf.size))
+                 zf, a, tf, np.exp(-a * tf), np.negative(zf), _Workspace(zf.size))
     return _as_result(out.reshape(z.shape), z.ndim == 0)
 
 

@@ -23,7 +23,6 @@ from . import grid as _grid
 from .kernel import kernel_values
 
 __all__ = [
-    "ModeMatrix",
     "DecayReport",
     "symbol_matrix",
     "matexp",
@@ -44,20 +43,10 @@ class QuadratureError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ModeMatrix:
-    """4x4 Fourier-side matrix of the linearized system at one mode, or a
-    stack of them, shape (..., 4, 4), over array-valued (xi, eta)."""
-
-    entries: np.ndarray
-    xi: float | np.ndarray
-    eta: float | np.ndarray
-    lam: float
-
-
-def symbol_matrix(xi, eta, lam: float = 0.0) -> ModeMatrix:
-    """Linearized generator at mode (xi, eta) with viscosity cross-term lam;
-    broadcasts over array-valued (xi, eta)."""
+def symbol_matrix(xi, eta, lam: float = 0.0) -> np.ndarray:
+    """Linearized generator at mode (xi, eta) with viscosity cross-term lam:
+    the complex 4x4 Fourier-side matrix, or a stack of them, shape
+    (..., 4, 4), over array-valued (xi, eta)."""
     ixi, ieta = 1j * xi, 1j * eta
     a2 = xi * xi + eta * eta
     m = np.zeros(np.broadcast_shapes(np.shape(xi), np.shape(eta)) + (4, 4), dtype=complex)
@@ -68,9 +57,7 @@ def symbol_matrix(xi, eta, lam: float = 0.0) -> ModeMatrix:
     m[..., 2, 2] = -a2 - lam * eta * eta
     m[..., 2, 3] = a2
     m[..., 3, 2] = -1.0
-    if m.ndim == 2:
-        xi, eta = float(xi), float(eta)
-    return ModeMatrix(entries=m, xi=xi, eta=eta, lam=float(lam))
+    return m
 
 
 def matexp(m: np.ndarray, t: float) -> np.ndarray:
@@ -115,7 +102,7 @@ def char_poly_check(xi, eta):
     ones; diagonalization holds when it is <= 1e-10 * (1 + A^8).
     """
     a2 = xi * xi + eta * eta
-    got = _charpoly_coeffs(symbol_matrix(xi, eta, 0.0).entries)
+    got = _charpoly_coeffs(symbol_matrix(xi, eta, 0.0))
     target = np.stack([np.ones(np.shape(a2)), 2.0 * a2, a2 * a2 + 2.0 * a2,
                        2.0 * a2 * a2, a2 * a2 - a2 * eta * eta], axis=-1)
     resid = np.max(np.abs(got - target), axis=-1)
@@ -275,7 +262,7 @@ def oracle_scan(samples: int = 1000, seed: int = 0, t_values=(0.1, 1.0, 10.0),
         u0 /= np.linalg.norm(u0)
         u0s[k] = u0
     xi, eta = modes[:, 0], modes[:, 1]
-    gen = symbol_matrix(xi, eta, 0.0).entries
+    gen = symbol_matrix(xi, eta, 0.0)
     errs = np.empty((samples, len(t_values)))
     for j, t in enumerate(t_values):
         ref = _apply(matexp(gen, t), u0s)
@@ -300,6 +287,8 @@ def oracle_scan(samples: int = 1000, seed: int = 0, t_values=(0.1, 1.0, 10.0),
 
 _LOG_A_MIN = -12.0
 _LOG_A_MAX = 6.0
+# Gauss-Legendre nodes per panel of the polar mesh, on both axes.
+_POLAR_GL = 8
 
 
 @cache
@@ -381,47 +370,46 @@ def _rho_edges(region, n_rho: int, t: float) -> np.ndarray:
     return edges
 
 
-def _carried_nodes(edges: np.ndarray, prev_edges: np.ndarray, n_gl: int,
-                   prev_nodes: int) -> np.ndarray:
+def _carried_nodes(edges: np.ndarray, prev_edges: np.ndarray) -> np.ndarray:
     """For each Gauss node on `edges`, the index of the same node on the
     previous level's `prev_edges`, or -1.
 
     A node is carried when its panel has both edges equal to those of a
     previous panel bit for bit, so its coordinate and weight are bitwise the
-    same.  A previous level with another node count per panel carries none.
+    same.
     """
-    if prev_nodes != n_gl * (prev_edges.size - 1):
-        return np.full(n_gl * (edges.size - 1), -1)
     j = np.minimum(np.searchsorted(prev_edges, edges[:-1]), prev_edges.size - 2)
     same = (prev_edges[j] == edges[:-1]) & (prev_edges[j + 1] == edges[1:])
-    return np.where(same[:, None], j[:, None] * n_gl + np.arange(n_gl), -1).ravel()
+    nodes = j[:, None] * _POLAR_GL + np.arange(_POLAR_GL)
+    return np.where(same[:, None], nodes, -1).ravel()
 
 
 def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
-              theta_levels: int, n_gl: int, carry: list | None = None) -> float:
+              theta_levels: int, carry: list | None = None) -> float:
     """One quadrature level of the L^q norm of symbol_fn(t, .) over a region.
 
     The mesh is a Gauss-Legendre product in (rho = log A, theta) over one
-    quadrant.  `carry` is an optional caller-owned list for the successive
-    levels of one integral.  It holds the previous level's rho edges, theta
-    edges and per-node terms (w * |S|^q, or |S| for q = inf) in row-major
-    (rho, theta) layout.  A node whose rho and theta panels both have a
-    previous panel's edges copies its term; every other node goes to
-    symbol_fn in one call.  The list is then set to this level.  Each node is
-    computed elementwise and grid.fsum is exactly rounded, so the result is
-    bitwise that of a level without a carry.
+    quadrant, with _POLAR_GL nodes per panel.  `carry` is an optional
+    caller-owned list for the successive levels of one integral.  It holds
+    the previous level's rho edges, theta edges and per-node terms
+    (w * |S|^q, or |S| for q = inf) in row-major (rho, theta) layout.  A
+    node whose rho and theta panels both have a previous panel's edges
+    copies its term; every other node goes to symbol_fn in one call.  The
+    list is then set to this level.  Each node is computed elementwise and
+    grid.fsum is exactly rounded, so the result is bitwise that of a level
+    without a carry.
     """
     rho_edges, theta_edges = _rho_edges(region, n_rho, t), _theta_edges(theta_levels)
-    rho, w_rho = _gauss_panels(rho_edges, n_gl)
-    theta, w_theta = _gauss_panels(theta_edges, n_gl)
+    rho, w_rho = _gauss_panels(rho_edges, _POLAR_GL)
+    theta, w_theta = _gauss_panels(theta_edges, _POLAR_GL)
     A = np.exp(rho)
     cos, sin = np.cos(theta), np.sin(theta)
     new_r, all_c = np.arange(rho.size), np.arange(theta.size)
     old_r = new_c = all_c[:0]
     if carry:
         prev_rho, prev_theta, prev_terms = carry
-        src_r = _carried_nodes(rho_edges, prev_rho, n_gl, prev_terms.shape[0])
-        src_c = _carried_nodes(theta_edges, prev_theta, n_gl, prev_terms.shape[1])
+        src_r = _carried_nodes(rho_edges, prev_rho)
+        src_c = _carried_nodes(theta_edges, prev_theta)
         old_c = np.flatnonzero(src_c >= 0)
         if old_c.size:
             old_r, new_r = np.flatnonzero(src_r >= 0), np.flatnonzero(src_r < 0)
@@ -494,37 +482,39 @@ def _polish_max(symbol_fn, t, region, rho0, theta0, best) -> float:
     return max(best, value(*point))
 
 
-def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float,
-                resolution: int = 1) -> float:
+def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float) -> float:
     """L^{q_xi}_xi L^{q_eta}_eta norm of a registered symbol over a region.
 
     `region` is "le1", "all", or ("annulus", N) with N the dyadic scale; the
-    result is refinement-checked by doubling resolution (< 1% change
-    required, else QuadratureError).
+    exponents lie in [1, inf].  The result is refinement-checked (see
+    _refined).
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {float(t)!r}")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    for name, q in (("q_xi", q_xi), ("q_eta", q_eta)):
+        if not 1.0 <= q <= math.inf:
+            raise ValueError(f"{name} must be in [1, inf], got {float(q)!r}")
     symbol_fn = SYMBOLS[symbol_id] if isinstance(symbol_id, str) else symbol_id
     if q_xi == q_eta:
         carry = []  # each level evaluates only the panels new since the last
 
         def eval_at(mult):
             return _lq_polar(symbol_fn, t, region, q_xi, n_rho=12 * mult,
-                             theta_levels=8 + 6 * mult, n_gl=8, carry=carry)
+                             theta_levels=8 + 6 * mult, carry=carry)
     else:
         def eval_at(mult):
             return _mixed_cartesian(symbol_fn, t, region, q_xi, q_eta, mult)
-    return _refined(eval_at, resolution, f"symbol_norm({symbol_id}, t={t})")
+    return _refined(eval_at, f"symbol_norm({symbol_id}, t={t})")
 
 
-def _refined(eval_at, resolution: int, what: str, max_doublings: int = 3) -> float:
-    """Evaluate at doubling resolutions until consecutive results agree to 1%."""
-    coarse = eval_at(resolution)
-    for _ in range(max_doublings):
-        resolution *= 2
-        fine = eval_at(resolution)
+def _refined(eval_at, what: str) -> float:
+    """eval_at(mult) at mult = 1, 2, 4, 8 until two consecutive results agree
+    to 1 %, else QuadratureError."""
+    coarse = eval_at(1)
+    for mult in (2, 4, 8):
+        fine = eval_at(mult)
         scale = max(abs(fine), 1e-300)
         if abs(fine - coarse) / scale <= 0.01:
             return fine
@@ -714,10 +704,21 @@ def fit_loglog(times, values) -> tuple[float, float]:
     return float(slope), float(r2)
 
 
+def _check_decay_times(times) -> np.ndarray:
+    """The times of a decay experiment as an array, else a named ValueError:
+    they are finite, nonempty, all >= 10 and span >= 1.5 decades."""
+    times = np.asarray(times, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ValueError(f"decay times must be finite, got {float(times.flat[bad[0]])!r} "
+                         f"at index {int(bad[0])}")
+    if times.size == 0 or times.min() < 10.0 or times.max() / times.min() < 10.0**1.5:
+        raise ValueError("decay times must be nonempty, all >= 10 and span >= 1.5 decades")
+    return times
+
+
 def default_decay_times(t0: float = 10.0, t1: float = 1000.0, n: int = 12) -> np.ndarray:
-    if t0 < 10.0 or t1 / t0 < 10.0**1.5:
-        raise ValueError("decay window must start at t >= 10 and span >= 1.5 decades")
-    return np.geomspace(t0, t1, n)
+    return _check_decay_times(np.geomspace(t0, t1, n))
 
 
 def _init_profile(kind: str, seed: int = 0):
@@ -771,15 +772,7 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
     sym_id, norm_kind, target = PROPAGATORS[prop_id]
     symbol_fn = SYMBOLS[sym_id]
     profile = _init_profile(init, seed)
-    if times is None:
-        times = default_decay_times()
-    times = np.asarray(times, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(times))
-    if bad.size:
-        raise ValueError(f"decay times must be finite, got {float(times.flat[bad[0]])!r} "
-                         f"at index {int(bad[0])}")
-    if times.size == 0 or times.min() < 10.0 or times.max() / times.min() < 10.0**1.5:
-        raise ValueError("decay times must be nonempty, all >= 10 and span >= 1.5 decades")
+    times = default_decay_times() if times is None else _check_decay_times(times)
 
     def weighted(t, xi, eta):
         return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))
@@ -790,8 +783,8 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
         carry = []  # each level evaluates only the panels new since the last
         return _refined(
             lambda m: _lq_polar(weighted, t, "all", q, n_rho=14 * m,
-                                theta_levels=8 + 6 * m, n_gl=8, carry=carry),
-            1, f"decay({prop_id}, t={t})")
+                                theta_levels=8 + 6 * m, carry=carry),
+            f"decay({prop_id}, t={t})")
 
     values = np.array([value(t) for t in times])
     if np.all(values == 0.0):

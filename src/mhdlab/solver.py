@@ -96,12 +96,7 @@ class SolverConfig:
             problems.append(f"T: {self.T} must be nonnegative")
         if self.cadence <= 0:
             problems.append(f"cadence: {self.cadence} must be positive")
-        for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n < 4 or n % 2:
-                problems.append(f"{name}: {n} must be an even integer >= 4")
-        for name, val in (("Lx", self.Lx), ("Ly", self.Ly)):
-            if val <= 0:
-                problems.append(f"{name}: {val} must be positive")
+        problems += _grid.dimension_problems(self.nx, self.ny, self.Lx, self.Ly)
         if self.seed < 0:
             problems.append(f"seed: {self.seed} must be nonnegative")
         if self.init_spec not in ("gaussian", "random"):
@@ -147,16 +142,22 @@ class SolverConfig:
     def from_json(cls, payload) -> "SolverConfig":
         if isinstance(payload, (str, Path)):
             payload = json.loads(Path(payload).read_text())
+        if not isinstance(payload, dict):
+            raise ConfigError([f"config: the top level must be a JSON object, "
+                               f"got {type(payload).__name__}"])
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         rename = {"lambda": "lam", "init": "init_spec"}
-        kwargs = {}
+        kwargs, given_as = {}, {}
         problems = []
         for key, val in payload.items():
             name = rename.get(key, key)
             if name not in known:
                 problems.append(f"{key}: unknown field")
+            elif name in given_as:
+                problems.append(f"{given_as[name]}: given twice, as "
+                                f"{given_as[name]!r} and {key!r}")
             else:
-                kwargs[name] = val
+                kwargs[name], given_as[name] = val, key
         if problems:
             raise ConfigError(problems)
         cfg = cls(**kwargs)
@@ -314,7 +315,7 @@ def _propagators(E, P1, P2, xi, eta, dt: float, lam: float, band: np.ndarray) ->
     augmented exponential gives all three; outside it only the 4x4 exp(dt A)
     is built, and the phi blocks are 0.
     """
-    gen = (symbol_matrix(xi[:, None], eta[None, :], lam).entries / _PHASE).real
+    gen = (symbol_matrix(xi[:, None], eta[None, :], lam) / _PHASE).real
     gen *= dt
     aug = np.zeros((np.count_nonzero(band), 12, 12))
     aug[:, 0:4, 0:4] = gen[band]

@@ -68,6 +68,21 @@ def _finish(claim_id, samples, ratios_c, ratios_f, worst, cap, extra=None) -> Sc
                       refine_stable=stable, cap=cap, extra=extra or {})
 
 
+def _seeded_scan(claim_id, run, samples, seed, cap) -> ScanResult:
+    """The refinement check of a seeded checker.
+
+    `run(n, seed)` draws n random samples from `seed` and returns their max
+    lhs/rhs ratio and its worst location.  The coarse pass draws `samples`,
+    the fine pass 2 * samples from the same seed, and the fine pass's result
+    is the claim's.
+    """
+    if samples <= 0:
+        raise ValueError("invalid-budget: samples must be positive")
+    coarse, _ = run(samples, seed)
+    fine, worst = run(2 * samples, seed)
+    return _finish(claim_id, 2 * samples, coarse, fine, worst, cap)
+
+
 def _ratio_scan(lhs, rhs, coords) -> tuple[float, dict]:
     """Max lhs/rhs with 0-safe and inf-safe semantics, plus worst location."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,8 +218,6 @@ def elem1_ratio(b, c, t):
 
 def check_elem1(samples: int = 20000, seed: int = 0, cap: float = 20.0) -> ScanResult:
     """Scan the exponential-difference bound over (b, c, t) (a factors out)."""
-    if samples <= 0:
-        raise ValueError("invalid-budget: samples must be positive")
 
     def max_ratio(n, seed_):
         rng = np.random.default_rng(seed_)
@@ -217,18 +230,13 @@ def check_elem1(samples: int = 20000, seed: int = 0, cap: float = 20.0) -> ScanR
                  "ratio": float(ratio[idx])}
         return float(ratio[idx]), worst
 
-    coarse, _ = max_ratio(samples, seed)
-    fine, worst = max_ratio(2 * samples, seed)
-    return _finish("elem1", 2 * samples, coarse, fine, worst, cap)
+    return _seeded_scan("elem1", max_ratio, samples, seed, cap)
 
 
 # ---------------------------------------------------------------------------
 # Appendix: sin-ratio inequality
 
 def check_sin_ratio(samples: int = 50000, seed: int = 0, cap: float = 10.0) -> ScanResult:
-    if samples <= 0:
-        raise ValueError("invalid-budget: samples must be positive")
-
     def max_ratio(n, seed_):
         rng = np.random.default_rng(seed_)
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 6, n)
@@ -238,9 +246,7 @@ def check_sin_ratio(samples: int = 50000, seed: int = 0, cap: float = 10.0) -> S
         rhs = np.abs(np.abs(x) - np.abs(y)) * np.minimum(s, 1.0 / s)
         return _ratio_scan(lhs, rhs, {"x": x, "y": y})
 
-    coarse, _ = max_ratio(samples, seed)
-    fine, worst = max_ratio(2 * samples, seed)
-    return _finish("sin_ratio", 2 * samples, coarse, fine, worst, cap)
+    return _seeded_scan("sin_ratio", max_ratio, samples, seed, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +279,7 @@ def _quad_claim(claim: str, t: float, params: dict, mult: int,
         return w * (np.abs(xi) <= A**2)
 
     def l1(fn, region):
-        return _linear._lq_polar(fn, t, region, 1.0, 10 * mult, 6 + 4 * mult, 8, carry)
+        return _linear._lq_polar(fn, t, region, 1.0, 10 * mult, 6 + 4 * mult, carry=carry)
 
     def mixed(fn, region, qx, qe):
         return _linear._mixed_cartesian(fn, t, region, qx, qe, mult)
@@ -363,9 +369,6 @@ def check_projector_derivative(samples: int = 40, seed: int = 0,
     accommodate; the swept-band form is what the time-integrated estimates
     use).
     """
-    if samples <= 0:
-        raise ValueError("invalid-budget: samples must be positive")
-
     g = _grid.make_grid(n, n, 2 * np.pi, 2 * np.pi)
 
     def run(n_samples, seed_):
@@ -394,9 +397,7 @@ def check_projector_derivative(samples: int = 40, seed: int = 0,
                 best, worst = ratio, {"beta": beta, "s": s, "ratio": ratio}
         return best, worst
 
-    coarse, _ = run(samples, seed)
-    fine, worst = run(2 * samples, seed)
-    return _finish("projector_dt", 2 * samples, coarse, fine, worst, cap)
+    return _seeded_scan("projector_dt", run, samples, seed, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +407,6 @@ def check_nash_anisotropic(samples: int = 100, seed: int = 0, cap: float = 100.0
                            n: int = 64, gamma: float = 0.75,
                            gamma_bar: float = 1.0) -> ScanResult:
     """||grad^{gbar}<grad> psi||_inf <= C ||<grad>^4 |grad|^g psi||_2^1/2 ||grad dx psi||_2^1/2."""
-    if samples <= 0:
-        raise ValueError("invalid-budget: samples must be positive")
     g = _grid.make_grid(n, n, 2 * np.pi, 2 * np.pi)
 
     def run(n_samples, seed_):
@@ -433,9 +432,7 @@ def check_nash_anisotropic(samples: int = 100, seed: int = 0, cap: float = 100.0
                 best, worst = ratio, {"sample": k, "rough": rough, "ratio": ratio}
         return best, worst
 
-    coarse, _ = run(samples, seed)
-    fine, worst = run(2 * samples, seed)
-    return _finish("nash", 2 * samples, coarse, fine, worst, cap)
+    return _seeded_scan("nash", run, samples, seed, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ class TestCriterion8Solver:
         eta = 2.0 * np.pi * np.fft.fftfreq(g.ny, d=g.Ly / g.ny)
         mats = np.zeros((g.nx * g.ny, 4, 4), complex)
         for idx, (xx, ee) in enumerate(zip(np.repeat(xi, g.ny), np.tile(eta, g.nx))):
-            mats[idx] = ln.symbol_matrix(xx, ee, lam).entries
+            mats[idx] = ln.symbol_matrix(xx, ee, lam)
         flow = ln.expm_batch(mats * 1.0).reshape(g.nx, g.ny, 4, 4)
         full0 = np.stack([np.fft.fft2(f.to_physical()) * (g.dx * g.dy) for f in state0.fields])
         ref_v = np.einsum("xyij,jxy->ixy", flow, full0)[..., :g.ny // 2 + 1]

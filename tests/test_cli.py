@@ -153,11 +153,22 @@ class TestLinearCommands:
         (["charpoly", "--n", "0"], "invalid-budget: n must be positive, got 0"),
         (["charpoly", "--kmax", "0"], "invalid-budget: kmax must be finite and positive, got 0.0"),
         (["charpoly", "--kmax", "nan"], "invalid-budget: kmax must be finite and positive, got nan"),
+        (["symbol-norm", "--symbol", "A4K", "--t", "1", "--q-xi", "0", "--q-eta", "0"],
+         "q_xi must be in [1, inf], got 0.0"),
+        (["symbol-norm", "--symbol", "A4K", "--t", "1", "--q-xi", "-1", "--q-eta", "2"],
+         "q_xi must be in [1, inf], got -1.0"),
+        (["symbol-norm", "--symbol", "A4K", "--t", "1", "--q-xi", "1", "--q-eta", "nan"],
+         "q_eta must be in [1, inf], got nan"),
+        (["decay", "--prop", "kn1L", "--points", "2"],
+         "--points: a slope fit needs at least 3 times, got 2"),
+        (["decay", "--prop", "kn1L", "--points", "1"],
+         "--points: a slope fit needs at least 3 times, got 1"),
     ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
             "symbol-norm-bad-region", "symbol-norm-zero-scale", "decay-nan-t0",
             "symbol-norm-infinite-t", "symbol-norm-subnormal-scale",
             "symbol-norm-infinite-scale", "charpoly-no-samples", "charpoly-zero-kmax",
-            "charpoly-nan-kmax"])
+            "charpoly-nan-kmax", "symbol-norm-zero-exponents", "symbol-norm-negative-exponent",
+            "symbol-norm-nan-exponent", "decay-two-points", "decay-one-point"])
     def test_invalid_input_exit_2(self, capsys, argv, message):
         code, _, err = run_cli(["linear", *argv], capsys)
         assert code == 2
@@ -247,6 +258,21 @@ class TestSimulate:
         assert code == 2
         assert "config errors:" in err and f"  - {field}: {value!r} must be" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,problem", [
+        ("[1, 2]", "config: the top level must be a JSON object, got list"),
+        ('{"lambda": 0.1, "lam": 0.2}', "lambda: given twice, as 'lambda' and 'lam'"),
+        ('{"init": "random", "init_spec": "gaussian"}',
+         "init: given twice, as 'init' and 'init_spec'"),
+    ], ids=["top-level-list", "lambda-twice", "init-twice"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, text, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "config errors:" in err and f"  - {problem}" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("init", ["random", "gaussian"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, init):

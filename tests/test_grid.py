@@ -94,6 +94,15 @@ class TestMakeGrid:
         with pytest.raises(gr.GridError, match="invalid-dimension"):
             gr.make_grid(4, 4, -1.0, 1.0)
 
+    def test_dimension_problems_name_each_field(self):
+        assert gr.dimension_problems(16, 8, 1.0, 2.0) == []
+        problems = ["nx: 3 must be an even integer >= 4", "ny: 2 must be an even integer >= 4",
+                    "Ly: 0.0 must be positive"]
+        assert gr.dimension_problems(3, 2, 1.0, 0.0) == problems
+        with pytest.raises(gr.GridError) as err:
+            gr.make_grid(3, 2, 1.0, 0.0)
+        assert str(err.value) == "invalid-dimension: " + "; ".join(problems)
+
     def test_zero_wavenumber_unique(self, grid32):
         assert np.count_nonzero(grid32.xi == 0.0) == 1
         assert np.count_nonzero(grid32.eta == 0.0) == 1

@@ -16,18 +16,18 @@ mp.mp.dps = 40
 
 class TestSymbolMatrix:
     def test_zero_mode(self):
-        m = ln.symbol_matrix(0.0, 0.0, 0.7).entries
+        m = ln.symbol_matrix(0.0, 0.0, 0.7)
         nz = np.argwhere(np.abs(m) > 0)
         assert nz.tolist() == [[3, 2]]
         assert m[3, 2] == -1.0
 
     def test_unit_x_mode(self):
-        m = ln.symbol_matrix(1.0, 0.0, 0.0).entries
+        m = ln.symbol_matrix(1.0, 0.0, 0.0)
         assert m[1, 1] == -1.0
         assert m[2, 3] == 1.0
 
     def test_viscosity_cross_terms(self):
-        m = ln.symbol_matrix(1.0, 2.0, 0.5).entries
+        m = ln.symbol_matrix(1.0, 2.0, 0.5)
         assert m[1, 1] == pytest.approx(-5.0 - 0.5)
         assert m[1, 2] == pytest.approx(-0.5 * 2.0)
         assert np.trace(m) == pytest.approx(-2.0 * 5.0 - 0.5 * 5.0)
@@ -41,7 +41,7 @@ class TestSymbolMatrix:
             [-1j * eta, 0, -a2, a2],
             [0, 0, -1, 0],
         ])
-        assert np.allclose(ln.symbol_matrix(xi, eta, 0.0).entries, expect)
+        assert np.allclose(ln.symbol_matrix(xi, eta, 0.0), expect)
 
     def test_broadcast_equals_stacked_scalar_calls(self):
         rng = np.random.default_rng(11)
@@ -49,10 +49,10 @@ class TestSymbolMatrix:
         eta = np.concatenate([[0.0, 2.0, -0.0, 0.5], rng.uniform(-8, 8, 60)])
         for lam in (0.0, 0.35):
             got = ln.symbol_matrix(xi[:, None], eta[None, :], lam)
-            assert got.entries.shape == (64, 64, 4, 4)
-            want = np.array([[ln.symbol_matrix(x, e, lam).entries for e in eta] for x in xi])
+            assert got.shape == (64, 64, 4, 4)
+            want = np.array([[ln.symbol_matrix(x, e, lam) for e in eta] for x in xi])
             # bitwise, signed zeros included
-            assert got.entries.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMatexp:
@@ -82,7 +82,7 @@ class TestMatexp:
             xi, eta = rng.uniform(-8, 8, 2)
             lam = rng.uniform(-0.9, 0.9)
             t = 10.0 ** rng.uniform(-1, 1.5)
-            m = ln.symbol_matrix(xi, eta, lam).entries
+            m = ln.symbol_matrix(xi, eta, lam)
             got = ln.matexp(m, t)
             ref = mp.expm(mp.matrix((t * m).tolist()))
             ref = np.array([[complex(ref[i, j]) for j in range(4)] for i in range(4)])
@@ -114,7 +114,7 @@ def char_poly_roots(xi, eta):
 def scalar_char_poly_check(xi, eta):
     """Reference: det(sI - M) of one mode by scalar Leverrier-Faddeev, its max
     coefficient residual against the factorized quartic target."""
-    m = ln.symbol_matrix(xi, eta, 0.0).entries
+    m = ln.symbol_matrix(xi, eta, 0.0)
     coeffs = np.empty(5, dtype=complex)
     coeffs[0] = 1.0
     mk = np.array(m, dtype=complex)
@@ -266,7 +266,7 @@ def per_sample_oracle_scan(samples, seed, t_values=(0.1, 1.0, 10.0), box=8.0):
         u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u0 /= np.linalg.norm(u0)
         for t in t_values:
-            ref = ln.matexp(ln.symbol_matrix(xi, eta, 0.0).entries, t) @ u0
+            ref = ln.matexp(ln.symbol_matrix(xi, eta, 0.0), t) @ u0
             got = ln.semigroup_matrix(t, xi, eta) @ u0
             err = np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref))
             if err > worst:
@@ -363,6 +363,13 @@ class TestSymbolNorms:
     def test_rejects_nonfinite_time(self, t):
         with pytest.raises(ValueError, match=f"t must be finite, got {float(t)!r}"):
             ln.symbol_norm("A4K", "le1", 1.0, 1.0, t)
+
+    @pytest.mark.parametrize("q_xi,q_eta,bad", [
+        (0.0, 0.0, "q_xi"), (-1.0, 2.0, "q_xi"), (1.0, 0.5, "q_eta"),
+        (np.nan, 1.0, "q_xi"), (np.inf, np.nan, "q_eta"), (-np.inf, -np.inf, "q_xi")])
+    def test_rejects_exponent_outside_one_to_inf(self, q_xi, q_eta, bad):
+        with pytest.raises(ValueError, match=rf"{bad} must be in \[1, inf\]"):
+            ln.symbol_norm("A4K", "le1", q_xi, q_eta, 1.0)
 
     def test_region_parsing(self):
         assert ln.parse_region("le1") == "le1"
@@ -597,11 +604,11 @@ class TestDecayExperiments:
         assert rep.r_squared >= 0.98
 
 
-def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, n_gl, carry=None):
+def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, carry=None):
     """Reference quadrature level: the whole polar mesh built as one 2-D
     product and evaluated in one call; `carry` is ignored."""
-    rho, w_rho = ln._gauss_panels(ln._rho_edges(region, n_rho, t), n_gl)
-    theta, w_theta = ln._gauss_panels(ln._theta_edges(theta_levels), n_gl)
+    rho, w_rho = ln._gauss_panels(ln._rho_edges(region, n_rho, t), ln._POLAR_GL)
+    theta, w_theta = ln._gauss_panels(ln._theta_edges(theta_levels), ln._POLAR_GL)
     A = np.exp(rho)[:, None]
     xi = A * np.cos(theta)[None, :]
     eta = A * np.sin(theta)[None, :]
@@ -658,31 +665,24 @@ class TestCarriedLevels:
     def test_without_previous_level_matches_fresh(self, owned, q):
         sym = ln.SYMBOLS["A4K"]
         carry = [] if owned else None
-        got = ln._lq_polar(sym, 300.0, "all", q, 14, 14, 8, carry=carry)
-        assert got.hex() == fresh_lq_polar(sym, 300.0, "all", q, 14, 14, 8).hex()
+        got = ln._lq_polar(sym, 300.0, "all", q, 14, 14, carry=carry)
+        assert got.hex() == fresh_lq_polar(sym, 300.0, "all", q, 14, 14).hex()
         if carry is not None:
             rho_edges, theta_edges, terms = carry
             assert rho_edges.tobytes() == ln._rho_edges("all", 14, 300.0).tobytes()
             assert theta_edges.tobytes() == ln._theta_edges(14).tobytes()
             assert terms.shape == (8 * (rho_edges.size - 1), 8 * (theta_edges.size - 1))
 
-    def test_other_node_count_carries_nothing(self):
-        sym = ln.SYMBOLS["A4K"]
-        carry = []
-        ln._lq_polar(sym, 300.0, "all", 2.0, 14, 14, 6, carry=carry)
-        got = ln._lq_polar(sym, 300.0, "all", 2.0, 28, 20, 8, carry=carry)
-        assert got.hex() == fresh_lq_polar(sym, 300.0, "all", 2.0, 28, 20, 8).hex()
-
     @pytest.mark.parametrize("t", [316.0, 1e4])
     def test_second_level_evaluates_only_new_panels(self, t, monkeypatch):
         sym = ln.SYMBOLS["A4K"]
         carry = []
-        ln._lq_polar(sym, t, "all", 2.0, 14, 14, 8, carry=carry)
+        ln._lq_polar(sym, t, "all", 2.0, 14, 14, carry=carry)
         points = []
         kv = ln.kernel_values
         monkeypatch.setattr(ln, "kernel_values", lambda t, xi, eta, **kw:
                             points.append(np.size(xi)) or kv(t, xi, eta, **kw))
-        ln._lq_polar(sym, t, "all", 2.0, 28, 20, 8, carry=carry)
+        ln._lq_polar(sym, t, "all", 2.0, 28, 20, carry=carry)
         rho1, rho2 = ln._rho_edges("all", 14, t), ln._rho_edges("all", 28, t)
         theta1, theta2 = ln._theta_edges(14), ln._theta_edges(20)
         mesh = (rho2.size - 1) * (theta2.size - 1)

@@ -135,6 +135,24 @@ class TestConfig:
         with pytest.raises(sv.ConfigError, match="unknown field"):
             sv.SolverConfig.from_json({"bogus": 1})
 
+    @pytest.mark.parametrize("payload", [[1, 2], "16", 3.5, None])
+    def test_from_json_top_level_not_an_object(self, payload, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig.from_json(path)
+        assert err.value.problems == [
+            f"config: the top level must be a JSON object, got {type(payload).__name__}"]
+
+    @pytest.mark.parametrize("first,second", [("lambda", "lam"), ("lam", "lambda"),
+                                              ("init", "init_spec")])
+    def test_from_json_field_given_twice(self, first, second):
+        value = "random" if first.startswith("init") else 0.1
+        other = "gaussian" if first.startswith("init") else 0.2
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig.from_json({first: value, second: other})
+        assert err.value.problems == [f"{first}: given twice, as {first!r} and {second!r}"]
+
     def test_digest_stable(self):
         a, b = sv.SolverConfig(), sv.SolverConfig()
         assert a.digest() == b.digest()
@@ -419,7 +437,7 @@ class TestStepper:
         ref = np.empty((4, *grid32.shape), complex)
         u = state.stack()
         for i, j in np.ndindex(grid32.shape):
-            m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], 0.2).entries
+            m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], 0.2)
             ref[:, i, j] = ln.matexp(m, 0.3) @ u[:, i, j]
         assert np.max(np.abs(one.stack() - ref)) <= 1e-12
 
@@ -431,7 +449,7 @@ class TestStepper:
         stepper = sv.Stepper(grid32, dt, lam=lam)
         eye = np.eye(4)
         for i, j in zip(*np.nonzero((grid32.A <= 4.0) & (grid32.XI != 0.0))):
-            m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], lam).entries
+            m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], lam)
             minv = np.linalg.inv(m)
             e = stepper.E[:, :, i, j]
             p1 = minv @ (e - eye)
@@ -591,7 +609,7 @@ def reference_propagators(grid, dt, lam):
     """E, P1, P2 from one complex 12x12 augmented exponential per stored mode
     of the whole lattice: the build the real, reflected, band-limited one
     replaces, kept here as its reference."""
-    gen = ln.symbol_matrix(grid.XI, grid.ETA, lam).entries.reshape(-1, 4, 4)
+    gen = ln.symbol_matrix(grid.XI, grid.ETA, lam).reshape(-1, 4, 4)
     aug = np.zeros((gen.shape[0], 12, 12), dtype=complex)
     aug[:, 0:4, 0:4] = gen
     aug[:, 0:4, 4:8] = np.eye(4)
@@ -623,7 +641,7 @@ class TestStepperBuild:
     @pytest.mark.parametrize("lam", [0.0, 0.05, 0.3])
     def test_phase_times_real_generator_is_the_symbol(self, lam):
         g = gr.make_grid(256, 256, 64 * np.pi, 64 * np.pi)
-        m = ln.symbol_matrix(g.XI, g.ETA, lam).entries
+        m = ln.symbol_matrix(g.XI, g.ETA, lam)
         real = m / sv._PHASE
         assert not np.any(real.imag)
         assert np.array_equal(sv._PHASE * real.real, m)

@@ -157,10 +157,6 @@ class TestElem1:
         # a = 10, t = 10 kills I entirely; the factored ratio stays finite
         assert np.isfinite(float(vf.elem1_ratio(-50.0, 1.0, 10.0)))
 
-    def test_rejects_empty_budget(self):
-        with pytest.raises(ValueError, match="invalid-budget"):
-            vf.check_elem1(samples=0)
-
 
 class TestSinRatio:
     def test_pass(self):
@@ -207,14 +203,14 @@ class TestBasicQuadrature:
         # level 2 of each t reuses level 1's panels, with the bits of fresh levels
         lq, carried = vf._linear._lq_polar, []
 
-        def recorded(*args):
-            carried.append(len(args[-1]))
-            return lq(*args)
+        def recorded(*args, carry):
+            carried.append(len(carry))
+            return lq(*args, carry=carry)
 
         monkeypatch.setattr(vf._linear, "_lq_polar", recorded)
         got = vf.check_basic_quadrature("est_Axit1", t_grid=[100.0, 1000.0])
         assert carried == [0, 3, 0, 3]
-        monkeypatch.setattr(vf._linear, "_lq_polar", lambda *args: lq(*args[:-1]))
+        monkeypatch.setattr(vf._linear, "_lq_polar", lambda *args, carry: lq(*args))
         want = vf.check_basic_quadrature("est_Axit1", t_grid=[100.0, 1000.0])
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
@@ -272,6 +268,28 @@ class TestNash:
         assert got_lhs == pytest.approx(lhs, rel=1e-12)
         ratio = got_lhs / (math.sqrt(r1) * math.sqrt(r2))
         assert 0.0 < ratio < 100.0
+
+
+class TestSeededScan:
+    @pytest.mark.parametrize("checker", [vf.check_elem1, vf.check_sin_ratio,
+                                         vf.check_projector_derivative,
+                                         vf.check_nash_anisotropic],
+                             ids=["elem1", "sin_ratio", "projector_dt", "nash"])
+    def test_rejects_empty_budget(self, checker):
+        with pytest.raises(ValueError, match="invalid-budget"):
+            checker(samples=0)
+
+    def test_coarse_then_twice_as_many_from_one_seed(self):
+        calls = []
+
+        def run(n, seed):
+            calls.append((n, seed))
+            return 0.5 + 0.5 * len(calls), {"pass": len(calls)}
+
+        res = vf._seeded_scan("demo", run, 7, 5, cap=10.0)
+        assert calls == [(7, 5), (14, 5)]
+        assert (res.samples, res.max_ratio, res.worst) == (14, 1.5, {"pass": 2})
+        assert res.verdict == "PASS" and res.refine_stable
 
 
 class TestCharpoly:
