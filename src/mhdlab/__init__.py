@@ -10,6 +10,12 @@ from pathlib import Path
 __version__ = "0.1.0"
 
 
+def format_value(x) -> str:
+    """A float with 17 significant digits, which read back as the same float;
+    anything else by `str`.  Every CSV cell is written this way."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
 def write_manifest(path, outputs, **fields) -> None:
     """Write a JSON run manifest at `path`: the caller's fields, the package
     version, and `outputs`, which maps each output file (relative to the

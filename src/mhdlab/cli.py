@@ -13,20 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import write_manifest
+from . import format_value as _fmt, write_manifest
 from . import kernel as _kernel
 from . import linear as _linear
 from . import solver as _solver
 from . import verify as _verify
-
-_FLOAT_FMT = "{:.17g}"
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return _FLOAT_FMT.format(x)
-    return str(x)
-
 
 def _write_manifest(out_path: Path, ns, outputs, t_start: float,
                     config_digest: str = "", seed=None) -> None:

@@ -24,12 +24,15 @@ __all__ = [
     "FourierGrid",
     "SpectralField",
     "PerturbationState",
+    "COMPONENTS",
     "XNormBreakdown",
     "X_ENTRY_WEIGHTS",
     "make_grid",
     "apply_multiplier",
     "to_physical",
     "to_spectral",
+    "bessel_weight",
+    "homog_weight",
     "sobolev_norm",
     "energy_components",
     "hm_energy",
@@ -44,6 +47,9 @@ __all__ = [
 # width of the smooth cutoff's transition band: chi = 1 on |x| <= 1 and
 # chi = 0 on |x| >= 1 + _BUMP_DELTA
 _BUMP_DELTA = 1e-4
+
+# The perturbation's unknowns, in the order of the rows of a state's array.
+COMPONENTS = ("n", "u", "v", "psi")
 
 
 # At or below this many values `math.fsum` on a list is as fast or faster: its
@@ -116,20 +122,21 @@ class FourierGrid:
     """Half wavenumber lattice of an nx-by-ny periodic box of side Lx-by-Ly.
 
     `xi`/`eta` are the true wavenumbers 2*pi*k/L in `fftfreq`/`rfftfreq` layout;
-    `xi_d`/`eta_d` zero the (unpaired) Nyquist entry and are the arrays to use
-    for odd-order derivative symbols, which keeps real fields real.
+    `xi_d`/`eta_d` zero the (unpaired) Nyquist entry, and the derivative
+    symbols `ikx`/`iky` are built from them, which keeps real fields real.
     `multiplicity` counts the full-spectrum modes each column stands for.
+    Two grids are equal when their dimensions are: the arrays follow from them.
     """
 
     nx: int
     ny: int
     Lx: float
     Ly: float
-    xi: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
-    xi_d: np.ndarray = field(repr=False)
-    eta_d: np.ndarray = field(repr=False)
-    multiplicity: np.ndarray = field(repr=False)
+    xi: np.ndarray = field(repr=False, compare=False)
+    eta: np.ndarray = field(repr=False, compare=False)
+    xi_d: np.ndarray = field(repr=False, compare=False)
+    eta_d: np.ndarray = field(repr=False, compare=False)
+    multiplicity: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -171,9 +178,17 @@ class FourierGrid:
     @cached_property
     def A(self) -> np.ndarray:
         """Mode radius |(xi, eta)| on the half lattice, computed once, read-only."""
-        a = np.hypot(self.XI, self.ETA)
-        a.setflags(write=False)
-        return a
+        return _read_only(np.hypot(self.XI, self.ETA))
+
+    @cached_property
+    def ikx(self) -> np.ndarray:
+        """Symbol i*xi of d/dx, shape (nx, 1), Nyquist row zeroed; read-only."""
+        return _read_only(1j * self.xi_d[:, None])
+
+    @cached_property
+    def iky(self) -> np.ndarray:
+        """Symbol i*eta of d/dy, shape (1, ny//2 + 1), Nyquist column zeroed; read-only."""
+        return _read_only(1j * self.eta_d[None, :])
 
     @property
     def nyquist(self) -> float:
@@ -191,6 +206,11 @@ class FourierGrid:
 
     def _ky_max(self, fraction: float) -> float:
         return np.pi * self.ny / self.Ly * fraction
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def dimension_problems(nx: int, ny: int, Lx: float, Ly: float) -> list[str]:
@@ -212,8 +232,7 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> FourierGrid:
     xi_d[nx // 2] = 0.0
     eta_d[-1] = 0.0
     multiplicity = np.r_[1.0, np.full(ny // 2 - 1, 2.0), 1.0]  # columns 0 and ny/2 self-conjugate
-    for a in (xi, eta, xi_d, eta_d, multiplicity):
-        a.setflags(write=False)
+    xi, eta, xi_d, eta_d, multiplicity = map(_read_only, (xi, eta, xi_d, eta_d, multiplicity))
     return FourierGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), xi=xi, eta=eta,
                        xi_d=xi_d, eta_d=eta_d, multiplicity=multiplicity)
 
@@ -273,11 +292,6 @@ class SpectralField:
     def to_physical(self) -> np.ndarray:
         return to_physical(self.grid, [self.coeffs])[0]
 
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
 
 def apply_multiplier(f: SpectralField, m) -> SpectralField:
     """Scale coefficients modewise by the symbol m(xi, eta).
@@ -297,11 +311,11 @@ def apply_multiplier(f: SpectralField, m) -> SpectralField:
 
 
 def deriv_x(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * f.grid.xi_d[:, None]))
+    return SpectralField(f.grid, f.coeffs * f.grid.ikx)
 
 
 def deriv_y(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * f.grid.eta_d[None, :]))
+    return SpectralField(f.grid, f.coeffs * f.grid.iky)
 
 
 def _smooth_step(r: np.ndarray) -> np.ndarray:
@@ -319,32 +333,16 @@ def bump_chi(x: np.ndarray) -> np.ndarray:
     return _smooth_step((1.0 + _BUMP_DELTA - ax) / _BUMP_DELTA)
 
 
+def bessel_weight(grid: FourierGrid, s: float) -> np.ndarray:
+    """<grad>^s = (1 + |k|^2)^(s/2) on the grid."""
+    return (1.0 + grid.A * grid.A) ** (0.5 * s)
+
+
 def homog_weight(grid: FourierGrid, s: float) -> np.ndarray:
-    """|grad|^s symbol on the grid with the zero mode sent to 0 (s > 0)."""
-    return _weight(grid, s, "homogeneous")
-
-
-def _weight(grid: FourierGrid, s: float, homogeneity: str) -> np.ndarray:
-    A = grid.A
-    if homogeneity == "inhomogeneous":
-        return (1.0 + A * A) ** (0.5 * s)
-    if homogeneity != "homogeneous":
-        raise GridError(f"unknown homogeneity {homogeneity!r}")
-    with np.errstate(divide="ignore"):
-        w = np.where(A > 0, A, 1.0) ** s
-    if s > 0:
-        w[0, 0] = 0.0
-    elif s == 0:
-        w[0, 0] = 1.0
-    else:
-        w[0, 0] = np.inf
+    """|grad|^s on the grid; its zero mode is 1 at s = 0 and 0 otherwise."""
+    w = np.where(grid.A > 0, grid.A, 1.0) ** s
+    w[0, 0] = 1.0 if s == 0 else 0.0
     return w
-
-
-def _finite_weight(grid: FourierGrid, s: float, homogeneity: str) -> np.ndarray:
-    """`_weight` with its non-finite entries (the zero mode of |grad|^s, s < 0) set to 0."""
-    w = _weight(grid, s, homogeneity)
-    return np.where(np.isfinite(w), w, 0.0)
 
 
 def _l2(wc: np.ndarray, grid: FourierGrid) -> float:
@@ -359,14 +357,18 @@ def sobolev_norm(f: SpectralField, s: float, homogeneity: str = "inhomogeneous",
     L^2 is evaluated on the Fourier side by Parseval with compensated
     summation; L^infinity transforms back and takes the max.
     """
-    if homogeneity == "homogeneous" and s < 0 and abs(f.coeffs[0, 0]) > 1e-13 * (
-        1.0 + np.max(np.abs(f.coeffs))
-    ):
+    if homogeneity == "inhomogeneous":
+        w = bessel_weight(f.grid, s)
+    elif homogeneity != "homogeneous":
+        raise GridError(f"unknown homogeneity {homogeneity!r}")
+    elif s < 0 and abs(f.coeffs[0, 0]) > 1e-13 * (1.0 + np.max(np.abs(f.coeffs))):
         raise GridError("homogeneous-symbol-singularity: |grad|^s with s<0 on nonzero mean mode")
-    wc = _finite_weight(f.grid, s, homogeneity) * f.coeffs
+    else:
+        w = homog_weight(f.grid, s)
+    wc = w * f.coeffs
     if p == 2:
         return _l2(wc, f.grid)
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(np.abs(SpectralField(f.grid, wc).to_physical())))
     raise GridError(f"unsupported p={p}; expected 2 or inf")
 
@@ -377,44 +379,38 @@ def l2_norm(f: SpectralField) -> float:
 
 @dataclass(frozen=True)
 class PerturbationState:
-    """The perturbation 4-tuple (density, velocity, stream potential)."""
+    """The perturbation 4-tuple (density, velocity, stream potential) as one
+    C-contiguous complex array of shape (4, *grid.shape), its rows in the
+    order of `COMPONENTS`.  The fields are views of the rows."""
 
-    n: SpectralField
-    u: SpectralField
-    v: SpectralField
-    psi: SpectralField
+    grid: FourierGrid
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        g = self.n.grid
-        for f in (self.u, self.v, self.psi):
-            if f.grid is not g and (f.grid.nx, f.grid.ny, f.grid.Lx, f.grid.Ly) != (
-                g.nx, g.ny, g.Lx, g.Ly
-            ):
-                raise GridError("all four fields must share one grid")
+        coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
+        if coeffs.shape != (want := (4, *self.grid.shape)):
+            raise GridError(f"state coefficients of shape {coeffs.shape} != {want}")
+        object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def grid(self) -> FourierGrid:
-        return self.n.grid
+    n = property(lambda self: SpectralField(self.grid, self.coeffs[0]))
+    u = property(lambda self: SpectralField(self.grid, self.coeffs[1]))
+    v = property(lambda self: SpectralField(self.grid, self.coeffs[2]))
+    psi = property(lambda self: SpectralField(self.grid, self.coeffs[3]))
+    fields = property(lambda self: tuple(SpectralField(self.grid, c) for c in self.coeffs))
 
-    @property
-    def fields(self):
-        return (self.n, self.u, self.v, self.psi)
+    @classmethod
+    def from_fields(cls, n: SpectralField, u: SpectralField, v: SpectralField,
+                    psi: SpectralField) -> "PerturbationState":
+        if any(f.grid != n.grid for f in (u, v, psi)):
+            raise GridError("all four fields must share one grid")
+        return cls(n.grid, np.stack([f.coeffs for f in (n, u, v, psi)]))
 
     @classmethod
     def zeros(cls, grid: FourierGrid) -> "PerturbationState":
-        z = SpectralField.zeros(grid)
-        return cls(z, z, z, z)
-
-    def stack(self) -> np.ndarray:
-        """Coefficients as one (4, *grid.shape) complex array."""
-        return np.stack([f.coeffs for f in self.fields])
-
-    @classmethod
-    def from_stack(cls, grid: FourierGrid, coeffs: np.ndarray) -> "PerturbationState":
-        return cls(*(SpectralField(grid, np.ascontiguousarray(c)) for c in coeffs))
+        return cls(grid, np.zeros((4, *grid.shape), dtype=complex))
 
     def scaled(self, factor: float) -> "PerturbationState":
-        return PerturbationState(*(f * factor for f in self.fields))
+        return PerturbationState(self.grid, self.coeffs * factor)
 
 
 # X-norm summands: entry name -> (time-weight exponent, description).
@@ -481,14 +477,13 @@ def x_param_problems(M: int, eps: float, gamma: float, gamma_bar: float) -> list
 def energy_components(state: PerturbationState) -> np.ndarray:
     """The H^M energy's components (n, u, v, dx psi, dy psi) as one stack."""
     g = state.grid
-    cp = state.psi.coeffs
-    return np.stack([state.n.coeffs, state.u.coeffs, state.v.coeffs,
-                     cp * (1j * g.xi_d[:, None]), cp * (1j * g.eta_d[None, :])])
+    cp = state.coeffs[3]
+    return np.stack([*state.coeffs[:3], cp * g.ikx, cp * g.iky])
 
 
 def hm_energy(grid: FourierGrid, comps: np.ndarray, M: int) -> tuple[float, list]:
     """H^M size of the `energy_components` stack, and the H^M norm of each."""
-    w = _finite_weight(grid, M, "inhomogeneous")
+    w = bessel_weight(grid, M)
     norms = [_l2(w * c, grid) for c in comps]
     return math.sqrt(fsum([x ** 2 for x in norms])), norms
 
@@ -507,12 +502,12 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
     g = state.grid
     comps = energy_components(state)
     cn, cu, cv, px, py = comps
-    cp = state.psi.coeffs
-    ikx, iky = 1j * g.xi_d[:, None], 1j * g.eta_d[None, :]
+    cp = state.coeffs[3]
+    ikx, iky = g.ikx, g.iky
     energy, hm = hm_energy(g, comps, M)
     # the order-0 weight is exactly 1, so plain L^2 entries use the coefficients
-    w1, w3, w4, w32 = (_finite_weight(g, s, "inhomogeneous") for s in (1, 3, 4, 1.5))
-    hg, hgb = (_finite_weight(g, s, "homogeneous") for s in (gamma, gamma_bar))
+    w1, w3, w4, w32 = (bessel_weight(g, s) for s in (1, 3, 4, 1.5))
+    hg, hgb = (homog_weight(g, s) for s in (gamma, gamma_bar))
 
     def l2(wc):
         return _l2(wc, g)

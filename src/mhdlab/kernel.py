@@ -522,12 +522,16 @@ def k1_hat(t, xi, eta):
     return _as_result(kernel_values(t, xi, eta, fields=("K1",)).K1, _all_scalar(t, xi, eta))
 
 
-def noise_floors(t, xi, eta, rel: float = 1e-10) -> tuple[KernelValues, dict]:
+# relative accuracy of a kernel symbol's cancelling intermediates
+_FLOOR_REL = 1e-10
+
+
+def noise_floors(t, xi, eta) -> tuple[KernelValues, dict]:
     """Kernel values of a batch and their rounding floors, from one evaluation.
 
     Each kernel symbol is assembled from the damped exponential-branch values;
     where a combination cancels (e.g. the second time derivative at large A),
-    the achievable absolute accuracy is `rel` times the magnitudes of the
+    the achievable absolute accuracy is `_FLOOR_REL` times the magnitudes of the
     cancelling intermediates.  Scans subtract these floors from measured
     symbol magnitudes so that rounding noise deep below scale is not compared
     against legitimately tiny bounds.
@@ -544,14 +548,14 @@ def noise_floors(t, xi, eta, rel: float = 1e-10) -> tuple[KernelValues, dict]:
     p_scale = 0.5 * (np.abs(gp) + np.abs(gm))
     h_scale = 0.5 * (np.abs(hp) + np.abs(hm))
     z_scale = 0.5 * (np.abs((b + c) * gp) + np.abs((b - c) * gm))
-    f_K = rel * np.abs(kv.K)
-    f_dtK = rel * (a * np.abs(kv.K) + np.abs(dd_cosh))
-    f_comp = rel * p_scale
-    f_K1 = rel * h_scale
+    f_K = _FLOOR_REL * np.abs(kv.K)
+    f_dtK = _FLOOR_REL * (a * np.abs(kv.K) + np.abs(dd_cosh))
+    f_comp = _FLOOR_REL * p_scale
+    f_K1 = _FLOOR_REL * h_scale
     f_dt_comp = a * f_comp + f_K1
     f_ddtK = f_comp + a2 * f_dtK + a2 * f_K
     f_comp_x = f_comp + eta2 * f_K
-    f_dtK1 = a * f_K1 + rel * z_scale
+    f_dtK1 = a * f_K1 + _FLOOR_REL * z_scale
     f_ddt_comp = a * f_dt_comp + f_dtK1
     return kv, {
         "K": f_K, "dtK": f_dtK, "ddtK": f_ddtK, "comp": f_comp,

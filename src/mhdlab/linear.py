@@ -198,9 +198,6 @@ SEMIGROUP_TERMS = {
     ("psi", "psi"): _sgt_psi_psi,
 }
 
-_COMPONENTS = ("n", "u", "v", "psi")
-
-
 def semigroup_matrix(t, xi, eta) -> np.ndarray:
     """Complex 4x4 multiplier matrix of the kernel semigroup; broadcasts to
     shape (..., 4, 4) over array-valued (xi, eta)."""
@@ -209,8 +206,8 @@ def semigroup_matrix(t, xi, eta) -> np.ndarray:
     A2 = A * A
     shape = np.broadcast(xi_, eta_).shape
     out = np.empty(shape + (4, 4), dtype=complex)
-    for i, row in enumerate(_COMPONENTS):
-        for j, col in enumerate(_COMPONENTS):
+    for i, row in enumerate(_grid.COMPONENTS):
+        for j, col in enumerate(_grid.COMPONENTS):
             out[..., i, j] = SEMIGROUP_TERMS[(row, col)](kv, xi_, eta_, A, A2)
     return out
 
@@ -224,11 +221,10 @@ def kernel_semigroup_field(state: _grid.PerturbationState, t: float) -> _grid.Pe
     """
     g = state.grid
     m = semigroup_matrix(t, np.broadcast_to(g.XI, g.shape), np.broadcast_to(g.ETA, g.shape))
-    u = state.stack().copy()
+    u = state.coeffs.copy()
     u[:, g.nx // 2, :] = 0.0
     u[:, :, -1] = 0.0
-    out = np.einsum("xyij,jxy->ixy", m, u)
-    return _grid.PerturbationState.from_stack(g, out)
+    return _grid.PerturbationState(g, np.einsum("xyij,jxy->ixy", m, u))
 
 
 def _apply(ms: np.ndarray, us: np.ndarray) -> np.ndarray:

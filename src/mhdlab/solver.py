@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, asdict
 from numbers import Integral, Real
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as _grid
-from . import write_manifest
+from . import format_value, write_manifest
 from .grid import FourierGrid, PerturbationState, make_grid, x_norm_snapshot, fsum
 from .linear import expm_batch, symbol_matrix
 
@@ -141,7 +142,7 @@ class SolverConfig:
     @classmethod
     def from_json(cls, payload) -> "SolverConfig":
         if isinstance(payload, (str, Path)):
-            payload = json.loads(Path(payload).read_text())
+            payload = json.loads(Path(payload).read_text(), object_pairs_hook=_keys_once)
         if not isinstance(payload, dict):
             raise ConfigError([f"config: the top level must be a JSON object, "
                                f"got {type(payload).__name__}"])
@@ -175,6 +176,14 @@ class SolverConfig:
         ).hexdigest()
 
 
+def _keys_once(pairs) -> dict:
+    """A JSON object as a dict; a key it repeats is a `ConfigError`, where
+    `json.loads` alone would keep the last value."""
+    if twice := [key for key, count in Counter(k for k, _ in pairs).items() if count > 1]:
+        raise ConfigError([f"{key}: given twice" for key in twice])
+    return dict(pairs)
+
+
 @dataclass
 class TrajectoryRecord:
     times: list = field(default_factory=list)
@@ -204,7 +213,7 @@ def x0_surrogate(state: PerturbationState, M: int = 8) -> float:
     """Initial-data size: H^M of (n, u, grad psi) plus W^{5,1} of the same."""
     g = state.grid
     comps = _grid.energy_components(state)
-    phys = _grid.to_physical(g, (1.0 + g.A**2) ** 2.5 * comps)
+    phys = _grid.to_physical(g, _grid.bessel_weight(g, 5) * comps)
     mags = np.sqrt(sum(phys ** 2))
     return _grid.hm_energy(g, comps, M)[0] + g.dx * g.dy * fsum(mags)
 
@@ -214,8 +223,9 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
     """Band-limited smooth data scaled so the initial-size surrogate = delta."""
     if delta < 0:
         raise SolverError("delta must be nonnegative")
+    state = PerturbationState.zeros(grid)
     if delta == 0.0:
-        return PerturbationState.zeros(grid)
+        return state
     mask = grid.A <= grid.nyquist / 3.0
     A = grid.A
     if spec == "gaussian":
@@ -225,21 +235,16 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
         centers = [(0.30, 0.45), (0.55, 0.40), (0.45, 0.62), (0.60, 0.55)]
         amps = (1.0, 0.8, 0.9, 1.1)
         width = 1.8
-        coeffs = []
-        for (cx, cy), amp in zip(centers, amps):
+        for row, (cx, cy), amp in zip(state.coeffs, centers, amps):
             phase = np.exp(-1j * (grid.XI * cx * grid.Lx + grid.ETA * cy * grid.Ly))
-            c = amp * np.exp(-0.25 * (A * width) ** 2) * phase * mask
-            coeffs.append(c * grid.area / np.pi)
+            row[:] = amp * np.exp(-0.25 * (A * width) ** 2) * phase * mask * grid.area / np.pi
     elif spec == "random":
         rng = np.random.default_rng(seed)
-        coeffs = []
-        for _ in range(4):
+        for row in state.coeffs:
             white = rng.standard_normal((grid.nx, grid.ny))
-            c = _grid.to_spectral(grid, [white])[0]
-            coeffs.append(c * np.exp(-2.0 * A * A) * mask)
+            row[:] = _grid.to_spectral(grid, [white])[0] * np.exp(-2.0 * A * A) * mask
     else:
         raise SolverError(f"unknown initial-data recipe {spec!r}")
-    state = PerturbationState.from_stack(grid, np.stack(coeffs))
     size = x0_surrogate(state, M=M)
     if size == 0.0:
         raise SolverError("degenerate initial data (zero norm)")
@@ -265,9 +270,8 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     g = state.grid
     nc = g.dealias_columns(dealias_fraction)
     mask = g.dealias_mask(dealias_fraction)[:, :nc]
-    cn, cu, cv, cp = (f.coeffs[:, :nc] * mask for f in state.fields)
-    ikx = 1j * g.xi_d[:, None]
-    iky = 1j * g.eta_d[None, :nc]
+    cn, cu, cv, cp = state.coeffs[..., :nc] * mask
+    ikx, iky = g.ikx, g.iky[:, :nc]
     lap = -(g.XI**2 + g.ETA[:, :nc]**2)
     # lap u + lam (dxx u + dxy v) and lap v + lam (dxy u + dyy v) - lap psi
     visc_x = lap * cu + lam * (ikx * ikx * cu + ikx * iky * cv)
@@ -291,7 +295,7 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     out = hat[1:]
     out[0] = ikx * hat[0] + iky * hat[1]  # conservative: ikx F(nu) + iky F(nv)
     if lambda_forcing:
-        cu, cv = state.u.coeffs[:, :nc], state.v.coeffs[:, :nc]
+        cu, cv = state.coeffs[1:3, :, :nc]
         out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
         out[2] += lam * (ikx * iky * cu + iky * iky * cv)
     out *= mask
@@ -380,17 +384,17 @@ class Stepper:
 
     def step(self, state: PerturbationState, nonlinear: bool = True) -> PerturbationState:
         g = self.grid
-        u = state.stack()
+        u = state.coeffs
         out = _apply(self.E, u)
         if not nonlinear:
             _check_finite(g.coeff_norm(out))
-            return PerturbationState.from_stack(g, out)
+            return PerturbationState(g, out)
         norm_before = g.coeff_norm(u)
         lambda_forcing = not self.lambda_in_linear
         nl = nonlinear_terms(state, self.lam, self.dealias_fraction, lambda_forcing)
         band = out[..., :nl.shape[-1]]  # the columns the phi blocks act on
         band += _apply(self.P1, nl)  # out holds the midpoint state
-        nl_mid = nonlinear_terms(PerturbationState.from_stack(g, out), self.lam,
+        nl_mid = nonlinear_terms(PerturbationState(g, out), self.lam,
                                  self.dealias_fraction, lambda_forcing)
         nl_mid -= nl
         nl_mid /= self.dt
@@ -400,7 +404,7 @@ class Stepper:
         if norm_after > 10.0 * norm_before and norm_before > 0:
             raise StepRejectedError(
                 f"step-rejected: norm grew x{norm_after / norm_before:.1f} in one step")
-        return PerturbationState.from_stack(g, out)
+        return PerturbationState(g, out)
 
 
 def _check_finite(norm: float, where: str = "after the step") -> None:
@@ -419,7 +423,7 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
     """
     config.validate()
     g = make_grid(config.nx, config.ny, config.Lx, config.Ly)
-    if state0 is not None and _box(state0.grid) != _box(g):
+    if state0 is not None and state0.grid != g:
         raise ConfigError([f"state0: grid {_box(state0.grid)} differs from the "
                            f"config's {_box(g)}"])
     state = state0 if state0 is not None else initial_data(
@@ -435,14 +439,14 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
         record.times.append(t)
         record.snapshots.append(x_norm_snapshot(st, t, config.M, config.eps,
                                                 config.gamma, config.gamma_bar))
-        record.mass.append(float(st.n.coeffs[0, 0].real))
+        record.mass.append(float(st.coeffs[0, 0, 0].real))
 
     observe(0.0, state)
     checkpoints = []
     if out_dir is not None and config.checkpoint_fields:
         checkpoints += _write_checkpoint(state, Path(out_dir), 0.0)
     try:
-        _check_finite(g.coeff_norm(state.stack()), "in the initial state")
+        _check_finite(g.coeff_norm(state.coeffs), "in the initial state")
         for k in range(1, n_steps + 1):
             state = stepper.step(state, nonlinear=config.nonlinear)
             if k % steps_per_output == 0 or k == n_steps:
@@ -472,7 +476,7 @@ def _box(grid: FourierGrid) -> str:
 def _write_checkpoint(state: PerturbationState, out: Path, t: float) -> list:
     """Save the four fields at time t as <name>_t<t>; returns the files written."""
     out.mkdir(parents=True, exist_ok=True)
-    return [path for name, f in zip(("n", "u", "v", "psi"), state.fields)
+    return [path for name, f in zip(_grid.COMPONENTS, state.fields)
             for path in _grid.save_field(f, out / f"{name}_t{t:g}", name=name, time=t)]
 
 
@@ -481,7 +485,7 @@ def _write_trajectory(record: TrajectoryRecord, path: Path) -> None:
     header = next(rows)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row))
+        lines.append(",".join(map(format_value, row)))
     if record.aborted:
         lines.append(f"# aborted: {record.aborted}")
     path.write_text("\n".join(lines) + "\n")

@@ -316,10 +316,12 @@ BASIC_QUAD_CLAIMS = {
     "est_Axit5": ({"beta": 1.0, "beta_prime": 1.0, "alpha": 1.25}, -1.0, 0.0),
 }
 
+# a passing claim's fitted t-slope is within this of its target
+_QUAD_SLOPE_TOL = 0.1
+
 
 def check_basic_quadrature(claim: str, params: dict | None = None,
-                           t_grid=None, cap: float = 1e3,
-                           slope_tol: float = 0.1) -> ScanResult:
+                           t_grid=None, cap: float = 1e3) -> ScanResult:
     """Measure one basic quadrature bound: fitted prefactor and t-slope."""
     if claim not in BASIC_QUAD_CLAIMS:
         raise KeyError(f"unknown quadrature claim {claim!r}; known: {sorted(BASIC_QUAD_CLAIMS)}")
@@ -349,7 +351,7 @@ def check_basic_quadrature(claim: str, params: dict | None = None,
     result = _finish(f"quad:{claim}", 2 * len(t_grid), cmax1, cmax2, worst, cap,
                      extra={"fitted_slope": slope, "target_slope": t_slope,
                             "r_squared": r2, "params": p})
-    if result.verdict == "PASS" and abs(slope - t_slope) > slope_tol:
+    if result.verdict == "PASS" and abs(slope - t_slope) > _QUAD_SLOPE_TOL:
         result.verdict = "FAIL"
         result.extra["slope_mismatch"] = abs(slope - t_slope)
     return result

@@ -174,8 +174,8 @@ class TestCriterion8Solver:
             x = stepper.step(x, nonlinear=False)
             if k % 20 == 0:
                 ref = ln.kernel_semigroup_field(state0, k * cfg.dt)
-                scale = max(np.max(np.abs(ref.stack())), 1e-300)
-                worst = max(worst, np.max(np.abs(x.stack() - ref.stack())) / scale)
+                scale = max(np.max(np.abs(ref.coeffs)), 1e-300)
+                worst = max(worst, np.max(np.abs(x.coeffs - ref.coeffs)) / scale)
         # and the viscous case against the matrix-exponential flow
         lam = 0.05
         stepper_v = sv.Stepper(g, 0.1, lam)
@@ -193,7 +193,7 @@ class TestCriterion8Solver:
         full0 = np.stack([np.fft.fft2(f.to_physical()) * (g.dx * g.dy) for f in state0.fields])
         ref_v = np.einsum("xyij,jxy->ixy", flow, full0)[..., :g.ny // 2 + 1]
         scale_v = max(np.max(np.abs(ref_v)), 1e-300)
-        worst_v = np.max(np.abs(xv.stack() - ref_v)) / scale_v
+        worst_v = np.max(np.abs(xv.coeffs - ref_v)) / scale_v
         ok = worst <= 1e-10 and worst_v <= 1e-10
         report("criterion 8a (linear-limit exactness)", ok,
                f"semigroup dev {worst:.2e}, viscous matexp dev {worst_v:.2e}")
@@ -207,7 +207,7 @@ class TestCriterion8Solver:
             x = state
             for _ in range(round(T / dt)):
                 x = stepper.step(x)
-            return x.stack()
+            return x.coeffs
 
         ref = run(1.0 / 128)
         e1 = np.linalg.norm(run(1.0 / 8) - ref)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import mhdlab
 from mhdlab import cli, verify
 
 
@@ -262,9 +263,10 @@ class TestSimulate:
     @pytest.mark.parametrize("text,problem", [
         ("[1, 2]", "config: the top level must be a JSON object, got list"),
         ('{"lambda": 0.1, "lam": 0.2}', "lambda: given twice, as 'lambda' and 'lam'"),
+        ('{"lam": 0.1, "lam": 0.2}', "lam: given twice"),
         ('{"init": "random", "init_spec": "gaussian"}',
          "init: given twice, as 'init' and 'init_spec'"),
-    ], ids=["top-level-list", "lambda-twice", "init-twice"])
+    ], ids=["top-level-list", "lambda-twice", "lam-repeated", "init-twice"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, text, problem):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -330,3 +332,12 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "one", "--claim", "bogus"], capsys)
         assert code == 2
         assert "elem1" in err  # the claim list is printed
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.1, "0.10000000000000001"), (2 / 3, "0.66666666666666663"), (3, "3"),
+    ("kn1L", "kn1L"), (float("nan"), "nan")])
+def test_format_value_17_digits(value, text):
+    assert mhdlab.format_value(value) == text
+    if isinstance(value, float) and value == value:
+        assert float(text) == value

@@ -81,6 +81,24 @@ class TestMakeGrid:
         assert not g.A.flags.writeable
         assert g.A.shape == g.shape == (8, 5)
 
+    @pytest.mark.parametrize("name", ["A", "ikx", "iky"])
+    def test_symbols_cached_read_only(self, grid32, name):
+        sym = getattr(grid32, name)
+        assert sym is getattr(grid32, name)
+        with pytest.raises(ValueError, match="read-only"):
+            sym[0, 0] = 1.0
+
+    def test_derivative_symbols_zero_nyquist(self):
+        g = gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi)
+        assert g.ikx.shape == (4, 1) and g.iky.shape == (1, 3)
+        assert g.ikx[:, 0].tolist() == [0j, 1j, 0j, -1j]
+        assert g.iky[0].tolist() == [0j, 1j, 0j]
+
+    def test_grids_equal_by_dimensions(self):
+        a, b = gr.make_grid(8, 8, 1.0, 2.0), gr.make_grid(8, 8, 1.0, 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != gr.make_grid(8, 8, 1.0, 3.0)
+
     def test_spacing_scales_with_box(self):
         g = gr.make_grid(4, 4, 4 * np.pi, 4 * np.pi)
         assert g.xi[1] == pytest.approx(0.5)
@@ -232,7 +250,8 @@ class TestProjectors:
 
 def mixed_norm(f):
     z = gr.SpectralField.zeros(f.grid)
-    return gr.x_norm_snapshot(gr.PerturbationState(z, z, f, z), 0.0).entries["v:L2xLinfy"]
+    state = gr.PerturbationState.from_fields(z, z, f, z)
+    return gr.x_norm_snapshot(state, 0.0).entries["v:L2xLinfy"]
 
 
 def assert_fsum_matches(values, reference=None):
@@ -433,6 +452,23 @@ class TestNorms:
                + gr.l2_norm(lap) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("s,zero_mode", [(-0.5, 0.0), (0.0, 1.0), (0.75, 0.0)])
+    def test_homogeneous_weight_zero_mode(self, grid32, s, zero_mode):
+        w = gr.homog_weight(grid32, s)
+        assert w[0, 0] == zero_mode
+        assert np.all(np.isfinite(w))
+
+    def test_bessel_weight_is_one_at_order_zero(self, grid32):
+        assert np.all(gr.bessel_weight(grid32, 0) == 1.0)
+        assert gr.bessel_weight(grid32, 2)[1, 1] == 1.0 + grid32.A[1, 1] ** 2
+
+    def test_sup_norm_takes_only_numpy_inf(self, grid32):
+        f = random_field(grid32)
+        assert gr.sobolev_norm(f, 1, p=np.inf) == np.max(np.abs(
+            gr.apply_multiplier(f, gr.bessel_weight(grid32, 1)).to_physical()))
+        with pytest.raises(gr.GridError, match="unsupported p"):
+            gr.sobolev_norm(f, 1, p="inf")
+
     def test_homogeneous_negative_order_needs_zero_mean(self, grid32):
         one = gr.SpectralField.from_physical(grid32, np.ones((32, 32)))
         with pytest.raises(gr.GridError, match="homogeneous-symbol-singularity"):
@@ -483,7 +519,7 @@ class TestXNormSnapshot:
         x = (np.arange(32) * grid32.dx)[:, None] * np.ones((1, 32))
         n = gr.SpectralField.from_physical(grid32, 1e-3 * np.cos(x))
         z = gr.SpectralField.zeros(grid32)
-        snap = gr.x_norm_snapshot(gr.PerturbationState(n, z, z, z), 1.0)
+        snap = gr.x_norm_snapshot(gr.PerturbationState.from_fields(n, z, z, z), 1.0)
         for key, val in snap.entries.items():
             if key.startswith("n:"):
                 assert val > 0.0
@@ -506,8 +542,8 @@ class TestXNormSnapshot:
         fields = []
         for seed in range(4):
             f = random_field(grid32, seed=seed + 40, rough=0.4)
-            fields.append(f * 1e-2)
-        state = gr.PerturbationState(*fields)
+            fields.append(gr.SpectralField(grid32, f.coeffs * 1e-2))
+        state = gr.PerturbationState.from_fields(*fields)
         snap = gr.x_norm_snapshot(state, 2.0, M=8, gamma=0.75, gamma_bar=1.0)
 
         def phys_l2(field, weight):
@@ -596,8 +632,9 @@ def observation_states(grid):
     z = gr.SpectralField.zeros(grid)
     psi = smooth_cutoff(rough(0.3), 4.0, "le")
     return {"zero": gr.PerturbationState.zeros(grid),
-            "rough": gr.PerturbationState(rough(0.02), rough(-0.01), rough(0.05), rough(0.3)),
-            "psi_only": gr.PerturbationState(z, z, z, psi)}
+            "rough": gr.PerturbationState.from_fields(
+                rough(0.02), rough(-0.01), rough(0.05), rough(0.3)),
+            "psi_only": gr.PerturbationState.from_fields(z, z, z, psi)}
 
 
 class TestOnePassSnapshot:
@@ -715,12 +752,40 @@ class TestPerturbationState:
     def test_shared_grid_enforced(self, grid32):
         other = gr.make_grid(16, 16, 2 * np.pi, 2 * np.pi)
         with pytest.raises(gr.GridError, match="share one grid"):
-            gr.PerturbationState(
+            gr.PerturbationState.from_fields(
                 gr.SpectralField.zeros(grid32), gr.SpectralField.zeros(grid32),
                 gr.SpectralField.zeros(grid32), gr.SpectralField.zeros(other))
 
+    @pytest.mark.parametrize("shape", [(3, 32, 17), (4, 32, 32), (32, 17)])
+    def test_rejects_wrong_shape(self, grid32, shape):
+        with pytest.raises(gr.GridError, match=rf"shape \({', '.join(map(str, shape))}\)"):
+            gr.PerturbationState(grid32, np.zeros(shape, complex))
+
+    def test_casts_to_one_contiguous_complex_array(self, grid32):
+        real = np.ones((32, 17, 4)).transpose(2, 0, 1)
+        state = gr.PerturbationState(grid32, real)
+        assert state.coeffs.dtype == complex and state.coeffs.flags.c_contiguous
+        again = gr.PerturbationState(grid32, state.coeffs)
+        assert again.coeffs is state.coeffs  # no copy of a conforming array
+
+    def test_fields_are_views_of_the_rows(self, grid32):
+        state = gr.PerturbationState.zeros(grid32)
+        views = (state.n, state.u, state.v, state.psi)
+        for i, (f, g) in enumerate(zip(views, state.fields)):
+            assert f.grid is grid32 and np.shares_memory(f.coeffs, state.coeffs[i])
+            assert np.shares_memory(g.coeffs, state.coeffs[i])
+
+    def test_scaled_and_zeros_act_on_the_array(self, grid32):
+        state = gr.PerturbationState(grid32, np.arange(4 * 32 * 17).reshape(4, 32, 17))
+        assert np.array_equal(state.scaled(0.5).coeffs, state.coeffs * 0.5)
+        zero = gr.PerturbationState.zeros(grid32)
+        assert zero.coeffs.shape == (4, 32, 17) and not np.any(zero.coeffs)
+
     def test_stack_roundtrip(self, grid32):
-        state = gr.PerturbationState(*(random_field(grid32, seed=s) for s in range(4)))
-        back = gr.PerturbationState.from_stack(grid32, state.stack())
-        for a, b in zip(state.fields, back.fields):
-            assert np.array_equal(a.coeffs, b.coeffs)
+        fields = [random_field(grid32, seed=s) for s in range(4)]
+        state = gr.PerturbationState.from_fields(*fields)
+        back = gr.PerturbationState(grid32, state.coeffs)
+        for f, a, b in zip(fields, state.fields, back.fields):
+            assert np.array_equal(f.coeffs, a.coeffs) and np.array_equal(a.coeffs, b.coeffs)
+        again = gr.PerturbationState.from_fields(*state.fields)
+        assert again.coeffs.tobytes() == state.coeffs.tobytes()

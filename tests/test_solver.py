@@ -55,7 +55,7 @@ def padded(coeffs, grid):
 def single_field_state(grid, which, values):
     fields = [gr.SpectralField.zeros(grid) for _ in range(4)]
     fields[which] = gr.SpectralField.from_physical(grid, values)
-    return gr.PerturbationState(*fields)
+    return gr.PerturbationState.from_fields(*fields)
 
 
 class TestConfig:
@@ -153,6 +153,17 @@ class TestConfig:
             sv.SolverConfig.from_json({first: value, second: other})
         assert err.value.problems == [f"{first}: given twice, as {first!r} and {second!r}"]
 
+    @pytest.mark.parametrize("text,twice", [
+        ('{"lam": 0.1, "lam": 0.2}', ["lam"]),
+        ('{"T": 1.0, "nx": 8, "T": 2.0, "nx": 8, "T": 3.0}', ["T", "nx"]),
+    ])
+    def test_from_json_file_repeats_a_key(self, tmp_path, text, twice):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(sv.ConfigError) as err:
+            sv.SolverConfig.from_json(path)
+        assert err.value.problems == [f"{key}: given twice" for key in twice]
+
     def test_digest_stable(self):
         a, b = sv.SolverConfig(), sv.SolverConfig()
         assert a.digest() == b.digest()
@@ -179,7 +190,7 @@ class TestInitialData:
         got = sv.initial_data(spec, grid32, 1e-3, seed=4, M=9)
         monkeypatch.setattr(sv, "x0_surrogate", per_field_x0_surrogate)
         ref = sv.initial_data(spec, grid32, 1e-3, seed=4, M=9)
-        assert got.stack().tobytes() == ref.stack().tobytes()
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
         for state in (got, random_real_state(grid32, 6, 0.2)):
             assert one_pass(state, M=9) == per_field_x0_surrogate(state, M=9)
 
@@ -235,7 +246,7 @@ class TestNonlinearTerms:
         fields = [gr.SpectralField.zeros(grid32) for _ in range(4)]
         fields[1] = gr.SpectralField.from_physical(grid32, np.ones((32, 32)))
         fields[3] = gr.SpectralField.from_physical(grid32, np.cos(y))
-        nl = sv.nonlinear_terms(gr.PerturbationState(*fields))
+        nl = sv.nonlinear_terms(gr.PerturbationState.from_fields(*fields))
         assert np.max(np.abs(nl[3])) <= 1e-14
 
     def test_density_collapse_guard(self, grid32):
@@ -250,7 +261,7 @@ class TestNonlinearTerms:
         for s in range(4):
             f = gr.SpectralField.from_physical(grid32, rng.standard_normal((32, 32)))
             fields.append(gr.apply_multiplier(f, 0.01 * np.exp(-0.5 * grid32.A**2)))
-        nl = sv.nonlinear_terms(gr.PerturbationState(*fields))
+        nl = sv.nonlinear_terms(gr.PerturbationState.from_fields(*fields))
         assert abs(nl[0][0, 0]) <= 1e-18
 
     def test_output_dealiased(self, grid32):
@@ -258,7 +269,7 @@ class TestNonlinearTerms:
         fields = [gr.apply_multiplier(
             gr.SpectralField.from_physical(grid32, rng.standard_normal((32, 32))),
             0.05 * np.exp(-0.1 * grid32.A**2)) for _ in range(4)]
-        nl = padded(sv.nonlinear_terms(gr.PerturbationState(*fields)), grid32)
+        nl = padded(sv.nonlinear_terms(gr.PerturbationState.from_fields(*fields)), grid32)
         outside = ~grid32.dealias_mask()
         for k in range(4):
             assert np.max(np.abs(nl[k][outside])) == 0.0
@@ -272,7 +283,7 @@ def random_real_state(grid, seed, size):
     for _ in range(4):
         phys = np.fft.ifft2(np.fft.fft2(rng.standard_normal((grid.nx, grid.ny))) * mask).real
         fields.append(gr.SpectralField.from_physical(grid, size * phys / np.max(np.abs(phys))))
-    return gr.PerturbationState(*fields)
+    return gr.PerturbationState.from_fields(*fields)
 
 
 def per_field_nonlinear_terms(state, lam, lambda_forcing=False):
@@ -361,7 +372,7 @@ def rough_state(grid, seed, size):
     for _ in range(4):
         phys = rng.standard_normal((grid.nx, grid.ny))
         fields.append(gr.SpectralField.from_physical(grid, size * phys / np.max(np.abs(phys))))
-    return gr.PerturbationState(*fields)
+    return gr.PerturbationState.from_fields(*fields)
 
 
 # 32^2, a non-square box with Lx != Ly, no dealiasing (every column, Nyquist
@@ -435,11 +446,11 @@ class TestStepper:
         state = sv.initial_data("random", grid32, 0.01, seed=3)
         one = sv.Stepper(grid32, 0.3, lam=0.2).step(state, nonlinear=False)
         ref = np.empty((4, *grid32.shape), complex)
-        u = state.stack()
+        u = state.coeffs
         for i, j in np.ndindex(grid32.shape):
             m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], 0.2)
             ref[:, i, j] = ln.matexp(m, 0.3) @ u[:, i, j]
-        assert np.max(np.abs(one.stack() - ref)) <= 1e-12
+        assert np.max(np.abs(one.coeffs - ref)) <= 1e-12
 
     @pytest.mark.parametrize("dt,lam", [(0.3, 0.2), (0.05, 0.05), (0.01, 0.0)])
     def test_phi_blocks_closed_form(self, grid32, dt, lam):
@@ -460,9 +471,9 @@ class TestStepper:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_nonfinite_state_rejected(self, grid32, nonlinear):
         state = sv.initial_data("random", grid32, 1e-3, seed=3)
-        u = state.stack().copy()
+        u = state.coeffs.copy()
         u[1, 2, 3] = np.nan
-        bad = gr.PerturbationState.from_stack(grid32, u)
+        bad = gr.PerturbationState(grid32, u)
         with pytest.raises(sv.StepRejectedError, match="^non-finite-state"):
             sv.Stepper(grid32, 0.1).step(bad, nonlinear=nonlinear)
 
@@ -475,14 +486,14 @@ class TestStepper:
             coeffs = np.zeros((4, *grid.shape), complex)
             for mode in modes:
                 coeffs[(0, *mode)] = grid.area / 2.0
-            return gr.PerturbationState.from_stack(grid, coeffs)
+            return gr.PerturbationState(grid, coeffs)
 
         return density((1, 0), (-1, 0)), density((0, 1))
 
     def test_coefficient_norm_counts_the_full_spectrum(self, grid32):
         for state in self._column0_and_interior(grid32):
             full = np.linalg.norm(np.stack([full_spectrum(f) for f in state.fields]))
-            assert grid32.coeff_norm(state.stack()) == pytest.approx(full, rel=1e-12)
+            assert grid32.coeff_norm(state.coeffs) == pytest.approx(full, rel=1e-12)
 
     @pytest.mark.parametrize("grows,from_column0", [(12.0, True), (8.0, False)])
     def test_growth_guard_reads_full_spectrum_norms(self, grid32, monkeypatch, grows,
@@ -492,29 +503,29 @@ class TestStepper:
         # reject x8
         col0, interior = self._column0_and_interior(grid32)
         before, after = (col0, interior) if from_column0 else (interior, col0)
-        target = grows * after.stack()
+        target = grows * after.coeffs
         stepper = sv.Stepper(grid32, 0.1)
         nc = stepper.P1.shape[-1]
         # both states sit inside the band, so nl does too
-        assert not np.any(target[..., nc:]) and not np.any(before.stack()[..., nc:])
+        assert not np.any(target[..., nc:]) and not np.any(before.coeffs[..., nc:])
         eye = np.eye(4)[:, :, None, None]
         stepper.E = np.broadcast_to(eye, stepper.E.shape)  # a step returns u + nl
         stepper.P1 = stepper.P2 = np.broadcast_to(eye, stepper.P1.shape)
         monkeypatch.setattr(sv, "nonlinear_terms",
-                            lambda state, *args, **kwargs: (target - before.stack())[..., :nc])
+                            lambda state, *args, **kwargs: (target - before.coeffs)[..., :nc])
 
         def full_norm(coeffs):
             return np.linalg.norm([full_spectrum(gr.SpectralField(grid32, c)) for c in coeffs])
 
-        ratio = full_norm(target) / full_norm(before.stack())
+        ratio = full_norm(target) / full_norm(before.coeffs)
         assert ratio == pytest.approx(grows, rel=1e-12)
-        half_ratio = np.linalg.norm(target) / np.linalg.norm(before.stack())
+        half_ratio = np.linalg.norm(target) / np.linalg.norm(before.coeffs)
         assert (half_ratio > 10.0) != (ratio > 10.0)
         if ratio > 10.0:
             with pytest.raises(sv.StepRejectedError, match=f"norm grew x{grows:.1f}"):
                 stepper.step(before)
         else:
-            out = stepper.step(before).stack()
+            out = stepper.step(before).coeffs
             assert np.max(np.abs(out - target)) <= 1e-14 * np.max(np.abs(target))
 
     def test_propagator_layout(self, grid32):
@@ -531,9 +542,9 @@ class TestStepper:
         stepper = sv.Stepper(grid, 0.05, 0.3, fraction, lambda_in_linear)
         state = rough_state(grid, 4, 0.05)
         band = grid.dealias_mask(fraction)
-        u = state.stack()
+        u = state.coeffs
         assert np.all(u[:, ~band] != 0) or band.all()
-        out = stepper.step(state).stack()
+        out = stepper.step(state).coeffs
         linear = np.einsum("ijxy,jxy->ixy", stepper.E, u)
         assert np.array_equal(out[:, ~band], linear[:, ~band])
         ref = full_lattice_step(stepper, state)
@@ -543,16 +554,26 @@ class TestStepper:
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_real_coefficient_arrays_step_as_complex(self, grid32, nonlinear):
         state = sv.initial_data("random", grid32, 1e-3, seed=2)
-        real = gr.PerturbationState.from_stack(grid32, state.stack().real)
-        cast = gr.PerturbationState.from_stack(grid32, state.stack().real.astype(complex))
+        real = gr.PerturbationState(grid32, state.coeffs.real)
+        cast = gr.PerturbationState(grid32, state.coeffs.real.astype(complex))
         stepper = sv.Stepper(grid32, 0.1, lam=0.05)
-        out = stepper.step(real, nonlinear).stack()
+        out = stepper.step(real, nonlinear).coeffs
         assert out.dtype == complex
-        assert np.array_equal(out, stepper.step(cast, nonlinear).stack())
+        assert np.array_equal(out, stepper.step(cast, nonlinear).coeffs)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("lambda_in_linear", [True, False])
+    def test_step_leaves_its_input_unchanged(self, grid32, nonlinear, lambda_in_linear):
+        state = sv.initial_data("random", grid32, 1e-2, seed=4)
+        before = state.coeffs.tobytes()
+        stepper = sv.Stepper(grid32, 0.1, lam=0.05, lambda_in_linear=lambda_in_linear)
+        out = stepper.step(state, nonlinear)
+        assert state.coeffs.tobytes() == before
+        assert not np.shares_memory(out.coeffs, state.coeffs)
 
     def test_zero_state_fixed_point(self, grid32):
         out = sv.Stepper(grid32, 0.1).step(gr.PerturbationState.zeros(grid32))
-        assert np.max(np.abs(out.stack())) == 0.0
+        assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_second_order_convergence(self):
         g = gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi)
@@ -563,7 +584,7 @@ class TestStepper:
             x = state
             for _ in range(round(T / dt)):
                 x = stepper.step(x)
-            return x.stack()
+            return x.coeffs
 
         ref = run(1.0 / 128)
         e1 = np.linalg.norm(run(1.0 / 8) - ref)
@@ -580,8 +601,8 @@ class TestStepper:
         for _ in range(20):
             xa = absorbed.step(xa)
             xs = split.step(xs)
-        scale = np.max(np.abs(xa.stack()))
-        assert np.max(np.abs(xa.stack() - xs.stack())) <= 1e-5 * scale
+        scale = np.max(np.abs(xa.coeffs))
+        assert np.max(np.abs(xa.coeffs - xs.coeffs)) <= 1e-5 * scale
 
 
 def full_lattice_step(stepper, state):
@@ -598,10 +619,10 @@ def full_lattice_step(stepper, state):
         return padded(sv.nonlinear_terms(st, stepper.lam, stepper.dealias_fraction,
                                          not stepper.lambda_in_linear), g)
 
-    u = state.stack()
+    u = state.coeffs
     nl = rhs(state)
     mid = apply(E, u) + apply(P1, nl)
-    nl_mid = rhs(gr.PerturbationState.from_stack(g, mid))
+    nl_mid = rhs(gr.PerturbationState(g, mid))
     return mid + apply(P2, (nl_mid - nl) / stepper.dt)
 
 
@@ -725,8 +746,8 @@ class TestSimulate:
                 rec_states.append(((k + 1) * cfg.dt, x))
         for t, state in rec_states:
             ref = ln.kernel_semigroup_field(state0, t)
-            scale = max(np.max(np.abs(ref.stack())), 1e-300)
-            assert np.max(np.abs(state.stack() - ref.stack())) <= 1e-10 * scale
+            scale = max(np.max(np.abs(ref.coeffs)), 1e-300)
+            assert np.max(np.abs(state.coeffs - ref.coeffs)) <= 1e-10 * scale
 
     def test_out_of_regime_aborts_gracefully(self):
         cfg = sv.SolverConfig(nx=32, ny=32, Lx=2 * np.pi, Ly=2 * np.pi,
@@ -736,7 +757,7 @@ class TestSimulate:
         big = single_field_state(g, 0, 0.95 * np.cos(x))
         fields = list(big.fields)
         fields[1] = gr.SpectralField.from_physical(g, 0.5 * np.sin(x))
-        rec = sv.simulate(cfg, state0=gr.PerturbationState(*fields))
+        rec = sv.simulate(cfg, state0=gr.PerturbationState.from_fields(*fields))
         assert rec.aborted is not None
         assert "density-collapse" in rec.aborted or "step-rejected" in rec.aborted
 
@@ -745,9 +766,9 @@ class TestSimulate:
         cfg = sv.SolverConfig(nx=32, ny=32, Lx=2 * np.pi, Ly=2 * np.pi,
                               T=0.5, dt=0.1, cadence=0.1, delta=1e-3,
                               nonlinear=nonlinear)
-        u = sv.initial_data("random", grid32, 1e-3, seed=3).stack().copy()
+        u = sv.initial_data("random", grid32, 1e-3, seed=3).coeffs.copy()
         u[0, 1, 1] = np.nan
-        rec = sv.simulate(cfg, state0=gr.PerturbationState.from_stack(grid32, u))
+        rec = sv.simulate(cfg, state0=gr.PerturbationState(grid32, u))
         assert rec.aborted is not None and rec.aborted.startswith("non-finite-state")
         assert rec.times == [0.0]
 
@@ -755,9 +776,9 @@ class TestSimulate:
         # T = 0 runs no step, so only the initial check can see the NaN
         cfg = sv.SolverConfig(nx=32, ny=32, Lx=2 * np.pi, Ly=2 * np.pi,
                               T=0.0, dt=0.1, cadence=0.1, delta=1e-3)
-        u = sv.initial_data("random", grid32, 1e-3, seed=3).stack().copy()
+        u = sv.initial_data("random", grid32, 1e-3, seed=3).coeffs.copy()
         u[0, 1, 1] = np.nan
-        rec = sv.simulate(cfg, state0=gr.PerturbationState.from_stack(grid32, u))
+        rec = sv.simulate(cfg, state0=gr.PerturbationState(grid32, u))
         assert rec.aborted == "non-finite-state: coefficient norm is nan in the initial state"
 
     def test_checkpoints_keep_fractional_times(self, tmp_path):
