@@ -244,29 +244,37 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> FourierGrid:
 # (inverse) or kept (forward); the other columns are zero.  The transforms are
 # looked up as attributes of np.fft at every call.
 
-def to_physical(grid: FourierGrid, spectra) -> np.ndarray:
-    """Physical values of each half-spectrum array in `spectra`, stacked.
+def to_physical(grid: FourierGrid, spectra, out=None, scratch=None) -> np.ndarray:
+    """Physical values of each half-spectrum array in `spectra`, stacked, into
+    `out` (len(spectra), nx, ny) when given.
 
     An array of shape (nx, nc) holds the first nc <= ny//2 + 1 columns and
     the later columns are zero: the ifft along x runs on those nc columns and
-    irfft along y pads the rest, the two passes of numpy's irfftn.
+    irfft along y pads the rest, the two passes of numpy's irfftn.  The x
+    pass writes into `scratch` when given, a complex array of the spectra's
+    shape.
     """
-    out = np.empty((len(spectra), grid.nx, grid.ny))
+    if out is None:
+        out = np.empty((len(spectra), grid.nx, grid.ny))
     for c, o in zip(spectra, out):
-        np.fft.irfft(np.fft.ifft(c, axis=0), n=grid.ny, axis=1, out=o)
+        np.fft.irfft(np.fft.ifft(c, axis=0, out=scratch), n=grid.ny, axis=1, out=o)
         o /= grid.dx * grid.dy
     return out
 
 
-def to_spectral(grid: FourierGrid, values, ncols: int | None = None) -> np.ndarray:
+def to_spectral(grid: FourierGrid, values, ncols: int | None = None, out=None,
+                scratch=None) -> np.ndarray:
     """Half-spectrum coefficients of each physical array in `values`, stacked,
     on the first `ncols` columns (all of them by default): rfft along y, then
     the fft along x on the kept columns only, the two passes of numpy's rfftn.
+    The result goes into `out` (len(values), nx, ncols) when given and the y
+    pass into `scratch`, a complex (nx, ny//2 + 1) array, when given.
     """
     nc = grid.shape[1] if ncols is None else ncols
-    out = np.empty((len(values), grid.nx, nc), dtype=complex)
+    if out is None:
+        out = np.empty((len(values), grid.nx, nc), dtype=complex)
     for f, o in zip(values, out):
-        np.fft.fft(np.fft.rfft(f, axis=1)[:, :nc], axis=0, out=o)
+        np.fft.fft(np.fft.rfft(f, axis=1, out=scratch)[:, :nc], axis=0, out=o)
         o *= grid.dx * grid.dy
     return out
 
@@ -493,8 +501,9 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
     """Evaluate every summand of the three working-space norms at time t, with
     the H^M energy and the sup norms of the state.
 
-    One pass: each weight is built once, and every physical-space value comes
-    from one `to_physical` call.
+    One pass: each weight is built once.  The physical values stream through
+    two planes, at most two of them live at a time; every maximum and sum is
+    independent of the order in which they are taken.
     """
     problems = x_param_problems(M, eps, gamma, gamma_bar)
     if problems:
@@ -508,6 +517,13 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
     # the order-0 weight is exactly 1, so plain L^2 entries use the coefficients
     w1, w3, w4, w32 = (bessel_weight(g, s) for s in (1, 3, 4, 1.5))
     hg, hgb = (homog_weight(g, s) for s in (gamma, gamma_bar))
+    planes = np.empty((2, g.nx, g.ny))
+
+    def phys(*spectra):
+        return to_physical(g, spectra, out=planes[:len(spectra)])
+
+    def sup(*values):
+        return max(float(np.max(np.abs(x))) for x in values)
 
     def l2(wc):
         return _l2(wc, g)
@@ -515,17 +531,23 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
     def vec_l2(*vals):
         return math.sqrt(fsum([x * x for x in vals]))
 
-    n32, u1, v1, psi1, n, u, v, psi_x, psi_y = to_physical(
-        g, [w32 * cn, w1 * cu, w1 * cv, w1 * (hgb * cp), cn, cu, cv, px, py])
+    sup_n32 = sup(*phys(w32 * cn))
+    sup_u1 = sup(*phys(w1 * cu, w1 * cv))
+    sup_psi1 = sup(*phys(w1 * (hgb * cp)))
+    sup_n = sup(*phys(cn))
+    u, v = phys(cu, cv)
+    v_rows = np.max(np.abs(v), axis=1)
+    sup_u = float(np.max(np.sqrt(u**2 + v**2)))
+    psi_x, psi_y = phys(px, py)
     entries = {
         "n:HM_L2": hm[0],
         "n:H3_L2": l2(w3 * cn),
-        "n:H3half_inf": float(np.max(np.abs(n32))),
+        "n:H3half_inf": sup_n32,
         "n:dx_H1_L2": l2(w1 * (cn * ikx)),
         "u:HM_L2": vec_l2(hm[1], hm[2]),
         "u:L2": vec_l2(l2(cu), l2(cv)),
-        "u:H1_inf": max(float(np.max(np.abs(u1))), float(np.max(np.abs(v1)))),
-        "v:L2xLinfy": math.sqrt(g.dx * fsum(np.max(np.abs(v), axis=1) ** 2)),
+        "u:H1_inf": sup_u1,
+        "v:L2xLinfy": math.sqrt(g.dx * fsum(v_rows ** 2)),
         "u:hgamma_L2": vec_l2(l2(hg * cu), l2(hg * cv)),
         "u:dx_H1_L2": l2(w1 * (cu * ikx)),
         "v:grad_H1_L2": vec_l2(l2(w1 * (cv * ikx)), l2(w1 * (cv * iky))),
@@ -533,13 +555,12 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
         "psi:H4hgamma_L2": l2(w4 * (hg * cp)),
         "psi:dx_L2": l2(px),
         "psi:dx_grad_L2": vec_l2(l2(px * ikx), l2(px * iky)),
-        "psi:hgammabar_H1_inf": float(np.max(np.abs(psi1))),
+        "psi:hgammabar_H1_inf": sup_psi1,
     }
     weights = {k: -eps if w == -1.0 else w for k, w in X_ENTRY_WEIGHTS.items()}
     return XNormBreakdown(t=float(t), entries=entries, weights=weights,
                           M=M, eps=eps, gamma=gamma, gamma_bar=gamma_bar, energy=energy,
-                          sup_n=float(np.max(np.abs(n))),
-                          sup_u=float(np.max(np.sqrt(u**2 + v**2))),
+                          sup_n=sup_n, sup_u=sup_u,
                           sup_grad_psi=float(np.max(np.sqrt(psi_x**2 + psi_y**2))))
 
 

@@ -251,53 +251,126 @@ def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,
     return state.scaled(delta / size)
 
 
+class _Workspace:
+    """The arrays of one right-hand side on one grid and dealias band, built
+    once and handed to every `nonlinear_terms` call; the `Stepper` owns one.
+
+    On the band's nc columns: the dealias `mask`, `lap` = -|k|^2 and the
+    products of ikx and iky.  `band` holds the masked coefficients of the four
+    unknowns, `spec` a spectral factor and the x pass of an inverse transform,
+    `wide` the y pass of a forward one, and `planes` the physical values n, u,
+    v, rho, psi_x, psi_y and two scratch planes.  A call writes its result
+    into `results[0]` and then swaps the two `results`, so its caller can hold
+    that result through the next call and use `results[0]` until then.
+    """
+
+    def __init__(self, grid: FourierGrid, dealias_fraction: float):
+        self.key = grid, dealias_fraction
+        nc = grid.dealias_columns(dealias_fraction)
+        # complex, as a multiply casts a bool mask on every call
+        self.mask = grid.dealias_mask(dealias_fraction)[:, :nc].astype(complex)
+        self.ikx, self.iky = ikx, iky = grid.ikx, grid.iky[:, :nc]
+        self.lap = -(grid.XI**2 + grid.ETA[:, :nc]**2)
+        self.ikx2, self.ikxiky, self.iky2 = ikx * ikx, ikx * iky, iky * iky
+        self.band = np.empty((4, grid.nx, nc), dtype=complex)
+        self.spec = np.empty((2, grid.nx, nc), dtype=complex)
+        self.wide = np.empty(grid.shape, dtype=complex)
+        self.planes = np.empty((8, grid.nx, grid.ny))
+        self.results = [np.empty((4, grid.nx, nc), dtype=complex) for _ in range(2)]
+
+
 def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
                     dealias_fraction: float = 2.0 / 3.0,
-                    lambda_forcing: bool = False) -> np.ndarray:
+                    lambda_forcing: bool = False, work: _Workspace | None = None) -> np.ndarray:
     """The four nonlinear right-hand sides as dealiased Fourier coefficients,
     of shape (4, nx, nc): the first nc = `grid.dealias_columns` columns of the
     half spectrum, which hold the dealias band; every later column is zero.
 
     The 14 dealiased spectral factors are formed on those columns only and go
-    to physical space one by one; the 5 products come back one by one, on
-    those columns only (see `grid.to_physical`).  The viscous terms are
-    combined in spectral space before the transform.
+    to physical space one by one; each of the 5 products is formed as soon as
+    its factors exist and comes back at once, on those columns only (see
+    `grid.to_physical`).  The viscous terms are combined in spectral space
+    before the transform.  Every array is one of `work` (a fresh workspace
+    when None), the result included; see `_Workspace`.
 
     Requires max|n| < 0.99 so the total density stays positive.  When
     `lambda_forcing` is set, the linear lam-coupling is added here as a
     forcing term instead of living in the propagator (the split treatment).
     """
     g = state.grid
-    nc = g.dealias_columns(dealias_fraction)
-    mask = g.dealias_mask(dealias_fraction)[:, :nc]
-    cn, cu, cv, cp = state.coeffs[..., :nc] * mask
-    ikx, iky = g.ikx, g.iky[:, :nc]
-    lap = -(g.XI**2 + g.ETA[:, :nc]**2)
+    w = _Workspace(g, dealias_fraction) if work is None else work
+    if w.key != (g, dealias_fraction):
+        raise ValueError("nonlinear_terms: the workspace is for another grid or band")
+    out = w.results[0]
+    w.results.reverse()
+    ikx, iky, lap, mask = w.ikx, w.iky, w.lap, w.mask
+    nc = mask.shape[1]
+    cn, cu, cv, cp = np.multiply(state.coeffs[..., :nc], mask, out=w.band)
+    s0, s1 = w.spec
+    n, u, v, rho, psi_x, psi_y, a, f = w.planes
+
+    def phys(spec, plane):
+        return _grid.to_physical(g, (spec,), plane[None], s1)[0]
+
+    def hat(values, dest):
+        _grid.to_spectral(g, (values,), nc, dest[None], w.wide)
+
+    def formed(symbol, c):
+        return np.multiply(symbol, c, out=s0)
+
+    def coupling(cx, cy, mx, my):
+        """lam * (mx cx + my cy), in s1."""
+        np.multiply(mx, cx, out=s1)
+        np.add(s1, np.multiply(my, cy, out=s0), out=s1)
+        return np.multiply(lam, s1, out=s1)
+
     # lap u + lam (dxx u + dxy v) and lap v + lam (dxy u + dyy v) - lap psi
-    visc_x = lap * cu + lam * (ikx * ikx * cu + ikx * iky * cv)
-    visc_y = lap * cv + lam * (ikx * iky * cu + iky * iky * cv) - lap * cp
-    n, u, v, n_x, n_y, u_x, u_y, v_x, v_y, psi_x, psi_y, lap_psi, visc_x, visc_y = (
-        _grid.to_physical(g, [cn, cu, cv, ikx * cn, iky * cn, ikx * cu, iky * cu,
-                              ikx * cv, iky * cv, ikx * cp, iky * cp, lap * cp,
-                              visc_x, visc_y]))
-    max_n = float(np.max(np.abs(n)))
+    def visc_x():
+        coupling(cu, cv, w.ikx2, w.ikxiky)
+        return np.add(np.multiply(lap, cu, out=s0), s1, out=s0)
+
+    def visc_y():
+        coupling(cu, cv, w.ikxiky, w.iky2)
+        np.add(np.multiply(lap, cv, out=s0), s1, out=s0)
+        return np.subtract(s0, np.multiply(lap, cp, out=s1), out=s0)
+
+    def advection(dx, dy, visc, dn, psi_lap):
+        """-(u dx + v dy) - (n visc + psi_lap) / rho - n dn in plane a, each
+        spectral factor formed in s0 when it is needed: dx, dy and dn are
+        (symbol, coefficients) pairs, visc a function."""
+        np.multiply(u, phys(formed(*dx), a), out=a)
+        np.add(a, np.multiply(v, phys(formed(*dy), f), out=f), out=a)
+        np.negative(a, out=a)
+        np.multiply(n, phys(visc(), f), out=f)
+        np.add(f, psi_lap, out=f)
+        np.subtract(a, np.divide(f, rho, out=f), out=a)
+        return np.subtract(a, np.multiply(n, phys(formed(*dn), f), out=f), out=a)
+
+    phys(cn, n)
+    max_n = float(np.max(np.abs(n, out=f)))
     if max_n >= 0.99:
         raise DensityCollapseError(f"density-collapse: max|n| = {max_n:.3f} >= 0.99")
-    rho = 1.0 + n
-
-    hat = _grid.to_spectral(g, [
-        -(n * u),  # density flux, differentiated below
-        -(n * v),
-        -(u * u_x + v * u_y) - (n * visc_x + psi_x * lap_psi) / rho - n * n_x,
-        -(u * v_x + v * v_y) - (n * visc_y + psi_y * lap_psi) / rho - n * n_y,
-        -(u * psi_x + v * psi_y),
-    ], nc)
-    out = hat[1:]
-    out[0] = ikx * hat[0] + iky * hat[1]  # conservative: ikx F(nu) + iky F(nv)
+    np.add(1.0, n, out=rho)
+    # conservative density flux: ikx F(-(n u)) + iky F(-(n v))
+    hat(np.negative(np.multiply(n, phys(cu, u), out=a), out=a), s0)
+    np.multiply(ikx, s0, out=out[0])
+    hat(np.negative(np.multiply(n, phys(cv, v), out=a), out=a), s0)
+    out[0] += np.multiply(iky, s0, out=s1)
+    # -(u psi_x + v psi_y); then psi_x and psi_y are multiplied by lap psi
+    phys(formed(ikx, cp), psi_x)
+    phys(formed(iky, cp), psi_y)
+    np.multiply(u, psi_x, out=a)
+    a += np.multiply(v, psi_y, out=f)
+    hat(np.negative(a, out=a), out[3])
+    phys(formed(lap, cp), a)
+    psi_x *= a
+    psi_y *= a
+    hat(advection((ikx, cu), (iky, cu), visc_x, (ikx, cn), psi_x), out[1])
+    hat(advection((ikx, cv), (iky, cv), visc_y, (iky, cn), psi_y), out[2])
     if lambda_forcing:
         cu, cv = state.coeffs[1:3, :, :nc]
-        out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
-        out[2] += lam * (ikx * iky * cu + iky * iky * cv)
+        out[1] += coupling(cu, cv, w.ikx2, w.ikxiky)
+        out[2] += coupling(cu, cv, w.ikxiky, w.iky2)
     out *= mask
     return out
 
@@ -307,37 +380,46 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
 _PHASE = np.outer([1, 1j, 1j, 1j], [1, -1j, -1j, -1j])
 # M(-xi, eta) = S1 M(xi, eta) S1 = _S1 * M(xi, eta) with S1 = diag(1, -1, 1, 1)
 _S1 = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+# Rows of the lattice per exponential batch of the propagator build; scipy's
+# expm takes each matrix on its own, so the size only bounds the memory.
+_BUILD_ROWS = 16
 
 
-def _propagators(E, P1, P2, xi, eta, dt: float, lam: float, band: np.ndarray) -> None:
+def _propagators(E, P1, P2, xi, eta, dt: float, lam: float) -> None:
     """Fill E with exp(dt A) on the lattice xi x eta, and P1, P2 with
-    dt*phi1(dt A) and dt^2*phi2(dt A) on its first P1.shape[1] columns, which
-    hold `band`; each is indexed [xi, eta, i, j].
+    dt*phi1(dt A) and dt^2*phi2(dt A) on its first P1.shape[0] rows and
+    P1.shape[1] columns, which must be the dealias band; each is indexed
+    [xi, eta, i, j].
 
     The exponentials are taken of the real D^-1 (dt A) D and the phase is put
-    back after, which only multiplies by 1 or +-i.  Inside `band` one 12x12
+    back after, which only multiplies by 1 or +-i.  Inside the band one 12x12
     augmented exponential gives all three; outside it only the 4x4 exp(dt A)
-    is built, and the phi blocks are 0.
+    is built.  Both go in blocks of `_BUILD_ROWS` rows.
     """
-    gen = (symbol_matrix(xi[:, None], eta[None, :], lam) / _PHASE).real
-    gen *= dt
-    aug = np.zeros((np.count_nonzero(band), 12, 12))
-    aug[:, 0:4, 0:4] = gen[band]
-    aug[:, 0:4, 4:8] = aug[:, 4:8, 8:12] = dt * np.eye(4)
-    full = expm_batch(aug)
-    in_phi = band[:, :P1.shape[1]]
-    E[band], P1[in_phi], P2[in_phi] = full[:, :4, :4], full[:, :4, 4:8], full[:, :4, 8:12]
-    E[~band] = expm_batch(gen[~band])
-    P1[~in_phi] = P2[~in_phi] = 0.0
+    band = np.zeros(E.shape[:2], dtype=bool)
+    band[:P1.shape[0], :P1.shape[1]] = True
+    for start in range(0, len(xi), _BUILD_ROWS):
+        rows = slice(start, start + _BUILD_ROWS)
+        gen = (symbol_matrix(xi[rows, None], eta[None, :], lam) / _PHASE).real
+        gen *= dt
+        inside = band[rows]
+        aug = np.zeros((np.count_nonzero(inside), 12, 12))
+        aug[:, 0:4, 0:4] = gen[inside]
+        aug[:, 0:4, 4:8] = aug[:, 4:8, 8:12] = dt * np.eye(4)
+        full = expm_batch(aug)
+        E[rows][inside] = full[:, :4, :4]
+        E[rows][~inside] = expm_batch(gen[~inside])
+        for m, k in ((P1, 4), (P2, 8)):
+            m[rows] = full[:, :4, k:k + 4].reshape(m[rows].shape)
     for m in (E, P1, P2):
         m *= _PHASE
 
 
-def _apply(mats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _apply(mats: np.ndarray, coeffs: np.ndarray, out: np.ndarray,
+           term: np.ndarray) -> np.ndarray:
     """out[i] = sum over j of mats[i, j] * coeffs[j], summed in the order of j;
-    `mats` has shape (4, 4, *block) and `coeffs` (4, *block)."""
-    out = np.empty(coeffs.shape, dtype=complex)
-    term = np.empty(coeffs.shape[1:], dtype=complex)
+    `mats` has shape (4, 4, *block), `coeffs` and `out` (4, *block), and the
+    scratch `term` the shape of the block."""
     for i in range(4):
         np.multiply(mats[i, 0], coeffs[0], out=out[i])
         for j in range(1, 4):
@@ -352,13 +434,16 @@ class Stepper:
     supplies exp(dt A), dt*phi1(dt A), dt^2*phi2(dt A) in one batch; with the
     nonlinearity zeroed a step is the exact linear flow.
 
-    Each propagator is stored as one (4, 4, nx, ncols) array, entry [i, j]
+    Each propagator is stored as one (4, 4, rows, ncols) array, entry [i, j]
     over the modes.  E covers the whole half lattice: a state may hold modes
     outside the dealias band, and their linear flow is exact.  The phi blocks
     P1, P2 only multiply the nonlinear terms, which live on the dealias band,
-    so they cover the band's nc = `grid.dealias_columns` leading columns and
-    are 0 there outside the band.  The rows xi >= 0 (and the unpaired
-    -Nyquist row) are built; the rows xi < 0 are their S1 reflections.
+    so they cover the band's rows and its nc = `grid.dealias_columns` leading
+    columns: the rows with |xi| in the band are a prefix and a suffix of the
+    fftfreq order, `rows`, and P1, P2 hold the prefix then the suffix.  The
+    rows xi >= 0 (and the unpaired -Nyquist row) are built; the rows xi < 0
+    are their S1 reflections.  The stepper owns one `_Workspace`, so a step
+    allocates only the state it returns.
     """
 
     def __init__(self, grid: FourierGrid, dt: float, lam: float = 0.0,
@@ -370,35 +455,72 @@ class Stepper:
         self.dealias_fraction = dealias_fraction
         self.lambda_in_linear = lambda_in_linear
         lam_lin = lam if lambda_in_linear else 0.0
-        half = grid.nx // 2 + 1
-        band = grid.dealias_mask(dealias_fraction)[:half]
+        nx, half = grid.nx, grid.nx // 2 + 1
+        in_band = grid.dealias_mask(dealias_fraction)[:, 0]
+        head = int(np.count_nonzero(in_band[:half]))  # rows 0 .. head - 1
+        tail = int(np.count_nonzero(in_band[half:]))  # rows nx - tail .. nx - 1
+        self.rows = (slice(0, head), slice(nx - tail, nx))
+        self._phi_rows = (slice(0, head), slice(head, head + tail))
         nc = grid.dealias_columns(dealias_fraction)
         self.E, self.P1, self.P2 = mats = [
-            np.empty((4, 4, grid.nx, ncols), dtype=complex)
-            for ncols in (grid.shape[1], nc, nc)]
-        blocks = [m.transpose(2, 3, 0, 1) for m in mats]  # indexed [xi, eta, i, j]
-        _propagators(*(b[:half] for b in blocks), grid.xi[:half], grid.eta, self.dt,
-                     lam_lin, band)
-        for b in blocks:
-            b[half:] = b[half - 2:0:-1] * _S1  # row nx - k from row k
+            np.empty((4, 4, nrows, ncols), dtype=complex)
+            for nrows, ncols in ((nx, grid.shape[1]), (head + tail, nc), (head + tail, nc))]
+        E, P1, P2 = (m.transpose(2, 3, 0, 1) for m in mats)  # indexed [xi, eta, i, j]
+        _propagators(E[:half], P1[:head], P2[:head], grid.xi[:half], grid.eta, self.dt,
+                     lam_lin)
+        np.multiply(E[half - 2:0:-1], _S1, out=E[half:])  # row nx - k from row k
+        for m in (P1, P2):
+            np.multiply(m[tail:0:-1], _S1, out=m[head:])
+        # A whole-lattice P1, P2 held signed zeros on the rows between the two
+        # slices: +0 on the built rows and their S1 reflections on the others.
+        # Adding such a zero term leaves every value as it is but -0, which it
+        # may turn into +0; `_add_phi` adds them at the modes holding a -0.
+        zero = np.zeros((4, 4), dtype=complex)
+        zero *= _PHASE
+        self._zero_phi = np.stack([zero, zero * _S1], axis=-1)  # (4, 4, 2)
+        self._half = half
+        self._work = _Workspace(grid, dealias_fraction)
+
+    def _negative_zeros(self, band):
+        """(row, column) of every mode between the band rows with a -0 real or
+        imaginary part: the bits of -0.0 are those of the least int64."""
+        gap = slice(self.rows[0].stop, self.rows[1].start)
+        neg = band[:, gap].view(np.int64) == np.iinfo(np.int64).min
+        rows, cols = np.nonzero(neg.view(np.uint16).any(axis=0))  # either part
+        return rows + gap.start, cols
+
+    def _add_phi(self, mats, nl, band, acc, zeros) -> None:
+        """band += mats @ nl as a whole-lattice apply does it, each sum formed
+        first (in `acc`): on the band rows, and at the `zeros` modes between
+        them with the zero blocks a whole-lattice build held there."""
+        term = self._work.spec[0]
+        for rows, phi_rows in zip(self.rows, self._phi_rows):
+            band[:, rows] += _apply(mats[:, :, phi_rows], nl[:, rows], acc[:, rows], term[rows])
+        rows, cols = zeros
+        if rows.size:
+            vals = nl[:, rows, cols]
+            blocks = self._zero_phi[:, :, (rows >= self._half).astype(int)]
+            band[:, rows, cols] += _apply(blocks, vals, np.empty_like(vals),
+                                          np.empty_like(vals[0]))
 
     def step(self, state: PerturbationState, nonlinear: bool = True) -> PerturbationState:
-        g = self.grid
+        g, w = self.grid, self._work
         u = state.coeffs
-        out = _apply(self.E, u)
+        out = _apply(self.E, u, np.empty(u.shape, dtype=complex), w.wide)
         if not nonlinear:
             _check_finite(g.coeff_norm(out))
             return PerturbationState(g, out)
         norm_before = g.coeff_norm(u)
         lambda_forcing = not self.lambda_in_linear
-        nl = nonlinear_terms(state, self.lam, self.dealias_fraction, lambda_forcing)
+        nl = nonlinear_terms(state, self.lam, self.dealias_fraction, lambda_forcing, w)
         band = out[..., :nl.shape[-1]]  # the columns the phi blocks act on
-        band += _apply(self.P1, nl)  # out holds the midpoint state
+        zeros = self._negative_zeros(band)
+        self._add_phi(self.P1, nl, band, w.results[0], zeros)  # out holds the midpoint
         nl_mid = nonlinear_terms(PerturbationState(g, out), self.lam,
-                                 self.dealias_fraction, lambda_forcing)
+                                 self.dealias_fraction, lambda_forcing, w)
         nl_mid -= nl
         nl_mid /= self.dt
-        band += _apply(self.P2, nl_mid)
+        self._add_phi(self.P2, nl_mid, band, nl, zeros)  # nl is spent
         norm_after = g.coeff_norm(out)
         _check_finite(norm_after)
         if norm_after > 10.0 * norm_before and norm_before > 0:

@@ -667,6 +667,22 @@ class TestOnePassSnapshot:
         gr.x_norm_snapshot(state, 1.0)
         assert calls == [("ifft", grid32.shape), ("irfft", grid32.shape)] * 9
 
+    def test_physical_values_stream_through_two_planes(self, grid32, monkeypatch):
+        # n^3/2, (u^1, v^1), psi^1, n, (u, v), (psi_x, psi_y), all into one
+        # two-plane array
+        state = observation_states(grid32)["rough"]
+        calls = []
+
+        def recorded(grid, spectra, out=None, scratch=None):
+            calls.append((len(spectra), out.base if out.base is not None else out))
+            return to_physical(grid, spectra, out, scratch)
+
+        to_physical = gr.to_physical
+        monkeypatch.setattr(gr, "to_physical", recorded)
+        gr.x_norm_snapshot(state, 1.0)
+        assert [k for k, _ in calls] == [1, 2, 1, 1, 2, 2]
+        assert all(base is calls[0][1] and base.shape == (2, 32, 32) for _, base in calls)
+
 
 def counted(calls, name):
     """np.fft.<name> recording (name, shape of the array transformed) per call."""
@@ -717,6 +733,18 @@ class TestBandTransforms:
         assert np.array_equal(gr.to_spectral(grid, values, nc), ref[..., :nc])
         assert np.array_equal(gr.to_spectral(grid, values), ref)
         assert np.array_equal(gr.SpectralField.from_physical(grid, values[0]).coeffs, ref[0])
+
+    def test_out_and_scratch_arrays_give_the_same_bits(self, grid, fraction):
+        rng = np.random.default_rng(9)
+        nc = grid.dealias_columns(fraction)
+        coeffs = rng.standard_normal((3, grid.nx, nc)) + 1j * rng.standard_normal((3, grid.nx, nc))
+        values = rng.standard_normal((3, grid.nx, grid.ny))
+        out = np.empty((3, grid.nx, grid.ny))
+        got = gr.to_physical(grid, coeffs, out, np.empty((grid.nx, nc), complex))
+        assert got is out and np.array_equal(out, gr.to_physical(grid, coeffs))
+        out = np.empty((3, grid.nx, nc), complex)
+        got = gr.to_spectral(grid, values, nc, out, np.empty(grid.shape, complex))
+        assert got is out and np.array_equal(out, gr.to_spectral(grid, values, nc))
 
     def test_x_pass_runs_on_the_band_columns_only(self, grid, fraction, monkeypatch):
         nc = grid.dealias_columns(fraction)

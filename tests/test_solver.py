@@ -254,6 +254,10 @@ class TestNonlinearTerms:
         state = single_field_state(grid32, 0, 1.2 * np.cos(x))
         with pytest.raises(sv.DensityCollapseError, match="density-collapse"):
             sv.nonlinear_terms(state)
+        # n is transformed and checked before any other factor
+        with pytest.raises(sv.DensityCollapseError,
+                           match=r"^density-collapse: max\|n\| = 1\.200 >= 0\.99$"):
+            sv.Stepper(grid32, 0.1).step(state)
 
     def test_mean_of_density_rhs_vanishes(self, grid32):
         rng = np.random.default_rng(3)
@@ -263,6 +267,26 @@ class TestNonlinearTerms:
             fields.append(gr.apply_multiplier(f, 0.01 * np.exp(-0.5 * grid32.A**2)))
         nl = sv.nonlinear_terms(gr.PerturbationState.from_fields(*fields))
         assert abs(nl[0][0, 0]) <= 1e-18
+
+    def test_workspace_results_alternate(self, grid32):
+        # a result stays intact through the next call on the same workspace,
+        # and equals the result of a fresh workspace bit for bit
+        work = sv._Workspace(grid32, 2.0 / 3.0)
+        one, two = random_real_state(grid32, 1, 0.2), random_real_state(grid32, 2, 0.2)
+        first = sv.nonlinear_terms(one, 0.3, work=work)
+        kept = first.tobytes()
+        second = sv.nonlinear_terms(two, 0.3, work=work)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept == sv.nonlinear_terms(one, 0.3).tobytes()
+        assert second.tobytes() == sv.nonlinear_terms(two, 0.3).tobytes()
+
+    @pytest.mark.parametrize("grid,fraction", [
+        (gr.make_grid(32, 32, 4 * np.pi, 4 * np.pi), 2.0 / 3.0),
+        (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 1.0)])
+    def test_workspace_of_another_grid_or_band_is_refused(self, grid32, grid, fraction):
+        with pytest.raises(ValueError, match="another grid or band"):
+            sv.nonlinear_terms(gr.PerturbationState.zeros(grid32),
+                               work=sv._Workspace(grid, fraction))
 
     def test_output_dealiased(self, grid32):
         rng = np.random.default_rng(4)
@@ -423,6 +447,9 @@ class TestBandNonlinearTerms:
     @pytest.mark.parametrize("lambda_forcing", [False, True])
     def test_one_transform_per_array_on_the_band_columns(self, grid32, monkeypatch,
                                                          lambda_forcing):
+        # streamed: n, u, then -(n u) back; v, then -(n v) back; psi_x, psi_y,
+        # then -(u psi_x + v psi_y) back; lap psi; and four factors before
+        # each of the two momentum products goes back
         state = random_real_state(grid32, 0, 0.3)
         calls = []
 
@@ -437,8 +464,9 @@ class TestBandNonlinearTerms:
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         sv.nonlinear_terms(state, lam=0.4, lambda_forcing=lambda_forcing)
         band = (32, grid32.dealias_columns())
-        assert calls == ([("ifft", band), ("irfft", band)] * 14
-                         + [("rfft", (32, 32)), ("fft", band)] * 5)
+        inverse, forward = [("ifft", band), ("irfft", band)], [("rfft", (32, 32)), ("fft", band)]
+        assert calls == (inverse * 2 + forward + inverse + forward + inverse * 2 + forward
+                         + (inverse * 5 + forward) + (inverse * 4 + forward))
 
 
 class TestStepper:
@@ -458,6 +486,7 @@ class TestStepper:
         # (xi != 0); the closed forms lose accuracy as cond(M) grows, so the
         # check stays on the low band A <= 4
         stepper = sv.Stepper(grid32, dt, lam=lam)
+        P1, P2 = (all_rows(stepper, m) for m in (stepper.P1, stepper.P2))
         eye = np.eye(4)
         for i, j in zip(*np.nonzero((grid32.A <= 4.0) & (grid32.XI != 0.0))):
             m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], lam)
@@ -465,8 +494,8 @@ class TestStepper:
             e = stepper.E[:, :, i, j]
             p1 = minv @ (e - eye)
             p2 = minv @ minv @ (e - eye - dt * m)
-            assert np.max(np.abs(stepper.P1[:, :, i, j] - p1)) <= 1e-8 * np.max(np.abs(p1))
-            assert np.max(np.abs(stepper.P2[:, :, i, j] - p2)) <= 1e-8 * np.max(np.abs(p2))
+            assert np.max(np.abs(P1[:, :, i, j] - p1)) <= 1e-8 * np.max(np.abs(p1))
+            assert np.max(np.abs(P2[:, :, i, j] - p2)) <= 1e-8 * np.max(np.abs(p2))
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_nonfinite_state_rejected(self, grid32, nonlinear):
@@ -476,6 +505,18 @@ class TestStepper:
         bad = gr.PerturbationState(grid32, u)
         with pytest.raises(sv.StepRejectedError, match="^non-finite-state"):
             sv.Stepper(grid32, 0.1).step(bad, nonlinear=nonlinear)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_nonfinite_state_between_the_band_rows_rejected(self, grid32, nonlinear):
+        # row 2 above is a band row of 32^2; row 16, the Nyquist row, lies
+        # between the band's two row slices, where no phi block is applied
+        stepper = sv.Stepper(grid32, 0.1)
+        assert stepper.rows[0].stop <= 16 < stepper.rows[1].start
+        u = sv.initial_data("random", grid32, 1e-3, seed=3).coeffs.copy()
+        u[1, 16, 3] = np.nan
+        with pytest.raises(sv.StepRejectedError,
+                           match="^non-finite-state: coefficient norm is nan"):
+            stepper.step(gr.PerturbationState(grid32, u), nonlinear=nonlinear)
 
     @staticmethod
     def _column0_and_interior(grid):
@@ -529,10 +570,12 @@ class TestStepper:
             assert np.max(np.abs(out - target)) <= 1e-14 * np.max(np.abs(target))
 
     def test_propagator_layout(self, grid32):
+        # the band rows |k| <= 10 of 32: k = 0..10, then k = -10..-1
         stepper = sv.Stepper(grid32, 0.1)
         nc = grid32.dealias_columns()
         assert stepper.E.shape == (4, 4, *grid32.shape)
-        assert stepper.P1.shape == stepper.P2.shape == (4, 4, grid32.nx, nc) == (4, 4, 32, 11)
+        assert stepper.rows == (slice(0, 11), slice(22, 32))
+        assert stepper.P1.shape == stepper.P2.shape == (4, 4, 21, nc) == (4, 4, 21, 11)
         assert all(m.flags.c_contiguous for m in (stepper.E, stepper.P1, stepper.P2))
 
     @pytest.mark.parametrize("grid,fraction", _BAND_CASES, ids=_BAND_IDS)
@@ -571,6 +614,39 @@ class TestStepper:
         assert state.coeffs.tobytes() == before
         assert not np.shares_memory(out.coeffs, state.coeffs)
 
+    def test_held_states_are_not_changed_by_later_steps(self, grid32):
+        stepper = sv.Stepper(grid32, 0.1, lam=0.05)
+        states = [sv.initial_data("random", grid32, 1e-2, seed=4)]
+        held = [states[0].coeffs.tobytes()]
+        for _ in range(4):
+            states.append(stepper.step(states[-1]))
+            held.append(states[-1].coeffs.tobytes())
+        assert [st.coeffs.tobytes() for st in states] == held
+        assert len({id(st.coeffs) for st in states}) == len(states)
+
+    def test_stepping_one_state_twice_gives_the_same_bytes(self, grid32):
+        state = sv.initial_data("random", grid32, 1e-2, seed=6)
+        stepper = sv.Stepper(grid32, 0.1, lam=0.05)
+        first = stepper.step(state).coeffs.tobytes()
+        stepper.step(stepper.step(state))
+        assert stepper.step(state).coeffs.tobytes() == first
+        assert sv.Stepper(grid32, 0.1, lam=0.05).step(state).coeffs.tobytes() == first
+
+    def test_steppers_do_not_share_work_arrays(self, grid32):
+        a, b = sv.Stepper(grid32, 0.1, lam=0.05), sv.Stepper(grid32, 0.1, lam=0.05)
+
+        def arrays(stepper):
+            w = stepper._work
+            return [w.band, w.spec, w.wide, w.planes, *w.results]
+
+        assert not any(np.shares_memory(x, y) for x in arrays(a) for y in arrays(b))
+        # interleaved steps of a and b give what one stepper alone gives
+        sa = sb = alone = sv.initial_data("random", grid32, 1e-2, seed=2)
+        stepper = sv.Stepper(grid32, 0.1, lam=0.05)
+        for _ in range(3):
+            sa, sb, alone = a.step(sa), b.step(sb), stepper.step(alone)
+        assert sa.coeffs.tobytes() == sb.coeffs.tobytes() == alone.coeffs.tobytes()
+
     def test_zero_state_fixed_point(self, grid32):
         out = sv.Stepper(grid32, 0.1).step(gr.PerturbationState.zeros(grid32))
         assert np.max(np.abs(out.coeffs)) == 0.0
@@ -605,12 +681,21 @@ class TestStepper:
         assert np.max(np.abs(xa.coeffs - xs.coeffs)) <= 1e-5 * scale
 
 
+def all_rows(stepper, mats):
+    """A phi block on every row of the lattice, 0 on the rows between the
+    stepper's two band-row slices."""
+    out = np.zeros(mats.shape[:2] + (stepper.grid.nx, mats.shape[-1]), complex)
+    out[:, :, np.r_[stepper.rows]] = mats
+    return out
+
+
 def full_lattice_step(stepper, state):
     """One step with E, P1, P2 on the whole half lattice in the [xi, eta, i, j]
-    layout and einsum applies: the step the band-column applies replace, kept
-    here as their reference."""
+    layout and einsum applies: the step the band-row, band-column applies
+    replace, kept here as their reference."""
     g = stepper.grid
-    E, P1, P2 = (padded(m, g).transpose(2, 3, 0, 1) for m in (stepper.E, stepper.P1, stepper.P2))
+    E, P1, P2 = (padded(m, g).transpose(2, 3, 0, 1) for m in (
+        stepper.E, all_rows(stepper, stepper.P1), all_rows(stepper, stepper.P2)))
 
     def apply(mats, coeffs):
         return np.einsum("xyij,jxy->ixy", mats, coeffs)
@@ -670,15 +755,16 @@ class TestStepperBuild:
     @pytest.mark.parametrize("grid", [_MILD, _STIFF], ids=["mild", "stiff"])
     @pytest.mark.parametrize("lam,lambda_in_linear", _LAMS, ids=_LAM_IDS)
     def test_reflected_rows_equal_a_direct_build(self, grid, lam, lambda_in_linear):
+        # the rows xi < 0 from -1 down, so that their band rows lead
         stepper = sv.Stepper(grid, 0.05, lam, lambda_in_linear=lambda_in_linear)
-        half = grid.nx // 2 + 1
-        band = grid.dealias_mask()[half:]
-        built = [blocks(m) for m in (stepper.E, stepper.P1, stepper.P2)]
-        direct = [np.empty_like(m[half:]) for m in built]
-        sv._propagators(*direct, grid.xi[half:], grid.eta, 0.05,
-                        lam if lambda_in_linear else 0.0, band)
+        half, head = grid.nx // 2 + 1, stepper.rows[0].stop
+        E, P1, P2 = (blocks(m) for m in (stepper.E, stepper.P1, stepper.P2))
+        built = [E[half:][::-1], P1[head:][::-1], P2[head:][::-1]]
+        direct = [np.empty_like(m) for m in built]
+        sv._propagators(*direct, grid.xi[half:][::-1], grid.eta, 0.05,
+                        lam if lambda_in_linear else 0.0)
         for got, ref in zip(built, direct):
-            assert np.array_equal(got[half:], ref)
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("grid,fraction", [
         (_MILD, 2.0 / 3.0), (_MILD, 1.0),
@@ -695,7 +781,7 @@ class TestStepperBuild:
         band = band[:, :nc]
         assert np.max(per_mode_error(blocks(stepper.E), E)) <= 1e-15
         for got, ref in ((stepper.P1, P1), (stepper.P2, P2)):
-            got = blocks(got)
+            got = blocks(all_rows(stepper, got))
             assert np.max(per_mode_error(got, ref[:, :nc])[band]) <= 1e-15
             assert not np.any(got[~band])
 
@@ -704,8 +790,8 @@ class TestStepperBuild:
     @pytest.mark.parametrize("fraction,inside,outside", [(2.0 / 3.0, 7396, 9245),
                                                          (1.0, 16641, 0)])
     def test_two_real_expm_batches(self, monkeypatch, fraction, inside, outside):
-        # one 12x12 batch on the band, one 4x4 batch on the rest (empty when
-        # nothing is dealiased)
+        # per block of rows, one 12x12 batch on the band and one 4x4 batch on
+        # the rest (empty when nothing is dealiased)
         calls = []
 
         def recorded(ms):
@@ -715,7 +801,11 @@ class TestStepperBuild:
         monkeypatch.setattr(sv, "expm_batch", recorded)
         g = gr.make_grid(256, 256, 64 * np.pi, 64 * np.pi)
         sv.Stepper(g, 0.05, 0.05, fraction)
-        assert calls == [(np.float64, (inside, 12, 12)), (np.float64, (outside, 4, 4))]
+        assert len(calls) == 2 * -(-129 // sv._BUILD_ROWS)
+        for batches, size, count in ((calls[0::2], 12, inside), (calls[1::2], 4, outside)):
+            assert all(dtype == np.float64 and shape[1:] == (size, size)
+                       for dtype, shape in batches)
+            assert sum(shape[0] for _, shape in batches) == count
 
 
 class TestSimulate:
@@ -869,6 +959,67 @@ class TestSimulate:
         sv.simulate(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a" / "trajectory.csv").read_bytes() == \
             (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+
+# sha256 of the states of 20 steps with dt = 0.05, one after the other,
+# recorded before the step's workspace and the band-row phi blocks: a step
+# must keep every bit, the sign of every zero included.  Each case starts
+# once from rough_state(grid, 7, 0.05), every mode populated, and once from
+# band-limited random data, whose modes outside the band hold signed zeros.
+# Cases: a 32^2 box, a non-square box with the split lambda treatment, no
+# dealiasing (every row a band row) and the smallest grid.
+_STEP_DIGESTS = [
+    (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.4, 2.0 / 3.0, True,
+     "0c10f2f0ab8fde2ed9890151a7dabb60467f9b69bdbd27d492e9cc9e1d0d727f",
+     "dfa64d412cd9458714563a48dc39889460e1b2f759c9e0122c093922835b51fa"),
+    (gr.make_grid(64, 48, 16 * np.pi, 12 * np.pi), 0.3, 2.0 / 3.0, False,
+     "49c1fea98c1ee46a30a47eaee815eb5026b6cedbd4fe233f604d3cf3d1dec4a6",
+     "95c808c8e61cb819c0c97b62bc66b9adb4012c686b1daa7c60abee6cb86a5b01"),
+    (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.2, 1.0, True,
+     "c06181a1709c30e6b8e48d580867c379cf38b84304e1591d5566f4eb420b4797",
+     "be6ca0d3254a025236c65d846c29f623ea0fda3466f0e6733fd3bd7a8af233ed"),
+    (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 0.2, 2.0 / 3.0, True,
+     "4dbcf383942cc06d3be456c9af22a9badd54a175a3befb2e56ebff27f4a10c18",
+     "64a691dffb6df71029e74998b22871fa599195eb6f4bdfe6ab3df7a5c2302db0"),
+]
+
+# sha256 of every file but the manifest of a 64^2 run to T = 1 with field
+# checkpoints, recorded alike
+_RUN_DIGESTS = {
+    "trajectory.csv": "a4ba9b97584815b4ca98bf88791e148aa660258d2f8fed8469ad78e57a1d192e",
+    "n_t0.bin": "3bca4a29cb248a34658a64164372b330886ac28a44f12684f22dd061ba438eb6",
+    "u_t0.bin": "b0b24e36b64ef793beaa0ac5f0d347ce31aa394e42ae8eb37ae7b8e37d6f9e79",
+    "v_t0.bin": "780f45c66c11921851876473a3902259d29107e6ab7672b205a405be5f60b3e9",
+    "psi_t0.bin": "09d2437373669eae5db82e5e9941dfd21aeca62cf7784fd7fd1a3828e242ad92",
+    "n_t1.bin": "b5cedc1da4886886ab6db4b9e4989b9bf93eca086339500e271be93c7beb771a",
+    "u_t1.bin": "a8c530cccc08b6356cc8a7bc32f185a79d8c314aebfcec6631c32c2973f53f7e",
+    "v_t1.bin": "fabe055f02f1a76de7d0ba6add8e8579539d9f4787eed286f022ec70eb34b1af",
+    "psi_t1.bin": "773202a083001cc66510487685a7084865826786f0a8d5529bc2807bd2a0b135",
+}
+
+
+class TestGoldenStepDigests:
+    @pytest.mark.parametrize("grid,lam,fraction,lambda_in_linear,rough,band_limited",
+                             _STEP_DIGESTS,
+                             ids=["32x32-lam0.4", "64x48-split", "32x32-no-dealias", "4x4"])
+    def test_twenty_steps(self, recorded_math, grid, lam, fraction, lambda_in_linear, rough,
+                          band_limited):
+        stepper = sv.Stepper(grid, 0.05, lam, fraction, lambda_in_linear)
+        for state, digest in ((rough_state(grid, 7, 0.05), rough),
+                              (sv.initial_data("random", grid, 1e-2, seed=3), band_limited)):
+            states = hashlib.sha256()
+            for _ in range(20):
+                state = stepper.step(state)
+                states.update(state.coeffs.tobytes())
+            assert states.hexdigest() == digest
+
+    def test_run_with_checkpoints(self, recorded_math, tmp_path):
+        cfg = sv.SolverConfig(nx=64, ny=64, Lx=16 * np.pi, Ly=16 * np.pi, T=1.0, dt=0.05,
+                              cadence=0.5, delta=1e-2, lam=0.1, checkpoint_fields=True)
+        assert sv.simulate(cfg, out_dir=tmp_path).aborted is None
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.suffix in (".bin", ".csv")}
+        assert got == _RUN_DIGESTS
 
 
 _GRID16 = gr.make_grid(16, 16, 4 * np.pi, 4 * np.pi)
