@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import grid as _grid
-from .kernel import kernel_values
+from .kernel import _CHUNK, kernel_values
 
 __all__ = [
     "DecayReport",
@@ -285,6 +285,11 @@ _LOG_A_MIN = -12.0
 _LOG_A_MAX = 6.0
 # Gauss-Legendre nodes per panel of the polar mesh, on both axes.
 _POLAR_GL = 8
+# Most radial panels of the oscillatory band (see _rho_edges).
+_BAND_PANELS_MAX = 20000
+# Most nodes per symbol_fn call of a polar level (a block holds at least one
+# theta row), so a level's temporaries do not grow with the level.
+_LEVEL_BLOCK = 4 * _CHUNK
 
 
 @cache
@@ -343,6 +348,18 @@ def parse_region(text: str):
     raise ValueError(f"unknown region {text!r}; expected le1, all or sim<N>")
 
 
+def _band(region, t: float) -> tuple[float, float, int]:
+    """The oscillatory band's A range (a_lo, a_cap) and its number of radial
+    panels at time t, 0 when there is no band."""
+    rho_lo, rho_hi = _region_rho_range(region)
+    a_cap = min(math.exp(rho_hi), 2.5, 8.0 / math.sqrt(max(t, 1.0)))
+    a_lo = math.exp(rho_lo)
+    count = 0
+    if t > 0 and a_cap > a_lo:
+        count = int((a_cap - a_lo) / (math.pi / (4.0 * max(t, 1.0))))
+    return a_lo, a_cap, count
+
+
 def _rho_edges(region, n_rho: int, t: float) -> np.ndarray:
     """Radial panel edges in rho = log A.
 
@@ -350,19 +367,24 @@ def _rho_edges(region, n_rho: int, t: float) -> np.ndarray:
     band: for A below ~2 the branches are dispersive and the symbols oscillate
     radially with wavelength ~pi/t, which a pure log mesh cannot resolve at
     large t.  The linear band is capped where exp(-A^2 t/4) damping makes the
-    contribution negligible.
+    contribution negligible.  A band of more than _BAND_PANELS_MAX panels is
+    a ValueError naming the largest t the mesh resolves.
     """
     rho_lo, rho_hi = _region_rho_range(region)
     edges = np.linspace(rho_lo, rho_hi, n_rho + 1)
-    if t > 0:
-        a_cap = min(math.exp(rho_hi), 2.5, 8.0 / math.sqrt(max(t, 1.0)))
-        a_lo = math.exp(rho_lo)
-        if a_cap > a_lo:
-            step = math.pi / (4.0 * max(t, 1.0))
-            count = int((a_cap - a_lo) / step)
-            if 0 < count <= 20000:
-                lin = np.log(np.linspace(a_lo, a_cap, count + 1)[1:])
-                edges = np.union1d(edges, lin)
+    a_lo, a_cap, count = _band(region, t)
+    if count > _BAND_PANELS_MAX:
+        # the count rises with t up to its peak, so bisect for where it crosses
+        lo, hi = 1.0, float(t)
+        for _ in range(64):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if _band(region, mid)[2] <= _BAND_PANELS_MAX else (lo, mid)
+        raise ValueError(
+            f"t = {t:g} needs {count} radial panels for the oscillatory band, more "
+            f"than {_BAND_PANELS_MAX}; the polar mesh resolves t up to {lo:.4g}")
+    if count:
+        lin = np.log(np.linspace(a_lo, a_cap, count + 1)[1:])
+        edges = np.union1d(edges, lin)
     return edges
 
 
@@ -380,6 +402,22 @@ def _carried_nodes(edges: np.ndarray, prev_edges: np.ndarray) -> np.ndarray:
     return np.where(same[:, None], nodes, -1).ravel()
 
 
+def _ix(rows: np.ndarray, cols: np.ndarray):
+    """Index of `rows` by `cols` of a 2-D array.  When `cols` is a contiguous
+    range it is a slice, which numpy gathers and scatters several times
+    faster than np.ix_; the selected entries are the same."""
+    if cols.size and np.all(np.diff(cols) == 1):
+        return rows, slice(cols[0], cols[-1] + 1)
+    return np.ix_(rows, cols)
+
+
+def _row_chunks(rows: np.ndarray, cols: np.ndarray) -> list:
+    """`rows` cut into consecutive chunks of at most _LEVEL_BLOCK nodes across
+    `cols`, each holding at least one row."""
+    step = max(1, _LEVEL_BLOCK // max(cols.size, 1))
+    return [rows[i:i + step] for i in range(0, rows.size, step)]
+
+
 def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
               theta_levels: int, carry: list | None = None) -> float:
     """One quadrature level of the L^q norm of symbol_fn(t, .) over a region.
@@ -390,16 +428,20 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
     the previous level's rho edges, theta edges and per-node terms
     (w * |S|^q, or |S| for q = inf) in row-major (rho, theta) layout.  A
     node whose rho and theta panels both have a previous panel's edges
-    copies its term; every other node goes to symbol_fn in one call.  The
-    list is then set to this level.  Each node is computed elementwise and
-    grid.fsum is exactly rounded, so the result is bitwise that of a level
-    without a carry.
+    copies its term; every other node goes to symbol_fn in blocks of whole
+    theta rows, at most _LEVEL_BLOCK nodes each (see _row_chunks), through
+    two work arrays the level owns.  The list is then set to this level.
+    Each node is computed elementwise and grid.fsum is exactly rounded, so
+    the result is bitwise that of a level without a carry, at any block size.
     """
     rho_edges, theta_edges = _rho_edges(region, n_rho, t), _theta_edges(theta_levels)
     rho, w_rho = _gauss_panels(rho_edges, _POLAR_GL)
     theta, w_theta = _gauss_panels(theta_edges, _POLAR_GL)
     A = np.exp(rho)
     cos, sin = np.cos(theta), np.sin(theta)
+    # dA dxi deta = A^2 drho dtheta on the quadrant; factor 4 for symmetry
+    w_r = 4.0 * (np.exp(2.0 * rho) * w_rho)
+    terms = np.empty((rho.size, theta.size))
     new_r, all_c = np.arange(rho.size), np.arange(theta.size)
     old_r = new_c = all_c[:0]
     if carry:
@@ -410,29 +452,23 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
         if old_c.size:
             old_r, new_r = np.flatnonzero(src_r >= 0), np.flatnonzero(src_r < 0)
             new_c = np.flatnonzero(src_c < 0)
-    # The new nodes, as two blocks built by broadcasting (no per-node index
-    # arrays): new rows by every column, then carried rows by new columns.
-    blocks = [np.ix_(new_r, all_c), np.ix_(old_r, new_c)]
-    ends = np.cumsum([0] + [r.size * c.size for r, c in blocks])
-    xi, eta = np.empty(ends[-1]), np.empty(ends[-1])
-    for (r, c), lo, hi in zip(blocks, ends, ends[1:]):
-        np.multiply(A[r], cos[c], out=xi[lo:hi].reshape(r.size, c.size))
-        np.multiply(A[r], sin[c], out=eta[lo:hi].reshape(r.size, c.size))
-    vals = np.abs(symbol_fn(t, xi, eta))
-    del xi, eta
-    if not np.isinf(q):
-        # dA dxi deta = A^2 drho dtheta on the quadrant; factor 4 for symmetry
-        w_r = 4.0 * (np.exp(2.0 * rho) * w_rho)
-        vals **= q
-        for (r, c), lo, hi in zip(blocks, ends, ends[1:]):
-            vals[lo:hi] *= (w_r[r] * w_theta[c]).ravel()
-    if old_r.size:
-        terms = np.empty((rho.size, theta.size))
-        terms[new_r] = vals[:ends[1]].reshape(new_r.size, theta.size)
-        terms[blocks[1]] = vals[ends[1]:].reshape(old_r.size, new_c.size)
-        terms[np.ix_(old_r, old_c)] = prev_terms[np.ix_(src_r[old_r], src_c[old_c])]
-    else:
-        terms = vals.reshape(rho.size, theta.size)
+            for r in _row_chunks(old_r, old_c):
+                terms[_ix(r, old_c)] = prev_terms[_ix(src_r[r], src_c[old_c])]
+    # The new nodes form two blocks, new rows by every column and carried
+    # rows by new columns; each is walked in chunks of whole rows.
+    blocks = [(r, c) for rows, c in ((new_r, all_c), (old_r, new_c))
+              for r in _row_chunks(rows, c) if c.size]
+    work = np.empty((2, max((r.size * c.size for r, c in blocks), default=0)))
+    for r, c in blocks:
+        n = r.size * c.size
+        xi, eta = work[0, :n], work[1, :n]
+        np.multiply(A[r, None], cos[c], out=xi.reshape(r.size, c.size))
+        np.multiply(A[r, None], sin[c], out=eta.reshape(r.size, c.size))
+        vals = np.abs(symbol_fn(t, xi, eta))
+        if not np.isinf(q):
+            vals **= q
+            vals *= (w_r[r, None] * w_theta[c]).ravel()
+        terms[_ix(r, c)] = vals.reshape(r.size, c.size)
     if carry is not None:
         carry[:] = [rho_edges, theta_edges, terms]
     if np.isinf(q):
@@ -769,6 +805,8 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
     symbol_fn = SYMBOLS[sym_id]
     profile = _init_profile(init, seed)
     times = default_decay_times() if times is None else _check_decay_times(times)
+    for t in times:  # a time the polar mesh cannot resolve fails before any level
+        _rho_edges("all", 14, t)
 
     def weighted(t, xi, eta):
         return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))

@@ -164,12 +164,17 @@ class TestLinearCommands:
          "--points: a slope fit needs at least 3 times, got 2"),
         (["decay", "--prop", "kn1L", "--points", "1"],
          "--points: a slope fit needs at least 3 times, got 1"),
+        (["symbol-norm", "--symbol", "K", "--q-xi", "1", "--q-eta", "1", "--t", "4e6"],
+         "t = 4e+06 needs 20340 radial panels"),
+        (["decay", "--prop", "kn1L", "--t0", "4e6", "--t1", "2e8", "--points", "3"],
+         "the polar mesh resolves t up to 3.867e+06"),
     ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
             "symbol-norm-bad-region", "symbol-norm-zero-scale", "decay-nan-t0",
             "symbol-norm-infinite-t", "symbol-norm-subnormal-scale",
             "symbol-norm-infinite-scale", "charpoly-no-samples", "charpoly-zero-kmax",
             "charpoly-nan-kmax", "symbol-norm-zero-exponents", "symbol-norm-negative-exponent",
-            "symbol-norm-nan-exponent", "decay-two-points", "decay-one-point"])
+            "symbol-norm-nan-exponent", "decay-two-points", "decay-one-point",
+            "symbol-norm-band-past-cap", "decay-band-past-cap"])
     def test_invalid_input_exit_2(self, capsys, argv, message):
         code, _, err = run_cli(["linear", *argv], capsys)
         assert code == 2

@@ -2,6 +2,7 @@
 quadrature-based decay machinery."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -687,8 +688,85 @@ class TestCarriedLevels:
         theta1, theta2 = ln._theta_edges(14), ln._theta_edges(20)
         mesh = (rho2.size - 1) * (theta2.size - 1)
         shared = shared_panels(rho2, rho1) * shared_panels(theta2, theta1)
-        assert points == [64 * (mesh - shared)]
-        assert 0 < points[0] < 64 * mesh
+        assert sum(points) == 64 * (mesh - shared)
+        assert 0 < sum(points) < 64 * mesh
+        assert max(points) <= ln._LEVEL_BLOCK
+
+
+class TestBlockedLevels:
+    """A level evaluates its new nodes in blocks of whole theta rows; the
+    block size changes neither the result nor a byte of the terms, and a
+    level's temporaries do not grow with it."""
+
+    @staticmethod
+    def level(carried, q, block, monkeypatch):
+        monkeypatch.setattr(ln, "_LEVEL_BLOCK", block)
+        sym, carry = ln.SYMBOLS["A4K"], []
+        if carried:
+            ln._lq_polar(sym, 10.0, "all", q, 14, 14, carry=carry)
+        value = ln._lq_polar(sym, 10.0, "all", q, 28, 20, carry=carry)
+        return value, carry[2]
+
+    @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    def test_same_bits_at_any_block_size(self, q, carried, monkeypatch):
+        row = 8 * (ln._theta_edges(20).size - 1)
+        small, large = (self.level(carried, q, block, monkeypatch)
+                        for block in (row // 3, 10**9))
+        assert large[1].size < 10**9
+        assert small[0].hex() == large[0].hex()
+        assert small[1].tobytes() == large[1].tobytes()
+
+    def test_rows_longer_than_a_block_go_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(ln, "_LEVEL_BLOCK", 5)
+        rows, cols = np.arange(7), np.arange(12)
+        chunks = ln._row_chunks(rows, cols)
+        assert [c.tolist() for c in chunks] == [[r] for r in range(7)]
+        monkeypatch.setattr(ln, "_LEVEL_BLOCK", 30)
+        assert [c.size for c in ln._row_chunks(rows, cols)] == [2, 2, 2, 1]
+
+    @pytest.mark.parametrize("cols", [[2, 3, 4, 5], [1, 3, 4], [4]])
+    def test_index_selects_the_entries_of_ix(self, cols):
+        a = np.arange(48.0).reshape(6, 8)
+        rows, cols = np.array([0, 2, 5]), np.array(cols)
+        assert a[ln._ix(rows, cols)].tobytes() == a[np.ix_(rows, cols)].tobytes()
+
+    def test_peak_memory_of_a_large_level(self):
+        # level 1 of kn1L at t = 1e4: 1.1 M nodes, 9.0 MB of terms; one
+        # symbol call for the whole level held 36 MB above the terms
+        profile = ln._init_profile("gaussian")
+
+        def weighted(t, xi, eta):
+            return np.abs(ln.SYMBOLS["A4K"](t, xi, eta)) * np.abs(profile(xi, eta))
+
+        carry = []
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ln._lq_polar(weighted, 1e4, "all", 2.0, 14, 14, carry=carry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms = carry[2]
+        assert terms.size > 10**6
+        assert peak - start - terms.nbytes < 8e6
+
+
+class TestBandLimit:
+    """A time whose oscillatory band needs more radial panels than the mesh
+    allows is an input error, raised before any node is evaluated."""
+
+    @pytest.mark.parametrize("region", ["le1", "all"])
+    def test_band_past_the_cap_raises(self, region):
+        assert ln._rho_edges(region, 14, 3e6).size > 17000
+        with pytest.raises(ValueError, match=r"t = 4e\+06 needs 20340 radial panels.*"
+                           r"resolves t up to 3\.867e\+06"):
+            ln._rho_edges(region, 14, 4e6)
+
+    def test_decay_rejects_the_time_before_any_level(self, monkeypatch):
+        monkeypatch.setattr(ln, "kernel_values", None)  # any evaluation would fail
+        with pytest.raises(ValueError, match=r"t = 4e\+06 needs"):
+            ln.propagator_decay_experiment("kn1L", times=[10.0, 100.0, 4e6])
 
 
 class TestFitLoglog:
