@@ -350,13 +350,29 @@ def parse_region(text: str):
 
 def _band(region, t: float) -> tuple[float, float, int]:
     """The oscillatory band's A range (a_lo, a_cap) and its number of radial
-    panels at time t, 0 when there is no band."""
+    panels at time t, 0 when there is no band.  A band of more than
+    _BAND_PANELS_MAX panels is a ValueError naming the largest t the mesh
+    resolves."""
     rho_lo, rho_hi = _region_rho_range(region)
-    a_cap = min(math.exp(rho_hi), 2.5, 8.0 / math.sqrt(max(t, 1.0)))
     a_lo = math.exp(rho_lo)
-    count = 0
-    if t > 0 and a_cap > a_lo:
-        count = int((a_cap - a_lo) / (math.pi / (4.0 * max(t, 1.0))))
+
+    def band(t):
+        a_cap = min(math.exp(rho_hi), 2.5, 8.0 / math.sqrt(max(t, 1.0)))
+        count = 0
+        if t > 0 and a_cap > a_lo:
+            count = int((a_cap - a_lo) / (math.pi / (4.0 * max(t, 1.0))))
+        return a_cap, count
+
+    a_cap, count = band(t)
+    if count > _BAND_PANELS_MAX:
+        # the count rises with t up to its peak, so bisect for where it crosses
+        lo, hi = 1.0, float(t)
+        for _ in range(64):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if band(mid)[1] <= _BAND_PANELS_MAX else (lo, mid)
+        raise ValueError(
+            f"t = {t:g} needs {count} radial panels for the oscillatory band, more "
+            f"than {_BAND_PANELS_MAX}; the polar mesh resolves t up to {lo:.4g}")
     return a_lo, a_cap, count
 
 
@@ -367,21 +383,12 @@ def _rho_edges(region, n_rho: int, t: float) -> np.ndarray:
     band: for A below ~2 the branches are dispersive and the symbols oscillate
     radially with wavelength ~pi/t, which a pure log mesh cannot resolve at
     large t.  The linear band is capped where exp(-A^2 t/4) damping makes the
-    contribution negligible.  A band of more than _BAND_PANELS_MAX panels is
-    a ValueError naming the largest t the mesh resolves.
+    contribution negligible; a band too fine for the mesh is a ValueError
+    (see _band).
     """
     rho_lo, rho_hi = _region_rho_range(region)
     edges = np.linspace(rho_lo, rho_hi, n_rho + 1)
     a_lo, a_cap, count = _band(region, t)
-    if count > _BAND_PANELS_MAX:
-        # the count rises with t up to its peak, so bisect for where it crosses
-        lo, hi = 1.0, float(t)
-        for _ in range(64):
-            mid = math.sqrt(lo * hi)
-            lo, hi = (mid, hi) if _band(region, mid)[2] <= _BAND_PANELS_MAX else (lo, mid)
-        raise ValueError(
-            f"t = {t:g} needs {count} radial panels for the oscillatory band, more "
-            f"than {_BAND_PANELS_MAX}; the polar mesh resolves t up to {lo:.4g}")
     if count:
         lin = np.log(np.linspace(a_lo, a_cap, count + 1)[1:])
         edges = np.union1d(edges, lin)
@@ -402,19 +409,21 @@ def _carried_nodes(edges: np.ndarray, prev_edges: np.ndarray) -> np.ndarray:
     return np.where(same[:, None], nodes, -1).ravel()
 
 
-def _ix(rows: np.ndarray, cols: np.ndarray):
-    """Index of `rows` by `cols` of a 2-D array.  When `cols` is a contiguous
-    range it is a slice, which numpy gathers and scatters several times
-    faster than np.ix_; the selected entries are the same."""
-    if cols.size and np.all(np.diff(cols) == 1):
-        return rows, slice(cols[0], cols[-1] + 1)
-    return np.ix_(rows, cols)
+def _shared_theta_nodes(edges: np.ndarray, prev_edges: np.ndarray) -> int:
+    """The number of leading theta nodes that `edges` shares with the previous
+    level's `prev_edges`: those of the leading panels whose edges are equal
+    bit for bit.  _theta_edges refines only its last panel, so these are all
+    of the carried theta nodes, at the same indices on both levels."""
+    m = min(edges.size, prev_edges.size)
+    same = edges[:m] == prev_edges[:m]
+    equal = m if same.all() else int(np.argmin(same))
+    return max(equal - 1, 0) * _POLAR_GL
 
 
-def _row_chunks(rows: np.ndarray, cols: np.ndarray) -> list:
+def _row_chunks(rows: np.ndarray, n_cols: int) -> list:
     """`rows` cut into consecutive chunks of at most _LEVEL_BLOCK nodes across
-    `cols`, each holding at least one row."""
-    step = max(1, _LEVEL_BLOCK // max(cols.size, 1))
+    `n_cols` columns, each holding at least one row."""
+    step = max(1, _LEVEL_BLOCK // max(n_cols, 1))
     return [rows[i:i + step] for i in range(0, rows.size, step)]
 
 
@@ -442,33 +451,30 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
     # dA dxi deta = A^2 drho dtheta on the quadrant; factor 4 for symmetry
     w_r = 4.0 * (np.exp(2.0 * rho) * w_rho)
     terms = np.empty((rho.size, theta.size))
-    new_r, all_c = np.arange(rho.size), np.arange(theta.size)
-    old_r = new_c = all_c[:0]
+    new_r, old_r, k = np.arange(rho.size), np.arange(0), 0
     if carry:
         prev_rho, prev_theta, prev_terms = carry
-        src_r = _carried_nodes(rho_edges, prev_rho)
-        src_c = _carried_nodes(theta_edges, prev_theta)
-        old_c = np.flatnonzero(src_c >= 0)
-        if old_c.size:
+        k = _shared_theta_nodes(theta_edges, prev_theta)
+        if k:
+            src_r = _carried_nodes(rho_edges, prev_rho)
             old_r, new_r = np.flatnonzero(src_r >= 0), np.flatnonzero(src_r < 0)
-            new_c = np.flatnonzero(src_c < 0)
-            for r in _row_chunks(old_r, old_c):
-                terms[_ix(r, old_c)] = prev_terms[_ix(src_r[r], src_c[old_c])]
+            for r in _row_chunks(old_r, k):
+                terms[r, :k] = prev_terms[src_r[r], :k]
     # The new nodes form two blocks, new rows by every column and carried
-    # rows by new columns; each is walked in chunks of whole rows.
-    blocks = [(r, c) for rows, c in ((new_r, all_c), (old_r, new_c))
-              for r in _row_chunks(rows, c) if c.size]
-    work = np.empty((2, max((r.size * c.size for r, c in blocks), default=0)))
-    for r, c in blocks:
-        n = r.size * c.size
-        xi, eta = work[0, :n], work[1, :n]
-        np.multiply(A[r, None], cos[c], out=xi.reshape(r.size, c.size))
-        np.multiply(A[r, None], sin[c], out=eta.reshape(r.size, c.size))
+    # rows by the columns from k on; each is walked in chunks of whole rows.
+    blocks = [(r, c0) for rows, c0 in ((new_r, 0), (old_r, k)) if c0 < theta.size
+              for r in _row_chunks(rows, theta.size - c0)]
+    work = np.empty((2, max((r.size * (theta.size - c0) for r, c0 in blocks), default=0)))
+    for r, c0 in blocks:
+        n_c = theta.size - c0
+        xi, eta = work[0, :r.size * n_c], work[1, :r.size * n_c]
+        np.multiply(A[r, None], cos[c0:], out=xi.reshape(r.size, n_c))
+        np.multiply(A[r, None], sin[c0:], out=eta.reshape(r.size, n_c))
         vals = np.abs(symbol_fn(t, xi, eta))
         if not np.isinf(q):
             vals **= q
-            vals *= (w_r[r, None] * w_theta[c]).ravel()
-        terms[_ix(r, c)] = vals.reshape(r.size, c.size)
+            vals *= (w_r[r, None] * w_theta[c0:]).ravel()
+        terms[r, c0:] = vals.reshape(r.size, n_c)
     if carry is not None:
         carry[:] = [rho_edges, theta_edges, terms]
     if np.isinf(q):
@@ -805,8 +811,9 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
     symbol_fn = SYMBOLS[sym_id]
     profile = _init_profile(init, seed)
     times = default_decay_times() if times is None else _check_decay_times(times)
+    region = "all"
     for t in times:  # a time the polar mesh cannot resolve fails before any level
-        _rho_edges("all", 14, t)
+        _band(region, t)
 
     def weighted(t, xi, eta):
         return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))
@@ -816,7 +823,7 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
     def value(t):
         carry = []  # each level evaluates only the panels new since the last
         return _refined(
-            lambda m: _lq_polar(weighted, t, "all", q, n_rho=14 * m,
+            lambda m: _lq_polar(weighted, t, region, q, n_rho=14 * m,
                                 theta_levels=8 + 6 * m, carry=carry),
             f"decay({prop_id}, t={t})")
 

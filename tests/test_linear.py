@@ -719,17 +719,20 @@ class TestBlockedLevels:
 
     def test_rows_longer_than_a_block_go_one_at_a_time(self, monkeypatch):
         monkeypatch.setattr(ln, "_LEVEL_BLOCK", 5)
-        rows, cols = np.arange(7), np.arange(12)
-        chunks = ln._row_chunks(rows, cols)
+        rows = np.arange(7)
+        chunks = ln._row_chunks(rows, 12)
         assert [c.tolist() for c in chunks] == [[r] for r in range(7)]
         monkeypatch.setattr(ln, "_LEVEL_BLOCK", 30)
-        assert [c.size for c in ln._row_chunks(rows, cols)] == [2, 2, 2, 1]
+        assert [c.size for c in ln._row_chunks(rows, 12)] == [2, 2, 2, 1]
 
-    @pytest.mark.parametrize("cols", [[2, 3, 4, 5], [1, 3, 4], [4]])
-    def test_index_selects_the_entries_of_ix(self, cols):
-        a = np.arange(48.0).reshape(6, 8)
-        rows, cols = np.array([0, 2, 5]), np.array(cols)
-        assert a[ln._ix(rows, cols)].tobytes() == a[np.ix_(rows, cols)].tobytes()
+    @pytest.mark.parametrize("levels", [(10, 14), (14, 20), (20, 32), (14, 14), (20, 14)])
+    def test_shared_theta_nodes_are_the_carried_ones(self, levels):
+        prev, edges = (ln._theta_edges(n) for n in levels)
+        k = ln._shared_theta_nodes(edges, prev)
+        src = ln._carried_nodes(edges, prev)
+        assert k > 0
+        assert src[:k].tolist() == list(range(k))
+        assert np.all(src[k:] < 0)
 
     def test_peak_memory_of_a_large_level(self):
         # level 1 of kn1L at t = 1e4: 1.1 M nodes, 9.0 MB of terms; one
