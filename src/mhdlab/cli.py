@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     except ValueError as err:  # the library's named input errors: exit 2, like a usage error
         print(f"mhdlab {ns.command}: {err}", file=sys.stderr)
         return 2
+    except _linear.QuadratureError as err:  # valid input, but a value did not converge
+        print(f"mhdlab {ns.command}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -376,15 +376,17 @@ def _band(region, t: float) -> tuple[float, float, int]:
     return a_lo, a_cap, count
 
 
-def _rho_edges(region, n_rho: int, t: float) -> np.ndarray:
+def _rho_edges(region, n_rho: int, t: float, breaks=()) -> np.ndarray:
     """Radial panel edges in rho = log A.
 
     A uniform log mesh is unioned with a linear-in-A mesh over the oscillatory
-    band: for A below ~2 the branches are dispersive and the symbols oscillate
+    band, which serves the kernel symbols, the only integrands of the polar
+    mesh: for A below ~2 their branches are dispersive and they oscillate
     radially with wavelength ~pi/t, which a pure log mesh cannot resolve at
     large t.  The linear band is capped where exp(-A^2 t/4) damping makes the
     contribution negligible; a band too fine for the mesh is a ValueError
-    (see _band).
+    (see _band).  `breaks` are radii A where the integrand jumps (see
+    _init_profile); each one inside the region is an edge too.
     """
     rho_lo, rho_hi = _region_rho_range(region)
     edges = np.linspace(rho_lo, rho_hi, n_rho + 1)
@@ -392,6 +394,9 @@ def _rho_edges(region, n_rho: int, t: float) -> np.ndarray:
     if count:
         lin = np.log(np.linspace(a_lo, a_cap, count + 1)[1:])
         edges = np.union1d(edges, lin)
+    jumps = [rho for rho in map(math.log, breaks) if rho_lo < rho < rho_hi]
+    if jumps:
+        edges = np.union1d(edges, jumps)
     return edges
 
 
@@ -428,11 +433,12 @@ def _row_chunks(rows: np.ndarray, n_cols: int) -> list:
 
 
 def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
-              theta_levels: int, carry: list | None = None) -> float:
+              theta_levels: int, carry: list | None = None, breaks=()) -> float:
     """One quadrature level of the L^q norm of symbol_fn(t, .) over a region.
 
     The mesh is a Gauss-Legendre product in (rho = log A, theta) over one
-    quadrant, with _POLAR_GL nodes per panel.  `carry` is an optional
+    quadrant, with _POLAR_GL nodes per panel, and radial edges at the jumps
+    `breaks` (see _rho_edges).  `carry` is an optional
     caller-owned list for the successive levels of one integral.  It holds
     the previous level's rho edges, theta edges and per-node terms
     (w * |S|^q, or |S| for q = inf) in row-major (rho, theta) layout.  A
@@ -443,7 +449,7 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
     Each node is computed elementwise and grid.fsum is exactly rounded, so
     the result is bitwise that of a level without a carry, at any block size.
     """
-    rho_edges, theta_edges = _rho_edges(region, n_rho, t), _theta_edges(theta_levels)
+    rho_edges, theta_edges = _rho_edges(region, n_rho, t, breaks), _theta_edges(theta_levels)
     rho, w_rho = _gauss_panels(rho_edges, _POLAR_GL)
     theta, w_theta = _gauss_panels(theta_edges, _POLAR_GL)
     A = np.exp(rho)
@@ -534,7 +540,7 @@ def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float) -> 
     for name, q in (("q_xi", q_xi), ("q_eta", q_eta)):
         if not 1.0 <= q <= math.inf:
             raise ValueError(f"{name} must be in [1, inf], got {float(q)!r}")
-    symbol_fn = SYMBOLS[symbol_id] if isinstance(symbol_id, str) else symbol_id
+    symbol_fn = SYMBOLS[symbol_id]
     if q_xi == q_eta:
         carry = []  # each level evaluates only the panels new since the last
 
@@ -760,8 +766,10 @@ def default_decay_times(t0: float = 10.0, t1: float = 1000.0, n: int = 12) -> np
 
 
 def _init_profile(kind: str, seed: int = 0):
+    """The initial profile f0(xi, eta) of a decay experiment and the radii A
+    where it jumps, which the polar mesh takes as radial edges."""
     if kind == "gaussian":
-        return lambda xi, eta: np.exp(-0.5 * (xi**2 + eta**2))
+        return (lambda xi, eta: np.exp(-0.5 * (xi**2 + eta**2))), ()
     if kind == "band-limited random":
         rng = np.random.default_rng(seed)
         coef = rng.uniform(0.3, 1.0, size=4)
@@ -769,9 +777,9 @@ def _init_profile(kind: str, seed: int = 0):
             A2 = xi**2 + eta**2
             radial = coef[0] + coef[1] * A2 + coef[2] * A2**2
             return radial * np.exp(-coef[3] * A2) * (A2 <= 4.0)
-        return profile
+        return profile, (2.0,)
     if kind == "zero":
-        return lambda xi, eta: np.zeros(np.broadcast(xi, eta).shape)
+        return (lambda xi, eta: np.zeros(np.broadcast(xi, eta).shape)), ()
     raise ValueError(f"unknown initial profile {kind!r}")
 
 
@@ -809,7 +817,7 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
         raise KeyError(f"unknown propagator id {prop_id!r}; known: {sorted(PROPAGATORS)}")
     sym_id, norm_kind, target = PROPAGATORS[prop_id]
     symbol_fn = SYMBOLS[sym_id]
-    profile = _init_profile(init, seed)
+    profile, breaks = _init_profile(init, seed)
     times = default_decay_times() if times is None else _check_decay_times(times)
     region = "all"
     for t in times:  # a time the polar mesh cannot resolve fails before any level
@@ -824,7 +832,7 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
         carry = []  # each level evaluates only the panels new since the last
         return _refined(
             lambda m: _lq_polar(weighted, t, region, q, n_rho=14 * m,
-                                theta_levels=8 + 6 * m, carry=carry),
+                                theta_levels=8 + 6 * m, carry=carry, breaks=breaks),
             f"decay({prop_id}, t={t})")
 
     values = np.array([value(t) for t in times])

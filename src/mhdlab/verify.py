@@ -252,95 +252,71 @@ def check_sin_ratio(samples: int = 50000, seed: int = 0, cap: float = 10.0) -> S
 # ---------------------------------------------------------------------------
 # Basic quadrature bounds
 
-def _quad_claim(claim: str, t: float, params: dict, mult: int,
-                carry: list | None = None) -> float:
-    """Left-hand side of one basic quadrature claim at time t.
-
-    `carry` goes to the claim's one L^1 integral (see linear._lq_polar), so a
-    caller that keeps it across the levels of one t evaluates only new panels.
-    """
-    beta = params.get("beta", 0.0)
-    alpha = params.get("alpha", 0.0)
-    beta_p = params.get("beta_prime", beta)
-    c = params.get("c", 0.25)
-    annulus = ("annulus", params.get("N", 1.0))
-
-    def heat(tt, xi, eta):  # |k|^beta e^{-c|k|^2 t}
-        return np.hypot(xi, eta) ** beta * np.exp(-c * (xi**2 + eta**2) * tt)
-
-    def aniso(tt, xi, eta):  # |xi|^beta / A^alpha e^{-c xi^2/A^2 t}
-        A = np.hypot(xi, eta)
-        return np.abs(xi)**beta / A**alpha * np.exp(-c * xi**2 / A**2 * tt)
-
-    def aniso_cut(tt, xi, eta):  # the same with beta', cut to |xi| <= A^2, 0 at A = 0
-        A = np.hypot(xi, eta)
-        w = np.where(A > 0, np.abs(xi)**beta_p / np.where(A > 0, A, 1)**alpha
-                     * np.exp(-c * xi**2 / np.where(A > 0, A, 1)**2 * tt), 0.0)
-        return w * (np.abs(xi) <= A**2)
-
-    def l1(fn, region):
-        return _linear._lq_polar(fn, t, region, 1.0, 10 * mult, 6 + 4 * mult, carry=carry)
-
-    def mixed(fn, region, qx, qe):
-        return _linear._mixed_cartesian(fn, t, region, qx, qe, mult)
-
-    if claim == "est_At":
-        return l1(heat, "le1")
-    if claim == "est_At2":
-        return mixed(heat, "le1", np.inf, 1.0) + mixed(heat, "le1", 1.0, np.inf)
-    if claim == "est_Axit1":
-        return l1(aniso, annulus)
-    if claim == "est_Axit3":
-        return mixed(aniso, annulus, 1.0, np.inf)
-    if claim == "est_Axit4":
-        return mixed(aniso, annulus, np.inf, 1.0)
-    if claim == "est_Axit2":
-        return l1(aniso_cut, "le1")
-    if claim == "est_Axit5":
-        qx, qe = (1.0, np.inf) if params.get("variant", "L1xLinfy") == "L1xLinfy" else (np.inf, 1.0)
-        return mixed(aniso_cut, "le1", qx, qe)
-    raise KeyError(f"unknown quadrature claim {claim!r}")
+# the decay constant c of every integrand's exponential
+_QUAD_C = 0.25
 
 
-# claim -> (params, target t-exponent, N-exponent)
+def _heat(p, t, xi, eta):  # |k|^beta e^{-c|k|^2 t}
+    return np.hypot(xi, eta) ** p["beta"] * np.exp(-_QUAD_C * (xi**2 + eta**2) * t)
+
+
+def _aniso(p, t, xi, eta):  # |xi|^beta / A^alpha e^{-c xi^2/A^2 t}
+    A = np.hypot(xi, eta)
+    return np.abs(xi)**p["beta"] / A**p["alpha"] * np.exp(-_QUAD_C * xi**2 / A**2 * t)
+
+
+def _aniso_cut(p, t, xi, eta):  # the same with beta', cut to |xi| <= A^2, 0 at A = 0
+    A = np.hypot(xi, eta)
+    w = np.where(A > 0, np.abs(xi)**p["beta_prime"] / np.where(A > 0, A, 1)**p["alpha"]
+                 * np.exp(-_QUAD_C * xi**2 / np.where(A > 0, A, 1)**2 * t), 0.0)
+    return w * (np.abs(xi) <= A**2)
+
+
+_L1 = ((1.0, 1.0),)
+_UNIT_ANNULUS = ("annulus", 1.0)
+
+# claim -> (params, integrand, region, the (q_xi, q_eta) norms whose sum is
+# the left-hand side, target t-exponent).  L^1 is the nested L^1_xi L^1_eta.
 BASIC_QUAD_CLAIMS = {
-    "est_At": ({"beta": 0.0}, -1.0, 0.0),
-    "est_At_b1": ({"beta": 1.0, "_claim": "est_At"}, -1.5, 0.0),
-    "est_Axit1": ({"beta": 2.0, "alpha": 0.0, "N": 1.0}, -1.5, 4.0),
-    "est_Axit2": ({"beta": 1.0, "beta_prime": 1.0, "alpha": 2.0}, -1.0, 0.0),
-    "est_At2": ({"beta": 0.0}, -0.5, 0.0),
-    "est_Axit3": ({"beta": 1.0, "alpha": 1.0, "N": 1.0}, -1.0, 1.0),
-    "est_Axit4": ({"beta": 1.0, "alpha": 1.0, "N": 1.0}, -0.5, 1.0),
+    "est_At": ({"beta": 0.0}, _heat, "le1", _L1, -1.0),
+    "est_At_b1": ({"beta": 1.0}, _heat, "le1", _L1, -1.5),
+    "est_Axit1": ({"beta": 2.0, "alpha": 0.0, "N": 1.0}, _aniso, _UNIT_ANNULUS, _L1, -1.5),
+    "est_Axit2": ({"beta": 1.0, "beta_prime": 1.0, "alpha": 2.0}, _aniso_cut, "le1", _L1, -1.0),
+    "est_At2": ({"beta": 0.0}, _heat, "le1", ((np.inf, 1.0), (1.0, np.inf)), -0.5),
+    "est_Axit3": ({"beta": 1.0, "alpha": 1.0, "N": 1.0}, _aniso, _UNIT_ANNULUS,
+                  ((1.0, np.inf),), -1.0),
+    "est_Axit4": ({"beta": 1.0, "alpha": 1.0, "N": 1.0}, _aniso, _UNIT_ANNULUS,
+                  ((np.inf, 1.0),), -0.5),
     # alpha < beta'+1 keeps the dyadic block sum convergent (the bound's
     # strict hypothesis 2b'-b+1-alpha > 0) and the stated rate sharp
-    "est_Axit5": ({"beta": 1.0, "beta_prime": 1.0, "alpha": 1.25}, -1.0, 0.0),
+    "est_Axit5": ({"beta": 1.0, "beta_prime": 1.0, "alpha": 1.25}, _aniso_cut, "le1",
+                  ((1.0, np.inf),), -1.0),
 }
 
 # a passing claim's fitted t-slope is within this of its target
 _QUAD_SLOPE_TOL = 0.1
 
 
-def check_basic_quadrature(claim: str, params: dict | None = None,
-                           t_grid=None, cap: float = 1e3) -> ScanResult:
+def _quad_claim(claim: str, t: float, mult: int) -> float:
+    """Left-hand side of one basic quadrature claim at time t, on the
+    Cartesian quadrature level `mult` (see linear._mixed_cartesian)."""
+    params, integrand, region, norms, _ = BASIC_QUAD_CLAIMS[claim]
+    fn = partial(integrand, params)
+    return sum(_linear._mixed_cartesian(fn, t, region, q_xi, q_eta, mult)
+               for q_xi, q_eta in norms)
+
+
+def check_basic_quadrature(claim: str, t_grid=None, cap: float = 1e3) -> ScanResult:
     """Measure one basic quadrature bound: fitted prefactor and t-slope."""
     if claim not in BASIC_QUAD_CLAIMS:
         raise KeyError(f"unknown quadrature claim {claim!r}; known: {sorted(BASIC_QUAD_CLAIMS)}")
-    default_params, t_slope, _ = BASIC_QUAD_CLAIMS[claim]
-    p = dict(default_params)
-    if params:
-        p.update(params)
-    real_claim = p.pop("_claim", claim)
+    params, *_, t_slope = BASIC_QUAD_CLAIMS[claim]
     if t_grid is None:
         # late window: the indicator-cut integrands approach their stated
         # rates with O(t^{-1/2}) transients
         t_grid = np.geomspace(100.0, 1e4, 10)
     t_grid = np.asarray(t_grid, dtype=float)
-
-    def levels(t):
-        carry = []  # level 1's L^1 terms, reused by level 2 of the same t
-        return [_quad_claim(real_claim, t, p, mult, carry) for mult in (1, 2)]
-
-    v1, v2 = map(np.array, zip(*[levels(t) for t in t_grid]))
+    v1, v2 = (np.array([_quad_claim(claim, t, mult) for t in t_grid]) for mult in (1, 2))
     slope, r2 = _linear.fit_loglog(t_grid, v2)
     rhs = (1.0 + t_grid**2) ** (t_slope / 2.0)
     ratios1 = v1 / rhs
@@ -350,7 +326,7 @@ def check_basic_quadrature(claim: str, params: dict | None = None,
     worst = {"t": float(t_grid[worst_i]), "ratio": cmax2}
     result = _finish(f"quad:{claim}", 2 * len(t_grid), cmax1, cmax2, worst, cap,
                      extra={"fitted_slope": slope, "target_slope": t_slope,
-                            "r_squared": r2, "params": p})
+                            "r_squared": r2, "params": dict(params)})
     if result.verdict == "PASS" and abs(slope - t_slope) > _QUAD_SLOPE_TOL:
         result.verdict = "FAIL"
         result.extra["slope_mismatch"] = abs(slope - t_slope)

@@ -180,6 +180,16 @@ class TestLinearCommands:
         assert code == 2
         assert message in err and "Traceback" not in err
 
+    def test_quadrature_error_exit_3(self, capsys, monkeypatch):
+        # levels that never agree to 1 %: linear._refined gives up at level 8
+        monkeypatch.setattr(cli._linear, "_lq_polar",
+                            lambda *args, n_rho, **kwargs: float(n_rho))
+        code, _, err = run_cli(["linear", "decay", "--prop", "kn1L", "--t0", "316",
+                                "--t1", "1e4", "--points", "3"], capsys)
+        assert code == 3
+        assert "mhdlab linear: quadrature-nonconvergence in decay(kn1L, t=316.0)" in err
+        assert "Traceback" not in err
+
     def test_other_errors_propagate(self, monkeypatch):
         def broken(**kwargs):
             raise RuntimeError("not an input error")

@@ -584,6 +584,26 @@ class TestDecayExperiments:
         assert d["quantity_id"] == "kn5L"
         assert len(d["values"]) == 6
 
+    # the band-limited profile jumps to 0 at A = 2; without a radial edge
+    # there, seeds 0 and 2 did not converge at t = 316
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("prop", ["kn1L", "k1L"])
+    def test_band_limited_data_converges(self, prop, seed):
+        rep = ln.propagator_decay_experiment(prop, init="band-limited random",
+                                             times=np.geomspace(316.0, 1e4, 3), seed=seed)
+        assert np.all(rep.values > 0)
+        assert abs(rep.fitted_slope - rep.target_slope) <= 0.05
+
+    def test_profile_jumps_are_radial_edges(self):
+        _, breaks = ln._init_profile("band-limited random")
+        assert breaks == (2.0,)
+        assert ln._init_profile("gaussian")[1] == ()
+        edges = ln._rho_edges("all", 14, 316.0, breaks)
+        assert math.log(2.0) in edges
+        assert edges.size == ln._rho_edges("all", 14, 316.0).size + 1
+        assert ln._rho_edges("le1", 14, 316.0, breaks).tobytes() == \
+            ln._rho_edges("le1", 14, 316.0).tobytes()
+
     # the values of the benchmark's two decay experiments at three times of the
     # criterion-6 window, as float.hex, recorded before the block evaluation of
     # the kernel shared its intermediates; they pin the kernel and the
@@ -605,10 +625,10 @@ class TestDecayExperiments:
         assert rep.r_squared >= 0.98
 
 
-def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, carry=None):
+def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, carry=None, breaks=()):
     """Reference quadrature level: the whole polar mesh built as one 2-D
     product and evaluated in one call; `carry` is ignored."""
-    rho, w_rho = ln._gauss_panels(ln._rho_edges(region, n_rho, t), ln._POLAR_GL)
+    rho, w_rho = ln._gauss_panels(ln._rho_edges(region, n_rho, t, breaks), ln._POLAR_GL)
     theta, w_theta = ln._gauss_panels(ln._theta_edges(theta_levels), ln._POLAR_GL)
     A = np.exp(rho)[:, None]
     xi = A * np.cos(theta)[None, :]
@@ -650,6 +670,15 @@ class TestCarriedLevels:
         monkeypatch.setattr(ln, "_lq_polar", fresh_lq_polar)
         want = ln.propagator_decay_experiment(prop, times=times).values
         assert got.tobytes() == want.tobytes()
+
+    def test_band_limited_decay_matches_fresh_levels(self, monkeypatch):
+        def run():
+            return ln.propagator_decay_experiment("kn1L", init="band-limited random",
+                                                  times=[10.0, 1000.0]).values
+
+        got = run()
+        monkeypatch.setattr(ln, "_lq_polar", fresh_lq_polar)
+        assert got.tobytes() == run().tobytes()
 
     @pytest.mark.parametrize("region", ["le1", "all", ("annulus", 2.0)])
     @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
@@ -737,7 +766,7 @@ class TestBlockedLevels:
     def test_peak_memory_of_a_large_level(self):
         # level 1 of kn1L at t = 1e4: 1.1 M nodes, 9.0 MB of terms; one
         # symbol call for the whole level held 36 MB above the terms
-        profile = ln._init_profile("gaussian")
+        profile, _ = ln._init_profile("gaussian")
 
         def weighted(t, xi, eta):
             return np.abs(ln.SYMBOLS["A4K"](t, xi, eta)) * np.abs(profile(xi, eta))
