@@ -196,7 +196,8 @@ def _damped_pair(g, h, z, a, t, damp, a2mz, ws):
 def _sinch_series(orders, b, t):
     """The z-derivatives of sinch at z = b of the given orders, one row each,
     by the entire power series: a_m = t^(2m+1)/(2m+1)!, and row j sums the
-    first 48 terms a_{k+j} (k+j)!/k! b^k.
+    first 48 terms a_{k+j} (k+j)!/k! b^k, or stops once no later term can
+    change a bit of any row's sum.
 
     Valid (fast, cancellation-safe) when t^2 |b| is moderate; callers gate
     on _DD_SMALL_BT2.  b and t are flat arrays of one length.
@@ -216,7 +217,12 @@ def _sinch_series(orders, b, t):
     m = k + np.array(orders, dtype=float)[:, None] + 1.0
     ratios = m / ((k + 1.0) * (2.0 * m) * (2.0 * m + 1.0))
     total = np.zeros_like(term)
-    for ratio in ratios.T:
+    for k, ratio in enumerate(ratios.T):
+        # from term 4 on each term is at most half the one before (t^2 |b| <=
+        # 36), so once every term is under an eighth of an ulp of its total,
+        # no later term changes a bit of it
+        if k and k % 4 == 0 and np.all(np.abs(term) <= np.abs(total) * 2.0**-56):
+            break
         total += term
         term *= t2
         term *= b

@@ -285,6 +285,10 @@ _LOG_A_MIN = -12.0
 _LOG_A_MAX = 6.0
 # Gauss-Legendre nodes per panel of the polar mesh, on both axes.
 _POLAR_GL = 8
+# Radial panel widths of the oscillatory band, times t (see _band): |S|^2 is
+# as smooth as S, while |S|^q for any other q has a kink at each zero of S.
+_BAND_WIDTH_SMOOTH = math.pi
+_BAND_WIDTH_KINKED = math.pi / 4.0
 # Most radial panels of the oscillatory band (see _rho_edges).
 _BAND_PANELS_MAX = 20000
 # Most nodes per symbol_fn call of a polar level (a block holds at least one
@@ -348,19 +352,24 @@ def parse_region(text: str):
     raise ValueError(f"unknown region {text!r}; expected le1, all or sim<N>")
 
 
-def _band(region, t: float) -> tuple[float, float, int]:
+def _band(region, t: float, q: float) -> tuple[float, float, int]:
     """The oscillatory band's A range (a_lo, a_cap) and its number of radial
-    panels at time t, 0 when there is no band.  A band of more than
+    panels at time t for the L^q integrand |S|^q, 0 when there is no band.
+
+    The panels are _BAND_WIDTH_SMOOTH / t wide for q = 2 and
+    _BAND_WIDTH_KINKED / t for every other q, where |S|^q kinks at each
+    zero of S and Gauss panels need to be narrow.  A band of more than
     _BAND_PANELS_MAX panels is a ValueError naming the largest t the mesh
     resolves."""
     rho_lo, rho_hi = _region_rho_range(region)
     a_lo = math.exp(rho_lo)
+    width = _BAND_WIDTH_SMOOTH if q == 2.0 else _BAND_WIDTH_KINKED
 
     def band(t):
         a_cap = min(math.exp(rho_hi), 2.5, 8.0 / math.sqrt(max(t, 1.0)))
         count = 0
         if t > 0 and a_cap > a_lo:
-            count = int((a_cap - a_lo) / (math.pi / (4.0 * max(t, 1.0))))
+            count = int((a_cap - a_lo) / (width / max(t, 1.0)))
         return a_cap, count
 
     a_cap, count = band(t)
@@ -376,7 +385,7 @@ def _band(region, t: float) -> tuple[float, float, int]:
     return a_lo, a_cap, count
 
 
-def _rho_edges(region, n_rho: int, t: float, breaks=()) -> np.ndarray:
+def _rho_edges(region, n_rho: int, t: float, q: float, breaks=()) -> np.ndarray:
     """Radial panel edges in rho = log A.
 
     A uniform log mesh is unioned with a linear-in-A mesh over the oscillatory
@@ -384,13 +393,14 @@ def _rho_edges(region, n_rho: int, t: float, breaks=()) -> np.ndarray:
     mesh: for A below ~2 their branches are dispersive and they oscillate
     radially with wavelength ~pi/t, which a pure log mesh cannot resolve at
     large t.  The linear band is capped where exp(-A^2 t/4) damping makes the
-    contribution negligible; a band too fine for the mesh is a ValueError
-    (see _band).  `breaks` are radii A where the integrand jumps (see
-    _init_profile); each one inside the region is an edge too.
+    contribution negligible, and its panel width follows the exponent q of
+    the integrand; a band too fine for the mesh is a ValueError (see _band).
+    `breaks` are radii A where the integrand jumps (see _init_profile); each
+    one inside the region is an edge too.
     """
     rho_lo, rho_hi = _region_rho_range(region)
     edges = np.linspace(rho_lo, rho_hi, n_rho + 1)
-    a_lo, a_cap, count = _band(region, t)
+    a_lo, a_cap, count = _band(region, t, q)
     if count:
         lin = np.log(np.linspace(a_lo, a_cap, count + 1)[1:])
         edges = np.union1d(edges, lin)
@@ -449,7 +459,7 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
     Each node is computed elementwise and grid.fsum is exactly rounded, so
     the result is bitwise that of a level without a carry, at any block size.
     """
-    rho_edges, theta_edges = _rho_edges(region, n_rho, t, breaks), _theta_edges(theta_levels)
+    rho_edges, theta_edges = _rho_edges(region, n_rho, t, q, breaks), _theta_edges(theta_levels)
     rho, w_rho = _gauss_panels(rho_edges, _POLAR_GL)
     theta, w_theta = _gauss_panels(theta_edges, _POLAR_GL)
     A = np.exp(rho)
@@ -820,13 +830,12 @@ def propagator_decay_experiment(prop_id: str, init: str = "gaussian",
     profile, breaks = _init_profile(init, seed)
     times = default_decay_times() if times is None else _check_decay_times(times)
     region = "all"
+    q = 2.0 if norm_kind == "l2" else 1.0
     for t in times:  # a time the polar mesh cannot resolve fails before any level
-        _band(region, t)
+        _band(region, t, q)
 
     def weighted(t, xi, eta):
         return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))
-
-    q = 2.0 if norm_kind == "l2" else 1.0
 
     def value(t):
         carry = []  # each level evaluates only the panels new since the last

@@ -166,8 +166,8 @@ class TestLinearCommands:
          "--points: a slope fit needs at least 3 times, got 1"),
         (["symbol-norm", "--symbol", "K", "--q-xi", "1", "--q-eta", "1", "--t", "4e6"],
          "t = 4e+06 needs 20340 radial panels"),
-        (["decay", "--prop", "kn1L", "--t0", "4e6", "--t1", "2e8", "--points", "3"],
-         "the polar mesh resolves t up to 3.867e+06"),
+        (["decay", "--prop", "kn1L", "--t0", "7e7", "--t1", "3e9", "--points", "3"],
+         "the polar mesh resolves t up to 6.245e+07"),
     ], ids=["decay-no-points", "decay-early-t0", "oracle-no-samples", "symbol-norm-negative-t",
             "symbol-norm-bad-region", "symbol-norm-zero-scale", "decay-nan-t0",
             "symbol-norm-infinite-t", "symbol-norm-subnormal-scale",

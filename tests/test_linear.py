@@ -598,19 +598,19 @@ class TestDecayExperiments:
         _, breaks = ln._init_profile("band-limited random")
         assert breaks == (2.0,)
         assert ln._init_profile("gaussian")[1] == ()
-        edges = ln._rho_edges("all", 14, 316.0, breaks)
+        edges = ln._rho_edges("all", 14, 316.0, 2.0, breaks)
         assert math.log(2.0) in edges
-        assert edges.size == ln._rho_edges("all", 14, 316.0).size + 1
-        assert ln._rho_edges("le1", 14, 316.0, breaks).tobytes() == \
-            ln._rho_edges("le1", 14, 316.0).tobytes()
+        assert edges.size == ln._rho_edges("all", 14, 316.0, 2.0).size + 1
+        assert ln._rho_edges("le1", 14, 316.0, 2.0, breaks).tobytes() == \
+            ln._rho_edges("le1", 14, 316.0, 2.0).tobytes()
 
     # the values of the benchmark's two decay experiments at three times of the
-    # criterion-6 window, as float.hex, recorded before the block evaluation of
-    # the kernel shared its intermediates; they pin the kernel and the
-    # quadrature together, bit for bit
+    # criterion-6 window, as float.hex, recorded when the L^2 band's panels
+    # widened to pi/t; they pin the kernel and the quadrature together, bit
+    # for bit
     PINNED = {
-        "kn1L": ["0x1.466bf68266a4bp-3", "0x1.a4c0c83f3d9b4p-4", "0x1.10c526dbdc8dap-4"],
-        "k1L": ["0x1.7d0dee97a8fb1p-4", "0x1.c575b5fb22cbfp-5", "0x1.1a1dd7988df4ap-5"],
+        "kn1L": ["0x1.466bf682669c5p-3", "0x1.a4c0c83f3daa0p-4", "0x1.10c526dbdc902p-4"],
+        "k1L": ["0x1.7d0dee97c9380p-4", "0x1.c575b5faec044p-5", "0x1.1a1dd798902bdp-5"],
     }
 
     @pytest.mark.parametrize("prop", sorted(PINNED))
@@ -628,7 +628,7 @@ class TestDecayExperiments:
 def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, carry=None, breaks=()):
     """Reference quadrature level: the whole polar mesh built as one 2-D
     product and evaluated in one call; `carry` is ignored."""
-    rho, w_rho = ln._gauss_panels(ln._rho_edges(region, n_rho, t, breaks), ln._POLAR_GL)
+    rho, w_rho = ln._gauss_panels(ln._rho_edges(region, n_rho, t, q, breaks), ln._POLAR_GL)
     theta, w_theta = ln._gauss_panels(ln._theta_edges(theta_levels), ln._POLAR_GL)
     A = np.exp(rho)[:, None]
     xi = A * np.cos(theta)[None, :]
@@ -699,7 +699,7 @@ class TestCarriedLevels:
         assert got.hex() == fresh_lq_polar(sym, 300.0, "all", q, 14, 14).hex()
         if carry is not None:
             rho_edges, theta_edges, terms = carry
-            assert rho_edges.tobytes() == ln._rho_edges("all", 14, 300.0).tobytes()
+            assert rho_edges.tobytes() == ln._rho_edges("all", 14, 300.0, q).tobytes()
             assert theta_edges.tobytes() == ln._theta_edges(14).tobytes()
             assert terms.shape == (8 * (rho_edges.size - 1), 8 * (theta_edges.size - 1))
 
@@ -713,7 +713,7 @@ class TestCarriedLevels:
         monkeypatch.setattr(ln, "kernel_values", lambda t, xi, eta, **kw:
                             points.append(np.size(xi)) or kv(t, xi, eta, **kw))
         ln._lq_polar(sym, t, "all", 2.0, 28, 20, carry=carry)
-        rho1, rho2 = ln._rho_edges("all", 14, t), ln._rho_edges("all", 28, t)
+        rho1, rho2 = ln._rho_edges("all", 14, t, 2.0), ln._rho_edges("all", 28, t, 2.0)
         theta1, theta2 = ln._theta_edges(14), ln._theta_edges(20)
         mesh = (rho2.size - 1) * (theta2.size - 1)
         shared = shared_panels(rho2, rho1) * shared_panels(theta2, theta1)
@@ -764,8 +764,9 @@ class TestBlockedLevels:
         assert np.all(src[k:] < 0)
 
     def test_peak_memory_of_a_large_level(self):
-        # level 1 of kn1L at t = 1e4: 1.1 M nodes, 9.0 MB of terms; one
-        # symbol call for the whole level held 36 MB above the terms
+        # level 1 of kn1L's integrand at t = 1e4, taken in L^1 to keep the
+        # narrow band: 1.1 M nodes, 9.0 MB of terms; one symbol call for the
+        # whole level held 36 MB above the terms
         profile, _ = ln._init_profile("gaussian")
 
         def weighted(t, xi, eta):
@@ -775,7 +776,7 @@ class TestBlockedLevels:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            ln._lq_polar(weighted, 1e4, "all", 2.0, 14, 14, carry=carry)
+            ln._lq_polar(weighted, 1e4, "all", 1.0, 14, 14, carry=carry)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -786,19 +787,55 @@ class TestBlockedLevels:
 
 class TestBandLimit:
     """A time whose oscillatory band needs more radial panels than the mesh
-    allows is an input error, raised before any node is evaluated."""
+    allows is an input error, raised before any node is evaluated.  The
+    limit follows the band's panel width: pi/t for q = 2, pi/(4t) else."""
+
+    # exponent, a time the mesh resolves, one past the limit, the message
+    LIMITS = [
+        (2.0, 6e7, 7e7, r"t = 7e\+07 needs 21168 radial panels.*resolves t up to 6\.245e\+07"),
+        (1.0, 3e6, 4e6, r"t = 4e\+06 needs 20340 radial panels.*resolves t up to 3\.867e\+06"),
+        (np.inf, 3e6, 4e6, r"t = 4e\+06 needs 20340 radial panels.*resolves t up to 3\.867e\+06"),
+    ]
 
     @pytest.mark.parametrize("region", ["le1", "all"])
     def test_band_past_the_cap_raises(self, region):
-        assert ln._rho_edges(region, 14, 3e6).size > 17000
-        with pytest.raises(ValueError, match=r"t = 4e\+06 needs 20340 radial panels.*"
-                           r"resolves t up to 3\.867e\+06"):
-            ln._rho_edges(region, 14, 4e6)
+        for q, below, above, message in self.LIMITS:
+            assert ln._rho_edges(region, 14, below, q).size > 17000
+            with pytest.raises(ValueError, match=message):
+                ln._rho_edges(region, 14, above, q)
 
     def test_decay_rejects_the_time_before_any_level(self, monkeypatch):
         monkeypatch.setattr(ln, "kernel_values", None)  # any evaluation would fail
+        with pytest.raises(ValueError, match=r"t = 7e\+07 needs"):
+            ln.propagator_decay_experiment("kn1L", times=[10.0, 100.0, 7e7])
         with pytest.raises(ValueError, match=r"t = 4e\+06 needs"):
-            ln.propagator_decay_experiment("kn1L", times=[10.0, 100.0, 4e6])
+            ln.propagator_decay_experiment("kn5L", times=[10.0, 100.0, 4e6])
+
+
+class TestBandWidth:
+    """The panel width of the oscillatory band, against the same level on a
+    band twice as fine.  The levels of _refined share one band, so their
+    agreement says nothing about it; this bounds the band's own error."""
+
+    @staticmethod
+    def level1(prop, t):
+        sym, kind, _ = ln.PROPAGATORS[prop]
+        symbol_fn, (profile, _) = ln.SYMBOLS[sym], ln._init_profile("gaussian")
+
+        def weighted(t, xi, eta):
+            return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))
+
+        return ln._lq_polar(weighted, t, "all", 2.0 if kind == "l2" else 1.0, 14, 14)
+
+    # |S|^2 is as smooth as S; |S| of the L^1 rate kn5L kinks at each zero
+    @pytest.mark.parametrize("prop,bound", [("kn1L", 1e-6), ("k1L", 1e-6), ("kn5L", 2e-4)])
+    @pytest.mark.parametrize("t", [316.0, 1e4])
+    def test_level_one_against_a_twice_finer_band(self, prop, bound, t, monkeypatch):
+        got = self.level1(prop, t)
+        monkeypatch.setattr(ln, "_BAND_WIDTH_SMOOTH", ln._BAND_WIDTH_SMOOTH / 2.0)
+        monkeypatch.setattr(ln, "_BAND_WIDTH_KINKED", ln._BAND_WIDTH_KINKED / 2.0)
+        want = self.level1(prop, t)
+        assert abs(got - want) <= bound * want
 
 
 class TestFitLoglog:
