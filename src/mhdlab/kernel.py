@@ -220,8 +220,10 @@ def _sinch_series(orders, b, t):
     for k, ratio in enumerate(ratios.T):
         # from term 4 on each term is at most half the one before (t^2 |b| <=
         # 36), so once every term is under an eighth of an ulp of its total,
-        # no later term changes a bit of it
-        if k and k % 4 == 0 and np.all(np.abs(term) <= np.abs(total) * 2.0**-56):
+        # no later term changes a bit of it; row by row, the temporaries stay
+        # small
+        if k and k % 4 == 0 and all(np.all(np.abs(tr) <= np.abs(to) * 2.0**-56)
+                                    for tr, to in zip(term, total)):
             break
         total += term
         term *= t2

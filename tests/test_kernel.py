@@ -150,6 +150,33 @@ class TestDividedDiff:
             assert abs(got - ref) <= 1e-11 * abs(ref) + 1e-280
         assert checked > 300
 
+    def test_series_stop_keeps_the_bits_of_48_terms(self):
+        def all_48_terms(orders, b, t):
+            term = np.array([t ** (2 * j + 1) for j in orders])
+            for row, j in zip(term, orders):
+                for i in range(1, 2 * j + 2):
+                    row /= i
+                for i in range(1, j + 1):
+                    row *= i
+            k = np.arange(48.0)
+            m = k + np.array(orders, dtype=float)[:, None] + 1.0
+            total = np.zeros_like(term)
+            for ratio in (m / ((k + 1.0) * (2.0 * m) * (2.0 * m + 1.0))).T:
+                total += term
+                term *= t * t
+                term *= b
+                term *= ratio[:, None]
+            return total
+
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            t = 10.0 ** rng.uniform(-3, 3, 300)
+            scale = rng.choice([1.0, 1e-4, 1e-12, 0.0], 300)
+            b = rng.uniform(-1.0, 1.0, 300) * scale * kr._DD_SMALL_BT2 / t**2
+            orders = sorted(rng.choice(8, rng.integers(1, 5), replace=False).tolist())
+            got = kr._sinch_series(orders, b, t)
+            assert got.tobytes() == all_48_terms(orders, b, t).tobytes()
+
 
 class TestKernelSymbols:
     def test_k_vanishes_at_t_zero(self):

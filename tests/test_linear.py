@@ -646,6 +646,16 @@ def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, carry=None, bre
     return gr.fsum(w2d * vals**q) ** (1.0 / q)
 
 
+def gaussian_integrand(sym_id):
+    """|S| |f0| of a registered symbol on gaussian data: the integrand of a
+    decay experiment."""
+    symbol_fn, (profile, _) = ln.SYMBOLS[sym_id], ln._init_profile("gaussian")
+
+    def weighted(t, xi, eta):
+        return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))
+    return weighted
+
+
 def shared_panels(edges, prev_edges):
     """Number of panels of `edges` whose two edges are a panel of `prev_edges`."""
     prev = set(zip(prev_edges[:-1].tolist(), prev_edges[1:].tolist()))
@@ -767,11 +777,7 @@ class TestBlockedLevels:
         # level 1 of kn1L's integrand at t = 1e4, taken in L^1 to keep the
         # narrow band: 1.1 M nodes, 9.0 MB of terms; one symbol call for the
         # whole level held 36 MB above the terms
-        profile, _ = ln._init_profile("gaussian")
-
-        def weighted(t, xi, eta):
-            return np.abs(ln.SYMBOLS["A4K"](t, xi, eta)) * np.abs(profile(xi, eta))
-
+        weighted = gaussian_integrand("A4K")
         carry = []
         tracemalloc.start()
         try:
@@ -820,12 +826,8 @@ class TestBandWidth:
     @staticmethod
     def level1(prop, t):
         sym, kind, _ = ln.PROPAGATORS[prop]
-        symbol_fn, (profile, _) = ln.SYMBOLS[sym], ln._init_profile("gaussian")
-
-        def weighted(t, xi, eta):
-            return np.abs(symbol_fn(t, xi, eta)) * np.abs(profile(xi, eta))
-
-        return ln._lq_polar(weighted, t, "all", 2.0 if kind == "l2" else 1.0, 14, 14)
+        q = 2.0 if kind == "l2" else 1.0
+        return ln._lq_polar(gaussian_integrand(sym), t, "all", q, 14, 14)
 
     # |S|^2 is as smooth as S; |S| of the L^1 rate kn5L kinks at each zero
     @pytest.mark.parametrize("prop,bound", [("kn1L", 1e-6), ("k1L", 1e-6), ("kn5L", 2e-4)])
