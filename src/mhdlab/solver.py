@@ -4,7 +4,9 @@ Time stepping is exponential: the full linear part (including the viscosity
 cross-coupling) is applied exactly per mode via precomputed matrix
 exponentials, and the quadratic/cubic nonlinearities enter through a
 second-order exponential Runge-Kutta update.  Products are formed in physical
-space with 2/3-rule dealiasing on every factor and on the result.
+space with 2/3-rule dealiasing on every factor and on the result; the momentum
+advection is taken in its rotational (Lamb) form, -grad Q + (v w, -u w), which
+equals the advective form up to rounding on a band free of quadratic aliasing.
 """
 
 from __future__ import annotations
@@ -259,9 +261,10 @@ class _Workspace:
     products of ikx and iky.  `band` holds the masked coefficients of the four
     unknowns, `spec` a spectral factor and the x pass of an inverse transform,
     `wide` the y pass of a forward one, and `planes` the physical values n, u,
-    v, rho, psi_x, psi_y and two scratch planes.  A call writes its result
-    into `results[0]` and then swaps the two `results`, so its caller can hold
-    that result through the next call and use `results[0]` until then.
+    v, rho, psi_x, psi_y and two scratch planes, one of which holds the
+    vorticity for the two momentum rows.  A call writes its result into
+    `results[0]` and then swaps the two `results`, so its caller can hold that
+    result through the next call and use `results[0]` until then.
     """
 
     def __init__(self, grid: FourierGrid, dealias_fraction: float):
@@ -286,12 +289,20 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     of shape (4, nx, nc): the first nc = `grid.dealias_columns` columns of the
     half spectrum, which hold the dealias band; every later column is zero.
 
-    The 14 dealiased spectral factors are formed on those columns only and go
-    to physical space one by one; each of the 5 products is formed as soon as
-    its factors exist and comes back at once, on those columns only (see
-    `grid.to_physical`).  The viscous terms are combined in spectral space
-    before the transform.  Every array is one of `work` (a fresh workspace
-    when None), the result included; see `_Workspace`.
+    The momentum rows take the advection in Lamb form,
+    -(u . grad) u - n grad n = -grad Q + (v w, -u w), with
+    Q = (u^2 + v^2 + n^2) / 2 and the vorticity w = dx v - dy u.  So the 9
+    dealiased spectral factors are n, u, v, dx psi, dy psi, lap psi, w and
+    the two viscous combinations, each summed in spectral space first; they
+    are formed on those columns only and go to physical space one by one.
+    Each of the 6 products -n u, -n v, -(u dx psi + v dy psi), Q and the two
+    momentum rows without -grad Q is formed as soon as its factors exist and
+    comes back at once, on those columns only (see `grid.to_physical`);
+    -ikx Q and -iky Q are then taken in spectral space.  When every kept
+    wavenumber has |k| < N/3 along its axis, as at 256^2 with the 2/3 band,
+    a quadratic product does not alias into the band, so this equals the
+    advective form up to rounding.  Every array is one of `work` (a fresh
+    workspace when None), the result included; see `_Workspace`.
 
     Requires max|n| < 0.99 so the total density stays positive.  When
     `lambda_forcing` is set, the linear lam-coupling is added here as a
@@ -334,17 +345,11 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
         np.add(np.multiply(lap, cv, out=s0), s1, out=s0)
         return np.subtract(s0, np.multiply(lap, cp, out=s1), out=s0)
 
-    def advection(dx, dy, visc, dn, psi_lap):
-        """-(u dx + v dy) - (n visc + psi_lap) / rho - n dn in plane a, each
-        spectral factor formed in s0 when it is needed: dx, dy and dn are
-        (symbol, coefficients) pairs, visc a function."""
-        np.multiply(u, phys(formed(*dx), a), out=a)
-        np.add(a, np.multiply(v, phys(formed(*dy), f), out=f), out=a)
-        np.negative(a, out=a)
+    def over_rho(visc, psi_lap):
+        """(n visc + psi_lap) / rho in plane f, visc a function."""
         np.multiply(n, phys(visc(), f), out=f)
         np.add(f, psi_lap, out=f)
-        np.subtract(a, np.divide(f, rho, out=f), out=a)
-        return np.subtract(a, np.multiply(n, phys(formed(*dn), f), out=f), out=a)
+        return np.divide(f, rho, out=f)
 
     phys(cn, n)
     max_n = float(np.max(np.abs(n, out=f)))
@@ -356,17 +361,34 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     np.multiply(ikx, s0, out=out[0])
     hat(np.negative(np.multiply(n, phys(cv, v), out=a), out=a), s0)
     out[0] += np.multiply(iky, s0, out=s1)
-    # -(u psi_x + v psi_y); then psi_x and psi_y are multiplied by lap psi
+    # -(u psi_x + v psi_y)
     phys(formed(ikx, cp), psi_x)
     phys(formed(iky, cp), psi_y)
     np.multiply(u, psi_x, out=a)
     a += np.multiply(v, psi_y, out=f)
     hat(np.negative(a, out=a), out[3])
+    # out[1] and out[2] hold ikx F(Q) and iky F(Q) until the rows come back
+    np.multiply(u, u, out=a)
+    a += np.multiply(v, v, out=f)
+    a += np.multiply(n, n, out=f)
+    a *= 0.5
+    hat(a, out[1])
+    np.multiply(iky, out[1], out=out[2])
+    out[1] *= ikx
+    # psi_x and psi_y are multiplied by lap psi; then plane a holds w
     phys(formed(lap, cp), a)
     psi_x *= a
     psi_y *= a
-    hat(advection((ikx, cu), (iky, cu), visc_x, (ikx, cn), psi_x), out[1])
-    hat(advection((ikx, cv), (iky, cv), visc_y, (iky, cn), psi_y), out[2])
+    phys(np.subtract(formed(ikx, cv), np.multiply(iky, cu, out=s1), out=s0), a)
+    # v w - (n visc_x + psi_x lap psi) / rho - ikx F(Q)
+    over_rho(visc_x, psi_x)
+    hat(np.subtract(np.multiply(v, a, out=psi_x), f, out=psi_x), s0)
+    np.subtract(s0, out[1], out=out[1])
+    # -u w - (n visc_y + psi_y lap psi) / rho - iky F(Q)
+    over_rho(visc_y, psi_y)
+    np.negative(np.multiply(u, a, out=psi_y), out=psi_y)
+    hat(np.subtract(psi_y, f, out=psi_y), s0)
+    np.subtract(s0, out[2], out=out[2])
     if lambda_forcing:
         cu, cv = state.coeffs[1:3, :, :nc]
         out[1] += coupling(cu, cv, w.ikx2, w.ikxiky)

@@ -241,6 +241,26 @@ class TestNonlinearTerms:
         for k in (0, 2, 3):
             assert np.max(np.abs(nl[k])) <= 1e-14
 
+    def test_parallel_shear_does_not_advect_itself(self, grid32):
+        # (u.grad)u = 0 for u = (sin y, 0), while grad Q and the vorticity are
+        # not: the Lamb form's two parts must cancel, which a wrong sign of
+        # the vorticity or a wrong factor 1/2 in Q would not
+        y = (np.arange(32) * grid32.dy)[None, :] * np.ones((32, 1))
+        state = single_field_state(grid32, 1, np.sin(y))
+        nl = sv.nonlinear_terms(state, lam=0.4)
+        for k in range(4):
+            assert np.max(np.abs(nl[k])) <= 1e-14
+
+    def test_density_self_transport(self, grid32):
+        # -n dx n = sin(2x) / 2 for n = cos x: the n^2 in Q
+        x = (np.arange(32) * grid32.dx)[:, None] * np.ones((1, 32))
+        state = single_field_state(grid32, 0, 0.5 * np.cos(x))
+        nl = padded(sv.nonlinear_terms(state, lam=0.4), grid32)
+        n1 = gr.SpectralField(grid32, nl[1]).to_physical()
+        assert np.max(np.abs(n1 - 0.125 * np.sin(2 * x))) <= 1e-12
+        for k in (0, 2, 3):
+            assert np.max(np.abs(nl[k])) <= 1e-14
+
     def test_transport_of_flat_potential(self, grid32):
         y = (np.arange(32) * grid32.dy)[None, :] * np.ones((32, 1))
         fields = [gr.SpectralField.zeros(grid32) for _ in range(4)]
@@ -310,12 +330,13 @@ def random_real_state(grid, seed, size):
     return gr.PerturbationState.from_fields(*fields)
 
 
-def per_field_nonlinear_terms(state, lam, lambda_forcing=False):
-    """Reference right-hand side on the full (nx, ny) spectrum: every factor and
-    product through its own complex transform, with the viscous terms combined
-    in physical space.  Returns the stored half, columns [:, :ny//2 + 1]."""
+def per_field_nonlinear_terms(state, lam, dealias_fraction=2.0 / 3.0, lambda_forcing=False):
+    """Reference right-hand side on the full (nx, ny) spectrum, with the
+    advection in its textbook form: every factor and product through its own
+    complex transform, with the viscous terms combined in physical space.
+    Returns the stored half, columns [:, :ny//2 + 1]."""
     g = state.grid
-    mask = full_dealias_mask(g)
+    mask = full_dealias_mask(g, dealias_fraction)
     xi, eta = full_wavenumbers(g)
     xi_d, eta_d = xi.copy(), eta.copy()
     xi_d[g.nx // 2] = eta_d[g.ny // 2] = 0.0
@@ -352,10 +373,10 @@ def per_field_nonlinear_terms(state, lam, lambda_forcing=False):
 
 
 def batched_nonlinear_terms(state, lam, dealias_fraction=2.0 / 3.0, lambda_forcing=False):
-    """The right-hand side with one batched irfft2 over the 14 factors and one
-    batched rfft2 over the 5 products, on the whole half spectrum: the
+    """The right-hand side with one batched irfft2 over the 9 factors and one
+    batched rfft2 over the 6 products, on the whole half spectrum: the
     transform layout the per-array, band-column one replaces, kept here as its
-    bitwise reference."""
+    bitwise reference.  The momentum rows are in Lamb form, -grad Q + (v w, -u w)."""
     g = state.grid
     mask = g.dealias_mask(dealias_fraction)
     cn, cu, cv, cp = (f.coeffs * mask for f in state.fields)
@@ -364,22 +385,23 @@ def batched_nonlinear_terms(state, lam, dealias_fraction=2.0 / 3.0, lambda_forci
     lap = -(g.XI**2 + g.ETA**2)
     visc_x = lap * cu + lam * (ikx * ikx * cu + ikx * iky * cv)
     visc_y = lap * cv + lam * (ikx * iky * cu + iky * iky * cv) - lap * cp
-    spec = np.stack([cn, cu, cv, ikx * cn, iky * cn, ikx * cu, iky * cu, ikx * cv, iky * cv,
-                     ikx * cp, iky * cp, lap * cp, visc_x, visc_y])
+    spec = np.stack([cn, cu, cv, ikx * cp, iky * cp, lap * cp, ikx * cv - iky * cu,
+                     visc_x, visc_y])
     phys = np.fft.irfft2(spec, s=(g.nx, g.ny))
     phys /= g.dx * g.dy
-    n, u, v, n_x, n_y, u_x, u_y, v_x, v_y, psi_x, psi_y, lap_psi, visc_x, visc_y = phys
+    n, u, v, psi_x, psi_y, lap_psi, omega, visc_x, visc_y = phys
     rho = 1.0 + n
     products = np.stack([
         -(n * u),
         -(n * v),
-        -(u * u_x + v * u_y) - (n * visc_x + psi_x * lap_psi) / rho - n * n_x,
-        -(u * v_x + v * v_y) - (n * visc_y + psi_y * lap_psi) / rho - n * n_y,
         -(u * psi_x + v * psi_y),
+        0.5 * (u * u + v * v + n * n),
+        v * omega - (n * visc_x + psi_x * lap_psi) / rho,
+        -(u * omega) - (n * visc_y + psi_y * lap_psi) / rho,
     ])
     hat = np.fft.rfft2(products) * (g.dx * g.dy)
-    out = hat[1:]
-    out[0] = ikx * hat[0] + iky * hat[1]
+    out = np.stack([ikx * hat[0] + iky * hat[1], hat[4] - ikx * hat[3],
+                    hat[5] - iky * hat[3], hat[2]])
     if lambda_forcing:
         cu, cv = state.u.coeffs, state.v.coeffs
         out[1] += lam * (ikx * ikx * cu + ikx * iky * cv)
@@ -410,16 +432,26 @@ _BAND_CASES = [
 _BAND_IDS = ["32x32", "32x48", "32x32-no-dealias", "4x4"]
 
 
+# Bands on which no quadratic product aliases: every kept |k| < N/3 along its
+# axis.  Two square boxes, a non-square box with Lx != Ly, and a narrower band.
+_ALIAS_FREE_CASES = [
+    (gr.make_grid(16, 16, 4 * np.pi, 4 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 32, 4 * np.pi, 4 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 40, 4 * np.pi, 6 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 32, 4 * np.pi, 4 * np.pi), 0.5),
+]
+
+
 class TestBatchedNonlinearTerms:
-    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("grid,fraction", _ALIAS_FREE_CASES,
+                             ids=["16", "32", "32x40", "32-half"])
     @pytest.mark.parametrize("lam", [0.0, 0.4])
     @pytest.mark.parametrize("lambda_forcing", [False, True])
-    def test_matches_per_field_reference(self, n, lam, lambda_forcing):
-        grid = gr.make_grid(n, n, 4 * np.pi, 4 * np.pi)
+    def test_matches_per_field_reference(self, grid, fraction, lam, lambda_forcing):
         for seed in range(3):
             state = random_real_state(grid, seed, 0.3)
-            nl = padded(sv.nonlinear_terms(state, lam, lambda_forcing=lambda_forcing), grid)
-            ref = per_field_nonlinear_terms(state, lam, lambda_forcing=lambda_forcing)
+            nl = padded(sv.nonlinear_terms(state, lam, fraction, lambda_forcing), grid)
+            ref = per_field_nonlinear_terms(state, lam, fraction, lambda_forcing)
             assert np.max(np.abs(nl - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("lambda_forcing", [False, True])
@@ -448,8 +480,8 @@ class TestBandNonlinearTerms:
     def test_one_transform_per_array_on_the_band_columns(self, grid32, monkeypatch,
                                                          lambda_forcing):
         # streamed: n, u, then -(n u) back; v, then -(n v) back; psi_x, psi_y,
-        # then -(u psi_x + v psi_y) back; lap psi; and four factors before
-        # each of the two momentum products goes back
+        # then -(u psi_x + v psi_y) back; Q back; lap psi, the vorticity and
+        # visc_x, then the first momentum row back; visc_y, then the second
         state = random_real_state(grid32, 0, 0.3)
         calls = []
 
@@ -466,7 +498,7 @@ class TestBandNonlinearTerms:
         band = (32, grid32.dealias_columns())
         inverse, forward = [("ifft", band), ("irfft", band)], [("rfft", (32, 32)), ("fft", band)]
         assert calls == (inverse * 2 + forward + inverse + forward + inverse * 2 + forward
-                         + (inverse * 5 + forward) + (inverse * 4 + forward))
+                         + forward + inverse * 3 + forward + inverse + forward)
 
 
 class TestStepper:
@@ -962,29 +994,30 @@ class TestSimulate:
 
 
 # sha256 of the states of 20 steps with dt = 0.05, one after the other,
-# recorded before the step's workspace and the band-row phi blocks: a step
-# must keep every bit, the sign of every zero included.  Each case starts
+# recorded with the momentum advection in Lamb form: a step must keep every
+# bit, the sign of every zero included.  Each case starts
 # once from rough_state(grid, 7, 0.05), every mode populated, and once from
 # band-limited random data, whose modes outside the band hold signed zeros.
 # Cases: a 32^2 box, a non-square box with the split lambda treatment, no
 # dealiasing (every row a band row) and the smallest grid.
 _STEP_DIGESTS = [
     (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.4, 2.0 / 3.0, True,
-     "0c10f2f0ab8fde2ed9890151a7dabb60467f9b69bdbd27d492e9cc9e1d0d727f",
-     "dfa64d412cd9458714563a48dc39889460e1b2f759c9e0122c093922835b51fa"),
+     "4f970b1336cf0659e6d1f1934234f18019075df3c2f511c7e00efad69ad8f858",
+     "be53978d8407362fa9f107e8c0e721e8c56cd0e11066f687f9b1e767bac0d2f7"),
     (gr.make_grid(64, 48, 16 * np.pi, 12 * np.pi), 0.3, 2.0 / 3.0, False,
-     "49c1fea98c1ee46a30a47eaee815eb5026b6cedbd4fe233f604d3cf3d1dec4a6",
-     "95c808c8e61cb819c0c97b62bc66b9adb4012c686b1daa7c60abee6cb86a5b01"),
+     "162cd7400d0d0a237ee97f6d9d721ab55a6f089add3a6bf7909cb68c71867f73",
+     "d5a43743f58c8dad58c7e94b3e6932136cfb7215e708348b58277a3b9d6eb18c"),
     (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.2, 1.0, True,
-     "c06181a1709c30e6b8e48d580867c379cf38b84304e1591d5566f4eb420b4797",
-     "be6ca0d3254a025236c65d846c29f623ea0fda3466f0e6733fd3bd7a8af233ed"),
+     "b287109145ba567c49346cea3f22f6812d39e48cfaf4acde251b54267cdb5421",
+     "6bcaf438e69e9d151bf2cae1811c8760b22607967f393d988f4a008aae41ec59"),
     (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 0.2, 2.0 / 3.0, True,
-     "4dbcf383942cc06d3be456c9af22a9badd54a175a3befb2e56ebff27f4a10c18",
+     "b2fae00ecde7f7df1f4d592d2077ec60558166a82dcb5e347abaa4d5b4e911bb",
      "64a691dffb6df71029e74998b22871fa599195eb6f4bdfe6ab3df7a5c2302db0"),
 ]
 
 # sha256 of every file but the manifest of a 64^2 run to T = 1 with field
-# checkpoints, recorded alike
+# checkpoints, recorded before the Lamb form, whose rounding-level change of
+# the right-hand side leaves these bytes as they were
 _RUN_DIGESTS = {
     "trajectory.csv": "a4ba9b97584815b4ca98bf88791e148aa660258d2f8fed8469ad78e57a1d192e",
     "n_t0.bin": "3bca4a29cb248a34658a64164372b330886ac28a44f12684f22dd061ba438eb6",
