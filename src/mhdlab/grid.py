@@ -52,67 +52,6 @@ _BUMP_DELTA = 1e-4
 COMPONENTS = ("n", "u", "v", "psi")
 
 
-# At or below this many values `math.fsum` on a list is as fast or faster: its
-# cost grows with the spread of exponents (at 128 values it matches the
-# extraction on data spread over 350 binades), the extraction's does not.
-_FSUM_SMALL = 128
-# Values per block of `fsum`: the block and its two work arrays stay in cache.
-_FSUM_BLOCK = 32768
-
-
-def fsum(values) -> float:
-    """Exactly rounded sum: the same float as `math.fsum`, without a Python list.
-
-    Error-free extraction (Rump, Ogita and Oishi 2008, "Accurate floating-point
-    summation", Part I).  Let every |x| < 2**e, let a block hold fewer than
-    2**L values, u = 2**-53 and sigma = 2**(e + L).  Then q = (x + sigma) -
-    sigma is exact (Sterbenz) and so is r = x - q, the rounding error of
-    x + sigma.  Every q is a multiple of u*sigma with |q| <= 2**-L * sigma, so
-    each partial sum of a block's q is a multiple of u*sigma below sigma and
-    `q.sum()` is exact in any order; |r| <= u*sigma.  A second pass with
-    sigma2 = 2**L * u*sigma extracts the r alike, so the exact head sums H and
-    the second tails r2 hold the total exactly: S = H + sum r2.
-
-    The float sum T of the n values |r2|, in any order, has sum |r2| <=
-    T(1 + (n - 1)u / (1 - 2(n - 1)u)), so R = T(1 + (n + 2)2**-52)(1 + 2**-40)
-    + n*2**-1074 bounds |sum r2|, with the rounding and underflow of R's own
-    products.  Rounding to nearest is monotone: when H - R and H + R round to
-    the same nonzero float, so does S.  Every other case goes to `math.fsum`
-    on the list: NaN or inf values, sums that could reach the overflow edge,
-    extraction units below the smallest subnormal, an exactly zero sum (whose
-    sign `math.fsum` decides) and a total too close to a rounding boundary.
-    """
-    flat = np.asarray(values, dtype=float).ravel()
-    n = flat.size
-    if n <= _FSUM_SMALL:
-        return math.fsum(flat.tolist())
-    top, bottom = float(flat.max()), float(flat.min())
-    e = math.frexp(max(top, -bottom))[1]  # every |x| < 2**e
-    size = min(n, _FSUM_BLOCK)
-    L = size.bit_length()
-    if (not (math.isfinite(top) and math.isfinite(bottom))
-            or e + n.bit_length() > 1000 or e + 2 * L - 106 < -1074):
-        return math.fsum(flat.tolist())
-    sigmas = (math.ldexp(1.0, e + L), math.ldexp(1.0, e + 2 * L - 53))
-    q, r = np.empty(size), np.empty(size)
-    heads, tail = [], 0.0
-    for start in range(0, n, _FSUM_BLOCK):
-        x = flat[start:start + _FSUM_BLOCK]
-        qb, rb = q[:x.size], r[:x.size]
-        for sigma in sigmas:
-            np.add(x, sigma, out=qb)
-            qb -= sigma
-            np.subtract(x, qb, out=rb)
-            heads.append(float(qb.sum()))
-            x = rb
-        tail += float(np.abs(rb, out=rb).sum())
-    bound = tail * (1.0 + (n + 2) * 2.0**-52) * (1.0 + 2.0**-40) + n * 2.0**-1074
-    lo, hi = math.fsum(heads + [-bound]), math.fsum(heads + [bound])
-    if lo == hi != 0:
-        return lo
-    return math.fsum(flat.tolist())
-
-
 class GridError(ValueError):
     pass
 
@@ -354,16 +293,16 @@ def homog_weight(grid: FourierGrid, s: float) -> np.ndarray:
 
 
 def _l2(wc: np.ndarray, grid: FourierGrid) -> float:
-    """L^2 norm of the field with coefficients wc: Parseval, compensated sum."""
-    return math.sqrt(fsum(grid.multiplicity * np.abs(wc) ** 2) / grid.area)
+    """L^2 norm of the field with coefficients wc: Parseval, pairwise sum."""
+    return math.sqrt(float((grid.multiplicity * np.abs(wc) ** 2).sum()) / grid.area)
 
 
 def sobolev_norm(f: SpectralField, s: float, homogeneity: str = "inhomogeneous",
                  p: int = 2) -> float:
     """Norm of <grad>^s f (or |grad|^s f) in L^2 or L^infinity.
 
-    L^2 is evaluated on the Fourier side by Parseval with compensated
-    summation; L^infinity transforms back and takes the max.
+    L^2 is evaluated on the Fourier side by Parseval with a pairwise sum;
+    L^infinity transforms back and takes the max.
     """
     if homogeneity == "inhomogeneous":
         w = bessel_weight(f.grid, s)
@@ -493,7 +432,7 @@ def hm_energy(grid: FourierGrid, comps: np.ndarray, M: int) -> tuple[float, list
     """H^M size of the `energy_components` stack, and the H^M norm of each."""
     w = bessel_weight(grid, M)
     norms = [_l2(w * c, grid) for c in comps]
-    return math.sqrt(fsum([x ** 2 for x in norms])), norms
+    return math.sqrt(math.fsum([x ** 2 for x in norms])), norms
 
 
 def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float = 0.01,
@@ -529,7 +468,7 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
         return _l2(wc, g)
 
     def vec_l2(*vals):
-        return math.sqrt(fsum([x * x for x in vals]))
+        return math.sqrt(math.fsum([x * x for x in vals]))
 
     sup_n32 = sup(*phys(w32 * cn))
     sup_u1 = sup(*phys(w1 * cu, w1 * cv))
@@ -547,7 +486,7 @@ def x_norm_snapshot(state: PerturbationState, t: float, M: int = 8, eps: float =
         "u:HM_L2": vec_l2(hm[1], hm[2]),
         "u:L2": vec_l2(l2(cu), l2(cv)),
         "u:H1_inf": sup_u1,
-        "v:L2xLinfy": math.sqrt(g.dx * fsum(v_rows ** 2)),
+        "v:L2xLinfy": math.sqrt(g.dx * float((v_rows ** 2).sum())),
         "u:hgamma_L2": vec_l2(l2(hg * cu), l2(hg * cv)),
         "u:dx_H1_L2": l2(w1 * (cu * ikx)),
         "v:grad_H1_L2": vec_l2(l2(w1 * (cv * ikx)), l2(w1 * (cv * iky))),

@@ -456,8 +456,9 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
     copies its term; every other node goes to symbol_fn in blocks of whole
     theta rows, at most _LEVEL_BLOCK nodes each (see _row_chunks), through
     two work arrays the level owns.  The list is then set to this level.
-    Each node is computed elementwise and grid.fsum is exactly rounded, so
-    the result is bitwise that of a level without a carry, at any block size.
+    Each node is computed elementwise and the same terms array is summed
+    once, so the result is bitwise that of a level without a carry, at any
+    block size.
     """
     rho_edges, theta_edges = _rho_edges(region, n_rho, t, q, breaks), _theta_edges(theta_levels)
     rho, w_rho = _gauss_panels(rho_edges, _POLAR_GL)
@@ -502,7 +503,7 @@ def _lq_polar(symbol_fn, t: float, region, q: float, n_rho: int,
         rho0 = math.log(math.hypot(xi0, eta0))
         theta0 = math.atan2(eta0, xi0)
         return _polish_max(symbol_fn, t, region, rho0, theta0, best)
-    return _grid.fsum(terms) ** (1.0 / q)
+    return float(terms.sum()) ** (1.0 / q)
 
 
 def _polish_max(symbol_fn, t, region, rho0, theta0, best) -> float:

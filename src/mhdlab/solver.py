@@ -23,7 +23,7 @@ import numpy as np
 
 from . import grid as _grid
 from . import format_value, write_manifest
-from .grid import FourierGrid, PerturbationState, make_grid, x_norm_snapshot, fsum
+from .grid import FourierGrid, PerturbationState, make_grid, x_norm_snapshot
 from .linear import expm_batch, symbol_matrix
 
 __all__ = [
@@ -217,7 +217,7 @@ def x0_surrogate(state: PerturbationState, M: int = 8) -> float:
     comps = _grid.energy_components(state)
     phys = _grid.to_physical(g, _grid.bessel_weight(g, 5) * comps)
     mags = np.sqrt(sum(phys ** 2))
-    return _grid.hm_energy(g, comps, M)[0] + g.dx * g.dy * fsum(mags)
+    return _grid.hm_energy(g, comps, M)[0] + g.dx * g.dy * float(mags.sum())
 
 
 def initial_data(spec: str, grid: FourierGrid, delta: float, seed: int = 0,

@@ -1,6 +1,7 @@
 """Shared fixtures of the test suite."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -27,3 +28,13 @@ def recorded_math():
     if _math_digest() != _MATH_DIGEST:
         pytest.skip("numpy's elementary functions round differently here than where "
                     "the pinned bits were recorded")
+
+
+@pytest.fixture
+def fsum_l2():
+    """`grid._l2` with its terms summed by `math.fsum`, exactly rounded: the
+    reference for the accuracy of the pairwise sums."""
+    def l2(wc, grid):
+        terms = grid.multiplicity * np.abs(wc) ** 2
+        return math.sqrt(math.fsum(terms.ravel().tolist()) / grid.area)
+    return l2

@@ -254,180 +254,6 @@ def mixed_norm(f):
     return gr.x_norm_snapshot(state, 0.0).entries["v:L2xLinfy"]
 
 
-def assert_fsum_matches(values, reference=None):
-    """`gr.fsum` gives the float `math.fsum` gives, sign of zero included, or
-    raises the same exception type."""
-    if reference is None:
-        reference = np.asarray(values, dtype=float).ravel().tolist()
-    try:
-        want = math.fsum(reference)
-    except (OverflowError, ValueError) as err:
-        with pytest.raises(type(err)):
-            gr.fsum(values)
-        return
-    got = gr.fsum(values)
-    assert type(got) is float
-    if math.isnan(want):
-        assert math.isnan(got)
-    else:
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
-
-
-def spread_floats():
-    """Finite doubles of every scale: subnormals and signed zeros, 1e-300 to
-    1e300, and any finite double (which reaches the overflow cases)."""
-    tiny = st.floats(min_value=-1e-306, max_value=1e-306)
-    scaled = st.builds(lambda s, m, p: s * m * 10.0 ** p, st.sampled_from([-1.0, 1.0]),
-                       st.floats(1.0, 10.0), st.integers(-300, 299))
-    return st.one_of(tiny, scaled, st.floats(allow_nan=False, allow_infinity=False))
-
-
-class TestExactSum:
-    """`grid.fsum` is exactly rounded: bit for bit the result of `math.fsum`."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(spread_floats(), max_size=60))
-    def test_matches_math_fsum(self, xs):
-        assert_fsum_matches(xs)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(spread_floats(), min_size=1, max_size=30), st.randoms(use_true_random=False))
-    def test_exact_cancellation(self, xs, rnd):
-        both = xs + [-x for x in xs]
-        rnd.shuffle(both)
-        assert_fsum_matches(both)
-        assert_fsum_matches(both + [5e-324])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(spread_floats(), min_size=1, max_size=20),
-           st.sampled_from([65535, 65536, 65537, 3 * 65536 + 5]))
-    def test_across_block_boundaries(self, xs, size):
-        assert_fsum_matches(np.resize(np.array(xs), size))
-
-    @pytest.mark.parametrize("values", [
-        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
-        np.zeros(70000), -np.zeros(70000),
-        [5e-324], [5e-324, 5e-324, -5e-324], [5e-324, -5e-324], [-5e-324],
-        [2.2250738585072014e-308, -5e-324], [1e-300, 1e300, -1e300],
-        [1.0, -0.5, -0.5], [1e-16, 1.0, 1e16], [2.0**53, 1.0, 1e-300],
-        [1e300] * 1000, [-1e-300] * 1000,
-    ])
-    def test_fixed_cases(self, values):
-        assert_fsum_matches(values)
-
-    @pytest.mark.parametrize("values", [
-        [np.nan, 1.0], [np.inf], [-np.inf, 1e308], [np.inf, -np.inf],
-        [1e308, 1e308, -1e308], [1e308, -1e308, 1e308],
-        [1.7976931348623157e308, 1e292], [1.7976931348623157e308] * 2,
-        [-1.7976931348623157e308, 1.7976931348623157e308],
-    ])
-    def test_nonfinite_and_overflow(self, values):
-        assert_fsum_matches(values)
-
-    def test_nonfinite_in_a_later_block(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            x = np.ones(70000)
-            x[69000] = bad
-            assert_fsum_matches(x)
-
-    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 2**21 + 3])
-    def test_sizes(self, size):
-        rng = np.random.default_rng(size)
-        x = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
-        assert_fsum_matches(x)
-        # every value with the largest mantissa of one exponent: the fullest bins
-        assert_fsum_matches(np.full(size, 1.0 - 2.0**-53))
-
-    def test_views_lists_and_ints(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((300, 400)) * 1e10
-        assert_fsum_matches(a)
-        assert_fsum_matches(a[::3, 1::2])
-        assert_fsum_matches(a.T)
-        assert_fsum_matches(np.asfortranarray(a))
-        assert_fsum_matches(a.tolist()[5], reference=a.tolist()[5])
-        assert_fsum_matches([1, 2, 3, -7], reference=[1, 2, 3, -7])
-        assert_fsum_matches(7, reference=[7])
-        assert_fsum_matches(np.arange(100000, dtype=np.int64))
-
-    def test_not_a_plain_sum(self):
-        x = [1e16, 1.0, -1e16]
-        assert gr.fsum(x) == 1.0
-        assert np.sum(x) != 1.0
-        big = np.resize([1e16, 1.0, -1e16], 3 * 65536)
-        assert gr.fsum(big) == 65536.0 != np.sum(big)
-
-
-def parametrized_values(test):
-    """The `values` a parametrized test of `TestExactSum` runs on."""
-    return next(m.args[1] for m in test.pytestmark if m.name == "parametrize")
-
-
-@pytest.fixture
-def list_sizes(monkeypatch):
-    """Lengths of the lists handed to `math.fsum`, one entry per call."""
-    sizes, real = [], math.fsum
-
-    def spy(xs):
-        sizes.append(len(xs))
-        return real(xs)
-
-    monkeypatch.setattr(math, "fsum", spy)
-    return sizes
-
-
-class TestExtractedSum:
-    """Above `_FSUM_SMALL` values `grid.fsum` decides by extraction passes;
-    from one value past that cutoff to past one block it still returns the
-    float of `math.fsum`."""
-
-    sizes = st.integers(gr._FSUM_SMALL + 1, gr._FSUM_BLOCK + 100)
-
-    @settings(max_examples=60, deadline=None)
-    @given(sizes, st.integers(0, 2**32 - 1), st.booleans())
-    def test_one_signed(self, n, seed, wide):
-        # wide: 350 binades; narrow: every value in [1, 2), so a block's heads
-        # come close to the bound the extraction unit allows
-        rng = np.random.default_rng(seed)
-        if wide:
-            x = np.abs(rng.standard_normal(n)) * np.exp(-rng.uniform(0, 800, n))
-        else:
-            x = 1.0 + rng.random(n)
-        assert_fsum_matches(x)
-
-    @settings(max_examples=60, deadline=None)
-    @given(sizes, st.integers(0, 2**32 - 1), st.integers(0, 3))
-    def test_exact_cancellation(self, n, seed, n_left):
-        # pairs x, -x cancel exactly; n_left values of any scale are left over
-        rng = np.random.default_rng(seed)
-        half = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-300, 300, n // 2)
-        left = rng.standard_normal(n_left) * 10.0 ** rng.uniform(-320, 300, n_left)
-        x = np.concatenate([half, -half, left])
-        rng.shuffle(x)
-        assert_fsum_matches(x)
-
-    @pytest.mark.parametrize("size", [gr._FSUM_SMALL + 1, gr._FSUM_BLOCK + 1])
-    @pytest.mark.parametrize("values",
-                             parametrized_values(TestExactSum.test_fixed_cases)
-                             + parametrized_values(TestExactSum.test_nonfinite_and_overflow))
-    def test_fixed_cases_tiled(self, values, size):
-        assert_fsum_matches(np.resize(np.asarray(values, dtype=float), size))
-
-    def test_decay_like_sum_needs_no_list(self, list_sizes):
-        rng = np.random.default_rng(16)
-        x = np.abs(rng.standard_normal(100_000)) * np.exp(-rng.uniform(0, 800, 100_000))
-        got = gr.fsum(x)
-        assert list_sizes and max(list_sizes) < x.size  # the block heads and a bound only
-        assert got == math.fsum(x.tolist())
-
-    def test_tie_with_a_tiny_tail_takes_the_list(self, list_sizes):
-        # the heads sum to 1 + 2**-53, exactly halfway between two floats, and
-        # the tail 2**-1000 decides the rounding, which the bound cannot
-        x = [1.0, 2.0**-53, 2.0**-1000] + [0.0] * gr._FSUM_SMALL
-        assert gr.fsum(x) == 1.0000000000000002
-        assert list_sizes[-1] == len(x)
-
-
 class TestNorms:
     def test_constant_norm(self):
         # unit-area-normalized box: ||1||_2 = 1
@@ -501,7 +327,7 @@ class TestNorms:
             m_scale = 2.0 ** rng.integers(1, 4)
             f = gr.SpectralField.from_physical(g, rng.standard_normal((64, 64)))
             f = smooth_cutoff(f, m_scale, "eq")
-            l1 = g.dx * g.dy * gr.fsum(np.abs(f.to_physical()))
+            l1 = g.dx * g.dy * np.abs(f.to_physical()).sum()
             l2 = gr.l2_norm(f)
             linf = gr.sobolev_norm(f, 0.0, p=np.inf)
             if l2 == 0.0:
@@ -579,11 +405,11 @@ def per_entry_snapshot(state, M=8, gamma=0.75, gamma_bar=1.0):
     inf = np.inf
 
     def vec_l2(*vals):
-        return math.sqrt(gr.fsum([x * x for x in vals]))
+        return math.sqrt(math.fsum([x * x for x in vals]))
 
     def mixed(f):
         col_sup = np.max(np.abs(f.to_physical()), axis=1)
-        return math.sqrt(f.grid.dx * gr.fsum(col_sup**2))
+        return math.sqrt(f.grid.dx * (col_sup**2).sum())
 
     dxu, dxn, dxpsi = gr.deriv_x(u), gr.deriv_x(n), gr.deriv_x(psi)
     grad_psi = (gr.deriv_x(psi), gr.deriv_y(psi))
@@ -611,7 +437,7 @@ def per_entry_snapshot(state, M=8, gamma=0.75, gamma_bar=1.0):
             gr.apply_multiplier(psi, gr.homog_weight(g, gamma_bar)), 1, p=inf),
     }
     comps = [n, u, v, *grad_psi]
-    energy = math.sqrt(gr.fsum([gr.sobolev_norm(f, M) ** 2 for f in comps]))
+    energy = math.sqrt(math.fsum([gr.sobolev_norm(f, M) ** 2 for f in comps]))
     nphys, uphys, vphys = n.to_physical(), u.to_physical(), v.to_physical()
     gx, gy = (d.to_physical() for d in grad_psi)
     sups = (float(np.max(np.abs(nphys))),
@@ -682,6 +508,24 @@ class TestOnePassSnapshot:
         gr.x_norm_snapshot(state, 1.0)
         assert [k for k, _ in calls] == [1, 2, 1, 1, 2, 2]
         assert all(base is calls[0][1] and base.shape == (2, 32, 32) for _, base in calls)
+
+
+class TestPairwiseSums:
+    """Norms sum their nonnegative terms pairwise, within about log2(n) * 2**-53
+    relative of the exactly rounded sum: far inside every gate."""
+
+    def test_snapshot_near_exactly_rounded(self, monkeypatch, fsum_l2):
+        g = gr.make_grid(64, 64, 2 * np.pi, 2 * np.pi)
+        state = observation_states(g)["rough"]
+        snap = gr.x_norm_snapshot(state, 1.0)
+        monkeypatch.setattr(gr, "_l2", fsum_l2)
+        exact = gr.x_norm_snapshot(state, 1.0)
+        v_rows = np.max(np.abs(state.v.to_physical()), axis=1)
+        want = dict(exact.entries,
+                    **{"v:L2xLinfy": math.sqrt(g.dx * math.fsum((v_rows**2).tolist()))})
+        for key in gr.X_ENTRY_WEIGHTS:
+            assert snap.entries[key] == pytest.approx(want[key], rel=1e-14, abs=0), key
+        assert snap.energy == pytest.approx(exact.energy, rel=1e-14, abs=0)
 
 
 def counted(calls, name):

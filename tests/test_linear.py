@@ -605,12 +605,12 @@ class TestDecayExperiments:
             ln._rho_edges("le1", 14, 316.0, 2.0).tobytes()
 
     # the values of the benchmark's two decay experiments at three times of the
-    # criterion-6 window, as float.hex, recorded when the L^2 band's panels
-    # widened to pi/t; they pin the kernel and the quadrature together, bit
-    # for bit
+    # criterion-6 window, as float.hex, recorded when each level's terms came
+    # to be summed pairwise; they pin the kernel and the quadrature together,
+    # bit for bit
     PINNED = {
         "kn1L": ["0x1.466bf682669c5p-3", "0x1.a4c0c83f3daa0p-4", "0x1.10c526dbdc902p-4"],
-        "k1L": ["0x1.7d0dee97c9380p-4", "0x1.c575b5faec044p-5", "0x1.1a1dd798902bdp-5"],
+        "k1L": ["0x1.7d0dee97c9380p-4", "0x1.c575b5faec045p-5", "0x1.1a1dd798902bcp-5"],
     }
 
     @pytest.mark.parametrize("prop", sorted(PINNED))
@@ -643,7 +643,7 @@ def fresh_lq_polar(symbol_fn, t, region, q, n_rho, theta_levels, carry=None, bre
         rho0 = math.log(math.hypot(xi[i, j], eta[i, j]))
         theta0 = math.atan2(eta[i, j], xi[i, j])
         return ln._polish_max(symbol_fn, t, region, rho0, theta0, best)
-    return gr.fsum(w2d * vals**q) ** (1.0 / q)
+    return float((w2d * vals**q).sum()) ** (1.0 / q)
 
 
 def gaussian_integrand(sym_id):
@@ -667,6 +667,16 @@ def _outcome(fn, *args):
         return fn(*args)
     except ln.QuadratureError as err:
         return str(err)
+
+
+def test_level_sum_near_exactly_rounded():
+    # the level a decay value of kn1L stops at, at the end of the criterion-6
+    # window: its terms summed pairwise and exactly rounded
+    carry = []
+    got = ln._lq_polar(gaussian_integrand("A4K"), 1e4, "all", 2.0, 28, 20, carry=carry)
+    terms = carry[2]
+    assert terms.size > 100_000 and terms.min() >= 0.0
+    assert got == pytest.approx(math.fsum(terms.ravel().tolist()) ** 0.5, rel=1e-14, abs=0)
 
 
 class TestCarriedLevels:

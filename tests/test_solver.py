@@ -178,8 +178,8 @@ def per_field_x0_surrogate(state, M=8):
     mags = np.sqrt(sum(
         gr.apply_multiplier(f, (1.0 + f.grid.A**2) ** 2.5).to_physical() ** 2
         for f in comps))
-    l1 = state.grid.dx * state.grid.dy * gr.fsum(mags)
-    energy = math.sqrt(gr.fsum([gr.sobolev_norm(f, M) ** 2 for f in comps]))
+    l1 = state.grid.dx * state.grid.dy * float(mags.sum())
+    energy = math.sqrt(math.fsum([gr.sobolev_norm(f, M) ** 2 for f in comps]))
     return energy + l1
 
 
@@ -193,6 +193,16 @@ class TestInitialData:
         assert got.coeffs.tobytes() == ref.coeffs.tobytes()
         for state in (got, random_real_state(grid32, 6, 0.2)):
             assert one_pass(state, M=9) == per_field_x0_surrogate(state, M=9)
+
+    def test_surrogate_near_exactly_rounded(self, monkeypatch, fsum_l2):
+        g = gr.make_grid(64, 64, 2 * np.pi, 2 * np.pi)
+        state = rough_state(g, 5, 0.1)
+        got = sv.x0_surrogate(state)
+        comps = gr.energy_components(state)
+        mags = np.sqrt(sum(gr.to_physical(g, gr.bessel_weight(g, 5) * comps) ** 2))
+        monkeypatch.setattr(gr, "_l2", fsum_l2)
+        want = gr.hm_energy(g, comps, 8)[0] + g.dx * g.dy * math.fsum(mags.ravel().tolist())
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_zero_delta(self, grid32):
         state = sv.initial_data("gaussian", grid32, 0.0)
@@ -1016,10 +1026,11 @@ _STEP_DIGESTS = [
 ]
 
 # sha256 of every file but the manifest of a 64^2 run to T = 1 with field
-# checkpoints, recorded before the Lamb form, whose rounding-level change of
-# the right-hand side leaves these bytes as they were
+# checkpoints.  The fields were recorded before the Lamb form, whose
+# rounding-level change of the right-hand side left their bytes as they were;
+# the trajectory was recorded when the norms came to be summed pairwise
 _RUN_DIGESTS = {
-    "trajectory.csv": "a4ba9b97584815b4ca98bf88791e148aa660258d2f8fed8469ad78e57a1d192e",
+    "trajectory.csv": "724a956375c032757fa5f9f425ba81a220355595e67d0636a9f9cecea72514c7",
     "n_t0.bin": "3bca4a29cb248a34658a64164372b330886ac28a44f12684f22dd061ba438eb6",
     "u_t0.bin": "b0b24e36b64ef793beaa0ac5f0d347ce31aa394e42ae8eb37ae7b8e37d6f9e79",
     "v_t0.bin": "780f45c66c11921851876473a3902259d29107e6ab7672b205a405be5f60b3e9",
