@@ -493,37 +493,14 @@ class Stepper:
         np.multiply(E[half - 2:0:-1], _S1, out=E[half:])  # row nx - k from row k
         for m in (P1, P2):
             np.multiply(m[tail:0:-1], _S1, out=m[head:])
-        # A whole-lattice P1, P2 held signed zeros on the rows between the two
-        # slices: +0 on the built rows and their S1 reflections on the others.
-        # Adding such a zero term leaves every value as it is but -0, which it
-        # may turn into +0; `_add_phi` adds them at the modes holding a -0.
-        zero = np.zeros((4, 4), dtype=complex)
-        zero *= _PHASE
-        self._zero_phi = np.stack([zero, zero * _S1], axis=-1)  # (4, 4, 2)
-        self._half = half
         self._work = _Workspace(grid, dealias_fraction)
 
-    def _negative_zeros(self, band):
-        """(row, column) of every mode between the band rows with a -0 real or
-        imaginary part: the bits of -0.0 are those of the least int64."""
-        gap = slice(self.rows[0].stop, self.rows[1].start)
-        neg = band[:, gap].view(np.int64) == np.iinfo(np.int64).min
-        rows, cols = np.nonzero(neg.view(np.uint16).any(axis=0))  # either part
-        return rows + gap.start, cols
-
-    def _add_phi(self, mats, nl, band, acc, zeros) -> None:
-        """band += mats @ nl as a whole-lattice apply does it, each sum formed
-        first (in `acc`): on the band rows, and at the `zeros` modes between
-        them with the zero blocks a whole-lattice build held there."""
+    def _add_phi(self, mats, nl, band, acc) -> None:
+        """band += mats @ nl on the two band row slices, each sum formed first
+        (in `acc`)."""
         term = self._work.spec[0]
         for rows, phi_rows in zip(self.rows, self._phi_rows):
             band[:, rows] += _apply(mats[:, :, phi_rows], nl[:, rows], acc[:, rows], term[rows])
-        rows, cols = zeros
-        if rows.size:
-            vals = nl[:, rows, cols]
-            blocks = self._zero_phi[:, :, (rows >= self._half).astype(int)]
-            band[:, rows, cols] += _apply(blocks, vals, np.empty_like(vals),
-                                          np.empty_like(vals[0]))
 
     def step(self, state: PerturbationState, nonlinear: bool = True) -> PerturbationState:
         g, w = self.grid, self._work
@@ -536,13 +513,12 @@ class Stepper:
         lambda_forcing = not self.lambda_in_linear
         nl = nonlinear_terms(state, self.lam, self.dealias_fraction, lambda_forcing, w)
         band = out[..., :nl.shape[-1]]  # the columns the phi blocks act on
-        zeros = self._negative_zeros(band)
-        self._add_phi(self.P1, nl, band, w.results[0], zeros)  # out holds the midpoint
+        self._add_phi(self.P1, nl, band, w.results[0])  # out holds the midpoint
         nl_mid = nonlinear_terms(PerturbationState(g, out), self.lam,
                                  self.dealias_fraction, lambda_forcing, w)
         nl_mid -= nl
         nl_mid /= self.dt
-        self._add_phi(self.P2, nl_mid, band, nl, zeros)  # nl is spent
+        self._add_phi(self.P2, nl_mid, band, nl)  # nl is spent
         norm_after = g.coeff_norm(out)
         _check_finite(norm_after)
         if norm_after > 10.0 * norm_before and norm_before > 0:
