@@ -134,17 +134,26 @@ class FourierGrid:
         """Smaller of the two Nyquist wavenumbers."""
         return min(np.pi * self.nx / self.Lx, np.pi * self.ny / self.Ly)
 
+    def dealias_axes(self, fraction: float = 2.0 / 3.0) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and the columns of the half lattice in the dealias band.
+
+        Along an axis of N points the band keeps the indices |k| < fraction*N/2
+        (every index at fraction 1).  So the 2/3 band keeps |k| < N/3 strictly,
+        also when 3 divides N, and a quadratic product of kept modes, whose
+        indices reach below 2N/3, aliases only onto indices |k| > N/3.
+        """
+        def kept(n, k):
+            return (np.minimum(k, n - k) < fraction * n / 2) | (fraction >= 1.0)
+        return kept(self.nx, np.arange(self.nx)), kept(self.ny, np.arange(self.shape[1]))
+
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
-        kx_max = np.pi * self.nx / self.Lx * fraction
-        return (np.abs(self.XI) <= kx_max) & (np.abs(self.ETA) <= self._ky_max(fraction))
+        rows, cols = self.dealias_axes(fraction)
+        return rows[:, None] & cols[None, :]
 
     def dealias_columns(self, fraction: float = 2.0 / 3.0) -> int:
-        """Number of leading columns that hold the dealias band: eta grows
+        """Number of leading columns that hold the dealias band: |k| grows
         along the half spectrum, so every later column is outside it."""
-        return int(np.count_nonzero(self.eta <= self._ky_max(fraction)))
-
-    def _ky_max(self, fraction: float) -> float:
-        return np.pi * self.ny / self.Ly * fraction
+        return int(np.count_nonzero(self.dealias_axes(fraction)[1]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -298,9 +298,9 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     Each of the 6 products -n u, -n v, -(u dx psi + v dy psi), Q and the two
     momentum rows without -grad Q is formed as soon as its factors exist and
     comes back at once, on those columns only (see `grid.to_physical`);
-    -ikx Q and -iky Q are then taken in spectral space.  When every kept
-    wavenumber has |k| < N/3 along its axis, as at 256^2 with the 2/3 band,
-    a quadratic product does not alias into the band, so this equals the
+    -ikx Q and -iky Q are then taken in spectral space.  Every index the
+    2/3 band keeps has |k| < N/3 along its axis (`grid.dealias_axes`), so a
+    quadratic product does not alias into the band, and this equals the
     advective form up to rounding.  Every array is one of `work` (a fresh
     workspace when None), the result included; see `_Workspace`.
 
@@ -478,7 +478,7 @@ class Stepper:
         self.lambda_in_linear = lambda_in_linear
         lam_lin = lam if lambda_in_linear else 0.0
         nx, half = grid.nx, grid.nx // 2 + 1
-        in_band = grid.dealias_mask(dealias_fraction)[:, 0]
+        in_band = grid.dealias_axes(dealias_fraction)[0]
         head = int(np.count_nonzero(in_band[:half]))  # rows 0 .. head - 1
         tail = int(np.count_nonzero(in_band[half:]))  # rows nx - tail .. nx - 1
         self.rows = (slice(0, head), slice(nx - tail, nx))

@@ -35,9 +35,12 @@ def full_wavenumbers(grid):
 
 
 def full_dealias_mask(grid, fraction=2.0 / 3.0):
-    xi, eta = full_wavenumbers(grid)
-    return ((np.abs(xi[:, None]) <= np.pi * grid.nx / grid.Lx * fraction)
-            & (np.abs(eta[None, :]) <= np.pi * grid.ny / grid.Ly * fraction))
+    """The dealias band on the full spectrum: |k| < fraction * N / 2 along each
+    axis of N points, every mode at fraction 1."""
+    kx, ky = (np.abs(np.rint(np.fft.fftfreq(n) * n)) for n in (grid.nx, grid.ny))
+    if fraction == 1.0:
+        return np.ones((grid.nx, grid.ny), dtype=bool)
+    return (kx[:, None] < fraction * grid.nx / 2) & (ky[None, :] < fraction * grid.ny / 2)
 
 
 def full_spectrum(f):
@@ -443,18 +446,20 @@ _BAND_IDS = ["32x32", "32x48", "32x32-no-dealias", "4x4"]
 
 
 # Bands on which no quadratic product aliases: every kept |k| < N/3 along its
-# axis.  Two square boxes, a non-square box with Lx != Ly, and a narrower band.
+# axis.  Two square boxes, two non-square boxes with Lx != Ly (48 = 3 * 16, so
+# the 2/3 band stops short of the index 16) and a narrower band.
 _ALIAS_FREE_CASES = [
     (gr.make_grid(16, 16, 4 * np.pi, 4 * np.pi), 2.0 / 3.0),
     (gr.make_grid(32, 32, 4 * np.pi, 4 * np.pi), 2.0 / 3.0),
     (gr.make_grid(32, 40, 4 * np.pi, 6 * np.pi), 2.0 / 3.0),
+    (gr.make_grid(32, 48, 2 * np.pi, 5 * np.pi), 2.0 / 3.0),
     (gr.make_grid(32, 32, 4 * np.pi, 4 * np.pi), 0.5),
 ]
 
 
 class TestBatchedNonlinearTerms:
     @pytest.mark.parametrize("grid,fraction", _ALIAS_FREE_CASES,
-                             ids=["16", "32", "32x40", "32-half"])
+                             ids=["16", "32", "32x40", "32x48", "32-half"])
     @pytest.mark.parametrize("lam", [0.0, 0.4])
     @pytest.mark.parametrize("lambda_forcing", [False, True])
     def test_matches_per_field_reference(self, grid, fraction, lam, lambda_forcing):
@@ -1011,7 +1016,8 @@ class TestSimulate:
 # The band-limited digests of the first two cases were re-recorded when the
 # phi blocks stopped adding the zeros of the rows between the band rows: the
 # first step then leaves 4 and 10 zeros with the other sign, and no value
-# changes.
+# changes.  Both 64x48 digests were re-recorded when the 2/3 band came to
+# keep |k| < N/3 strictly: along y, 48 = 3 * 16, and the index 16 left it.
 # Cases: a 32^2 box, a non-square box with the split lambda treatment, no
 # dealiasing (every row a band row) and the smallest grid.
 _STEP_DIGESTS = [
@@ -1019,8 +1025,8 @@ _STEP_DIGESTS = [
      "4f970b1336cf0659e6d1f1934234f18019075df3c2f511c7e00efad69ad8f858",
      "e1ffc16e90e2112c2e5bb4543ee9c6e8a6fcd8b2864a3b4ad89f2d8d1515d6d1"),
     (gr.make_grid(64, 48, 16 * np.pi, 12 * np.pi), 0.3, 2.0 / 3.0, False,
-     "162cd7400d0d0a237ee97f6d9d721ab55a6f089add3a6bf7909cb68c71867f73",
-     "3b4eafdb9cedf83d0186ca9ef4d73b6221fd4fa55f2c1edcfda799b74af3454e"),
+     "6862b5ce4900ab6c29fc63b9bfd8d1edeb9695b68a29077a25d1b3d48debee04",
+     "8c5c2d462f4a4c2c5d5a12a95875795abf0302224102dd5055dd1e120b0e8617"),
     (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.2, 1.0, True,
      "b287109145ba567c49346cea3f22f6812d39e48cfaf4acde251b54267cdb5421",
      "6bcaf438e69e9d151bf2cae1811c8760b22607967f393d988f4a008aae41ec59"),
