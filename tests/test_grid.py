@@ -539,24 +539,17 @@ def counted(calls, name):
 
 
 class TestDealiasBand:
-    # (N, the largest |k| the 2/3 band keeps): |k| < N/3, also when 3 | N
-    @pytest.mark.parametrize("n,kept", [(48, 15), (32, 10), (256, 85), (6, 1), (4, 1)])
-    def test_two_thirds_band_stops_below_n_over_3(self, n, kept):
+    # (N, fraction, the largest |k| kept): |k| < fraction * N / 2 strictly,
+    # so the 2/3 band stops below N/3 also when 3 | N
+    @pytest.mark.parametrize("n,fraction,kept", [
+        (48, 2.0 / 3.0, 15), (32, 2.0 / 3.0, 10), (256, 2.0 / 3.0, 85), (6, 2.0 / 3.0, 1),
+        (4, 2.0 / 3.0, 1), (32, 0.5, 7)])
+    def test_band_keeps_the_indices_below_the_cutoff(self, n, fraction, kept):
         g = gr.make_grid(n, n, 2 * np.pi, 3 * np.pi)
-        rows, cols = g.dealias_axes()
+        rows, cols = g.dealias_axes(fraction)
         assert rows.sum() == 2 * kept + 1 and rows[:kept + 1].all() and rows[-kept:].all()
-        assert g.dealias_columns() == cols.sum() == kept + 1 and cols[:kept + 1].all()
-        assert np.array_equal(g.dealias_mask(), rows[:, None] & cols[None, :])
-
-    @pytest.mark.parametrize("n", [4, 6, 48])
-    def test_fraction_one_keeps_every_mode(self, n):
-        g = gr.make_grid(n, n, 2 * np.pi, 2 * np.pi)
-        assert g.dealias_mask(1.0).all() and g.dealias_columns(1.0) == g.shape[1]
-
-    def test_half_band(self):
-        # |k| < 8 of 32 points
-        rows, cols = gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi).dealias_axes(0.5)
-        assert rows.sum() == 15 and cols.sum() == 8
+        assert g.dealias_columns(fraction) == cols.sum() == kept + 1 and cols[:kept + 1].all()
+        assert np.array_equal(g.dealias_mask(fraction), rows[:, None] & cols[None, :])
 
 
 # 32^2, a non-square box with Lx != Ly, no dealiasing (every column, Nyquist

@@ -1012,12 +1012,8 @@ class TestSimulate:
 # recorded with the momentum advection in Lamb form: a step must keep every
 # bit, the sign of every zero included.  Each case starts
 # once from rough_state(grid, 7, 0.05), every mode populated, and once from
-# band-limited random data, whose modes outside the band hold signed zeros.
-# The band-limited digests of the first two cases were re-recorded when the
-# phi blocks stopped adding the zeros of the rows between the band rows: the
-# first step then leaves 4 and 10 zeros with the other sign, and no value
-# changes.  Both 64x48 digests were re-recorded when the 2/3 band came to
-# keep |k| < N/3 strictly: along y, 48 = 3 * 16, and the index 16 left it.
+# band-limited random data, whose modes outside the band hold signed zeros;
+# the phi terms add nothing between the two band-row slices, not even a zero.
 # Cases: a 32^2 box, a non-square box with the split lambda treatment, no
 # dealiasing (every row a band row) and the smallest grid.
 _STEP_DIGESTS = [
@@ -1036,9 +1032,8 @@ _STEP_DIGESTS = [
 ]
 
 # sha256 of every file but the manifest of a 64^2 run to T = 1 with field
-# checkpoints.  The fields were recorded before the Lamb form, whose
-# rounding-level change of the right-hand side left their bytes as they were;
-# the trajectory was recorded when the norms came to be summed pairwise
+# checkpoints; the fields kept their bytes through the Lamb form, whose
+# change of the right-hand side is at the rounding level
 _RUN_DIGESTS = {
     "trajectory.csv": "724a956375c032757fa5f9f425ba81a220355595e67d0636a9f9cecea72514c7",
     "n_t0.bin": "3bca4a29cb248a34658a64164372b330886ac28a44f12684f22dd061ba438eb6",
