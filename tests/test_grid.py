@@ -1,6 +1,7 @@
 """Tests for the periodic Fourier discretization, projectors, and norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,124 @@ def mixed_norm(f):
     z = gr.SpectralField.zeros(f.grid)
     state = gr.PerturbationState.from_fields(z, z, f, z)
     return gr.x_norm_snapshot(state, 0.0).entries["v:L2xLinfy"]
+
+
+def assert_sum_near_exact(values, depth=None):
+    """`ndarray.sum()` of `values` is within Higham's bound of the exactly
+    rounded `math.fsum`: at most `depth` roundings per term, each of relative
+    size 2**-53 of the sum of |terms|. numpy sums blocks of up to 128 terms in
+    8 running sums and halves longer arrays, so a contiguous array's terms pass
+    through at most log2(n) + 26 additions; the default allows log2(n) + 32.
+    A non-finite term gives a non-finite sum, and a finite sum that overflows
+    warns."""
+    x = np.asarray(values, dtype=float)
+    terms = x.ravel().tolist()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = float(x.sum())
+    if not all(math.isfinite(t) for t in terms):
+        try:
+            want = math.fsum(terms)
+        except ValueError:  # inf - inf
+            want = math.nan
+        assert got == want or (math.isnan(want) and math.isnan(got)), (got, want)
+        return
+    if not math.isfinite(got):
+        assert any(issubclass(w.category, RuntimeWarning) and "overflow" in str(w.message)
+                   for w in caught), got
+        return
+    assert not caught, [str(w.message) for w in caught]
+    if depth is None:
+        depth = math.log2(max(len(terms), 1)) + 32
+    try:
+        scale = math.fsum(abs(t) for t in terms)
+    except OverflowError:
+        scale = math.inf
+    assert abs(got - math.fsum(terms)) <= depth * 2.0**-53 * scale, (got, math.fsum(terms))
+
+
+def spread_floats():
+    """Finite doubles of every scale: subnormals and signed zeros, 1e-300 to
+    1e300, and any finite double (which reaches the overflow cases)."""
+    tiny = st.floats(min_value=-1e-306, max_value=1e-306)
+    scaled = st.builds(lambda s, m, p: s * m * 10.0 ** p, st.sampled_from([-1.0, 1.0]),
+                       st.floats(1.0, 10.0), st.integers(-300, 299))
+    return st.one_of(tiny, scaled, st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestExactSum:
+    """`ndarray.sum()`, the reduction of every norm and quadrature level, set
+    against the exactly rounded sum: within the pairwise bound for terms of
+    any sign and scale, and never finite by accident when a term is not or
+    the sum overflows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(spread_floats(), max_size=60))
+    def test_matches_math_fsum(self, xs):
+        assert_sum_near_exact(xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(spread_floats(), min_size=1, max_size=30), st.randoms(use_true_random=False))
+    def test_exact_cancellation(self, xs, rnd):
+        both = xs + [-x for x in xs]
+        rnd.shuffle(both)
+        assert_sum_near_exact(both)
+        assert_sum_near_exact(both + [5e-324])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(spread_floats(), min_size=1, max_size=20),
+           st.sampled_from([65535, 65536, 65537, 3 * 65536 + 5]))
+    def test_across_block_boundaries(self, xs, size):
+        assert_sum_near_exact(np.resize(np.array(xs), size))
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+        np.zeros(70000), -np.zeros(70000),
+        [5e-324], [5e-324, 5e-324, -5e-324], [5e-324, -5e-324], [-5e-324],
+        [2.2250738585072014e-308, -5e-324], [1e-300, 1e300, -1e300],
+        [1.0, -0.5, -0.5], [1e-16, 1.0, 1e16], [2.0**53, 1.0, 1e-300],
+        [1e300] * 1000, [-1e-300] * 1000,
+    ])
+    def test_fixed_cases(self, values):
+        assert_sum_near_exact(values)
+
+    @pytest.mark.parametrize("values", [
+        [np.nan, 1.0], [np.inf], [-np.inf, 1e308], [np.inf, -np.inf],
+        [1e308, 1e308, -1e308], [1e308, -1e308, 1e308],
+        [1.7976931348623157e308, 1e292], [1.7976931348623157e308] * 2,
+        [-1.7976931348623157e308, 1.7976931348623157e308],
+    ])
+    def test_nonfinite_and_overflow(self, values):
+        assert_sum_near_exact(values)
+
+    def test_nonfinite_in_a_later_block(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.ones(70000)
+            x[69000] = bad
+            assert_sum_near_exact(x)
+
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 2**21 + 3])
+    def test_sizes(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
+        assert_sum_near_exact(x)
+        # every value with the largest mantissa of one exponent
+        assert_sum_near_exact(np.full(size, 1.0 - 2.0**-53))
+        # nonnegative terms, the norms' case: relative to the sum itself
+        assert_sum_near_exact(np.abs(x))
+
+    def test_views_lists_and_ints(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((300, 400)) * 1e10
+        assert_sum_near_exact(a)
+        assert_sum_near_exact(a.T)
+        assert_sum_near_exact(np.asfortranarray(a))
+        # a strided view is summed row by row into one running total
+        assert_sum_near_exact(a[::3, 1::2], depth=100 + math.log2(200) + 32)
+        assert_sum_near_exact(a.tolist()[5])
+        assert_sum_near_exact([1, 2, 3, -7])
+        assert_sum_near_exact(7)
+        assert_sum_near_exact(np.arange(100000, dtype=np.int64))
 
 
 class TestNorms:
