@@ -665,13 +665,7 @@ def _mixed_cartesian(symbol_fn, t: float, region, q_xi: float, q_eta: float,
 # parameters name the kernel fields it reads (see kernel.KernelValues); the
 # registry wraps it as a plain function of (t, xi, eta) returning the real
 # symbol, and evaluates only those fields.  Names describe the operator
-# combination they front.  Two spellings of A^2 are in use, hypot squared
-# (A * A) and xi^2 + eta^2, which can differ in the last bit; each entry keeps
-# its own so that its values stay unchanged.
-def _a2(xi, eta):
-    return xi**2 + eta**2
-
-
+# combination they front.
 def _symbol(expr):
     fields = tuple(inspect.signature(expr).parameters)
 
@@ -690,9 +684,9 @@ SYMBOLS = {name: _symbol(expr) for name, expr in {
     "visc_wave_K": lambda A, eta, K: A * A * (A * A - A * np.abs(eta)) * K,
     "etadtK": lambda eta, dtK: np.abs(eta) * dtK,
     "AetadtK": lambda A, eta, dtK: A * np.abs(eta) * dtK,
-    "A2etadtK": lambda xi, eta, dtK: _a2(xi, eta) * np.abs(eta) * dtK,
+    "A2etadtK": lambda A, eta, dtK: A * A * np.abs(eta) * dtK,
     "Aeta_wavetK": lambda A, eta, comp, K: A * np.abs(eta) * (comp - A * A * K),
-    "A2_wavetK": lambda xi, eta, comp, K: _a2(xi, eta) * (comp - _a2(xi, eta) * K),
+    "A2_wavetK": lambda A, comp, K: A * A * (comp - A * A * K),
     "comp": lambda comp: comp,
     "A2comp": lambda A, comp: A * A * comp,
     "xicomp": lambda xi, comp: np.abs(xi) * comp,
@@ -701,11 +695,10 @@ SYMBOLS = {name: _symbol(expr) for name, expr in {
     "Acomp_x": lambda A, comp_x: A * comp_x,
     "dt_comp": lambda dt_comp: dt_comp,
     "Axidt_comp": lambda A, xi, dt_comp: A * np.abs(xi) * dt_comp,
-    "A2xidt_comp": lambda xi, eta, dt_comp: _a2(xi, eta) * np.abs(xi) * dt_comp,
+    "A2xidt_comp": lambda A, xi, dt_comp: A * A * np.abs(xi) * dt_comp,
     "eta_ddtK": lambda eta, ddtK: np.abs(eta) * ddtK,
     "wave4_ddt": lambda eta, ddt_comp, ddtK: ddt_comp + eta**2 * ddtK,
-    "wave4_ddt_H2": lambda xi, eta, ddt_comp, ddtK: (
-        (1.0 + _a2(xi, eta)) * (ddt_comp + eta**2 * ddtK)),
+    "wave4_ddt_H2": lambda A, eta, ddt_comp, ddtK: (1.0 + A * A) * (ddt_comp + eta**2 * ddtK),
     "K1": lambda K1: K1,
     "xiK1": lambda xi, K1: np.abs(xi) * K1,
 }.items()}

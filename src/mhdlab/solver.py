@@ -76,7 +76,6 @@ class SolverConfig:
     gamma: float = 0.75
     gamma_bar: float = 1.0
     cadence: float = 1.0
-    lambda_in_linear: bool = True
     nonlinear: bool = True
     checkpoint_fields: bool = False
 
@@ -103,7 +102,7 @@ class SolverConfig:
         if self.seed < 0:
             problems.append(f"seed: {self.seed} must be nonnegative")
         if self.init_spec not in ("gaussian", "random"):
-            problems.append(f"init_spec: {self.init_spec!r} not in ('gaussian', 'random')")
+            problems.append(f"init: {self.init_spec!r} not in ('gaussian', 'random')")
         problems += _grid.x_param_problems(self.M, self.eps, self.gamma, self.gamma_bar)
         problems += self._time_grid_problems()
         # a non-finite value is named once, as such, not by the range it misses
@@ -117,7 +116,7 @@ class SolverConfig:
         problems = []
         for f in fields(self):
             val = getattr(self, f.name)
-            name = "lambda" if f.name == "lam" else f.name
+            name = _JSON_NAMES.get(f.name, f.name)
             if f.type == "bool" and not isinstance(val, bool):
                 problems.append(f"{name}: {val!r} must be true or false")
             elif f.type == "int" and (isinstance(val, bool) or not isinstance(val, Integral)):
@@ -144,12 +143,15 @@ class SolverConfig:
     @classmethod
     def from_json(cls, payload) -> "SolverConfig":
         if isinstance(payload, (str, Path)):
-            payload = json.loads(Path(payload).read_text(), object_pairs_hook=_keys_once)
+            try:
+                payload = json.loads(Path(payload).read_text(), object_pairs_hook=_keys_once)
+            except OSError as err:
+                raise ConfigError([f"config: cannot read '{payload}': {err.strerror}"]) from None
         if not isinstance(payload, dict):
             raise ConfigError([f"config: the top level must be a JSON object, "
                                f"got {type(payload).__name__}"])
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        rename = {"lambda": "lam", "init": "init_spec"}
+        rename = {json_name: name for name, json_name in _JSON_NAMES.items()}
         kwargs, given_as = {}, {}
         problems = []
         for key, val in payload.items():
@@ -168,14 +170,16 @@ class SolverConfig:
         return cfg
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
+        return {_JSON_NAMES.get(name, name): val for name, val in asdict(self).items()}
 
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.to_json(), sort_keys=True).encode()
         ).hexdigest()
+
+
+# the fields whose JSON name, the one the README schema documents, differs
+_JSON_NAMES = {"lam": "lambda", "init_spec": "init"}
 
 
 def _keys_once(pairs) -> dict:
@@ -284,7 +288,7 @@ class _Workspace:
 
 def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
                     dealias_fraction: float = 2.0 / 3.0,
-                    lambda_forcing: bool = False, work: _Workspace | None = None) -> np.ndarray:
+                    work: _Workspace | None = None) -> np.ndarray:
     """The four nonlinear right-hand sides as dealiased Fourier coefficients,
     of shape (4, nx, nc): the first nc = `grid.dealias_columns` columns of the
     half spectrum, which hold the dealias band; every later column is zero.
@@ -304,9 +308,9 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     advective form up to rounding.  Every array is one of `work` (a fresh
     workspace when None), the result included; see `_Workspace`.
 
-    Requires max|n| < 0.99 so the total density stays positive.  When
-    `lambda_forcing` is set, the linear lam-coupling is added here as a
-    forcing term instead of living in the propagator (the split treatment).
+    lam enters only through the viscous term n (lap u + lam grad div u) / rho;
+    its linear part lam grad div u is in the `Stepper`'s propagators.
+    Requires max|n| < 0.99 so the total density stays positive.
     """
     g = state.grid
     w = _Workspace(g, dealias_fraction) if work is None else work
@@ -389,10 +393,6 @@ def nonlinear_terms(state: PerturbationState, lam: float = 0.0,
     np.negative(np.multiply(u, a, out=psi_y), out=psi_y)
     hat(np.subtract(psi_y, f, out=psi_y), s0)
     np.subtract(s0, out[2], out=out[2])
-    if lambda_forcing:
-        cu, cv = state.coeffs[1:3, :, :nc]
-        out[1] += coupling(cu, cv, w.ikx2, w.ikxiky)
-        out[2] += coupling(cu, cv, w.ikxiky, w.iky2)
     out *= mask
     return out
 
@@ -453,8 +453,9 @@ class Stepper:
     """Second-order exponential integrator with precomputed mode propagators.
 
     Per mode the augmented matrix exp([[dtA, dtI, 0], [0, 0, dtI], [0, 0, 0]])
-    supplies exp(dt A), dt*phi1(dt A), dt^2*phi2(dt A) in one batch; with the
-    nonlinearity zeroed a step is the exact linear flow.
+    supplies exp(dt A), dt*phi1(dt A), dt^2*phi2(dt A) in one batch, with A
+    = `linear.symbol_matrix`(xi, eta, lam), lam grad div u included; with the
+    nonlinearity zeroed a step is the exact linear flow on every mode.
 
     Each propagator is stored as one (4, 4, rows, ncols) array, entry [i, j]
     over the modes.  E covers the whole half lattice: a state may hold modes
@@ -469,14 +470,11 @@ class Stepper:
     """
 
     def __init__(self, grid: FourierGrid, dt: float, lam: float = 0.0,
-                 dealias_fraction: float = 2.0 / 3.0,
-                 lambda_in_linear: bool = True):
+                 dealias_fraction: float = 2.0 / 3.0):
         self.grid = grid
         self.dt = float(dt)
         self.lam = float(lam)
         self.dealias_fraction = dealias_fraction
-        self.lambda_in_linear = lambda_in_linear
-        lam_lin = lam if lambda_in_linear else 0.0
         nx, half = grid.nx, grid.nx // 2 + 1
         in_band = grid.dealias_axes(dealias_fraction)[0]
         head = int(np.count_nonzero(in_band[:half]))  # rows 0 .. head - 1
@@ -488,8 +486,7 @@ class Stepper:
             np.empty((4, 4, nrows, ncols), dtype=complex)
             for nrows, ncols in ((nx, grid.shape[1]), (head + tail, nc), (head + tail, nc))]
         E, P1, P2 = (m.transpose(2, 3, 0, 1) for m in mats)  # indexed [xi, eta, i, j]
-        _propagators(E[:half], P1[:head], P2[:head], grid.xi[:half], grid.eta, self.dt,
-                     lam_lin)
+        _propagators(E[:half], P1[:head], P2[:head], grid.xi[:half], grid.eta, self.dt, self.lam)
         np.multiply(E[half - 2:0:-1], _S1, out=E[half:])  # row nx - k from row k
         for m in (P1, P2):
             np.multiply(m[tail:0:-1], _S1, out=m[head:])
@@ -510,12 +507,11 @@ class Stepper:
             _check_finite(g.coeff_norm(out))
             return PerturbationState(g, out)
         norm_before = g.coeff_norm(u)
-        lambda_forcing = not self.lambda_in_linear
-        nl = nonlinear_terms(state, self.lam, self.dealias_fraction, lambda_forcing, w)
+        nl = nonlinear_terms(state, self.lam, self.dealias_fraction, w)
         band = out[..., :nl.shape[-1]]  # the columns the phi blocks act on
         self._add_phi(self.P1, nl, band, w.results[0])  # out holds the midpoint
         nl_mid = nonlinear_terms(PerturbationState(g, out), self.lam,
-                                 self.dealias_fraction, lambda_forcing, w)
+                                 self.dealias_fraction, w)
         nl_mid -= nl
         nl_mid /= self.dt
         self._add_phi(self.P2, nl_mid, band, nl)  # nl is spent
@@ -548,8 +544,7 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
                            f"config's {_box(g)}"])
     state = state0 if state0 is not None else initial_data(
         config.init_spec, g, config.delta, config.seed, M=config.M)
-    stepper = Stepper(g, config.dt, config.lam, config.dealias,
-                      config.lambda_in_linear)
+    stepper = Stepper(g, config.dt, config.lam, config.dealias)
     record = TrajectoryRecord()
 
     steps_per_output = round(config.cadence / config.dt)

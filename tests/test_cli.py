@@ -291,6 +291,15 @@ class TestSimulate:
         assert "config errors:" in err and f"  - {problem}" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, name):
+        cfg = tmp_path / name
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "config errors:" in err and f"  - config: cannot read '{cfg}': " in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("init", ["random", "gaussian"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, init):
         cfg = self._config(tmp_path, seed=-1, init=init)
