@@ -143,19 +143,16 @@ def _print_progress(t: float, record) -> None:
 
 def cmd_simulate(ns) -> int:
     t_start = time.time()
-    try:
+    out = Path(ns.out)
+    try:  # simulate checks its starting state before it writes anything
         cfg = _solver.SolverConfig.from_json(ns.config) if ns.config else _solver.SolverConfig()
-        if not ns.config:
-            cfg.validate()
+        record = _solver.simulate(cfg, out_dir=out,
+                                  progress=_print_progress if ns.progress else None)
     except _solver.ConfigError as err:
         print("config errors:", file=sys.stderr)
         for p in err.problems:
             print(f"  - {p}", file=sys.stderr)
         return 2
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    record = _solver.simulate(cfg, out_dir=out,
-                              progress=_print_progress if ns.progress else None)
     outputs = [out / "trajectory.csv", out / "run_manifest.json"]
     _write_manifest(out / "manifest.json", ns, outputs, t_start, cfg.digest(),
                     seed=cfg.seed)

@@ -144,9 +144,12 @@ class SolverConfig:
     def from_json(cls, payload) -> "SolverConfig":
         if isinstance(payload, (str, Path)):
             try:
-                payload = json.loads(Path(payload).read_text(), object_pairs_hook=_keys_once)
+                text = Path(payload).read_text(encoding="utf-8")
+                payload = json.loads(text, object_pairs_hook=_keys_once)
             except OSError as err:
                 raise ConfigError([f"config: cannot read '{payload}': {err.strerror}"]) from None
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
+                raise ConfigError([f"config: cannot parse '{payload}': {err}"]) from None
         if not isinstance(payload, dict):
             raise ConfigError([f"config: the top level must be a JSON object, "
                                f"got {type(payload).__name__}"])
@@ -408,31 +411,22 @@ _BUILD_ROWS = 16
 
 
 def _propagators(E, P1, P2, xi, eta, dt: float, lam: float) -> None:
-    """Fill E with exp(dt A) on the lattice xi x eta, and P1, P2 with
-    dt*phi1(dt A) and dt^2*phi2(dt A) on its first P1.shape[0] rows and
-    P1.shape[1] columns, which must be the dealias band; each is indexed
-    [xi, eta, i, j].
+    """Fill E, P1 and P2 with exp(dt A), dt*phi1(dt A) and dt^2*phi2(dt A)
+    on the lattice xi x eta, each indexed [xi, eta, i, j].
 
-    The exponentials are taken of the real D^-1 (dt A) D and the phase is put
-    back after, which only multiplies by 1 or +-i.  Inside the band one 12x12
-    augmented exponential gives all three; outside it only the 4x4 exp(dt A)
-    is built.  Both go in blocks of `_BUILD_ROWS` rows.
+    One 12x12 augmented exponential per mode gives all three.  It is taken of
+    the real D^-1 (dt A) D and the phase is put back after, which only
+    multiplies by 1 or +-i.  The modes go in blocks of `_BUILD_ROWS` rows.
     """
-    band = np.zeros(E.shape[:2], dtype=bool)
-    band[:P1.shape[0], :P1.shape[1]] = True
     for start in range(0, len(xi), _BUILD_ROWS):
         rows = slice(start, start + _BUILD_ROWS)
         gen = (symbol_matrix(xi[rows, None], eta[None, :], lam) / _PHASE).real
-        gen *= dt
-        inside = band[rows]
-        aug = np.zeros((np.count_nonzero(inside), 12, 12))
-        aug[:, 0:4, 0:4] = gen[inside]
-        aug[:, 0:4, 4:8] = aug[:, 4:8, 8:12] = dt * np.eye(4)
-        full = expm_batch(aug)
-        E[rows][inside] = full[:, :4, :4]
-        E[rows][~inside] = expm_batch(gen[~inside])
-        for m, k in ((P1, 4), (P2, 8)):
-            m[rows] = full[:, :4, k:k + 4].reshape(m[rows].shape)
+        aug = np.zeros(gen.shape[:2] + (12, 12))
+        aug[..., 0:4, 0:4] = dt * gen
+        aug[..., 0:4, 4:8] = aug[..., 4:8, 8:12] = dt * np.eye(4)
+        full = expm_batch(aug.reshape(-1, 12, 12)).reshape(aug.shape)
+        for m, k in ((E, 0), (P1, 4), (P2, 8)):
+            m[rows] = full[..., :4, k:k + 4]
     for m in (E, P1, P2):
         m *= _PHASE
 
@@ -455,18 +449,16 @@ class Stepper:
     Per mode the augmented matrix exp([[dtA, dtI, 0], [0, 0, dtI], [0, 0, 0]])
     supplies exp(dt A), dt*phi1(dt A), dt^2*phi2(dt A) in one batch, with A
     = `linear.symbol_matrix`(xi, eta, lam), lam grad div u included; with the
-    nonlinearity zeroed a step is the exact linear flow on every mode.
+    nonlinearity zeroed a step is the exact linear flow on the dealias band.
 
-    Each propagator is stored as one (4, 4, rows, ncols) array, entry [i, j]
-    over the modes.  E covers the whole half lattice: a state may hold modes
-    outside the dealias band, and their linear flow is exact.  The phi blocks
-    P1, P2 only multiply the nonlinear terms, which live on the dealias band,
-    so they cover the band's rows and its nc = `grid.dealias_columns` leading
-    columns: the rows with |xi| in the band are a prefix and a suffix of the
-    fftfreq order, `rows`, and P1, P2 hold the prefix then the suffix.  The
-    rows xi >= 0 (and the unpaired -Nyquist row) are built; the rows xi < 0
-    are their S1 reflections.  The stepper owns one `_Workspace`, so a step
-    allocates only the state it returns.
+    The nonlinear terms live on the band, so a step returns the state's
+    truncation to it: every coefficient outside it is +0.  E, P1 and P2 are
+    each one (4, 4, rows, nc) array, entry [i, j] over the band's modes: its
+    nc = `grid.dealias_columns` leading columns and its rows, a prefix and a
+    suffix of the fftfreq order (`rows`), held prefix first.  The rows xi >= 0
+    (and the -Nyquist row at fraction 1) are built; the rows xi < 0 are their
+    S1 reflections.  The stepper owns one `_Workspace`, so a step allocates
+    only the state it returns.
     """
 
     def __init__(self, grid: FourierGrid, dt: float, lam: float = 0.0,
@@ -480,41 +472,45 @@ class Stepper:
         head = int(np.count_nonzero(in_band[:half]))  # rows 0 .. head - 1
         tail = int(np.count_nonzero(in_band[half:]))  # rows nx - tail .. nx - 1
         self.rows = (slice(0, head), slice(nx - tail, nx))
-        self._phi_rows = (slice(0, head), slice(head, head + tail))
+        self._mat_rows = (slice(0, head), slice(head, head + tail))
         nc = grid.dealias_columns(dealias_fraction)
         self.E, self.P1, self.P2 = mats = [
-            np.empty((4, 4, nrows, ncols), dtype=complex)
-            for nrows, ncols in ((nx, grid.shape[1]), (head + tail, nc), (head + tail, nc))]
-        E, P1, P2 = (m.transpose(2, 3, 0, 1) for m in mats)  # indexed [xi, eta, i, j]
-        _propagators(E[:half], P1[:head], P2[:head], grid.xi[:half], grid.eta, self.dt, self.lam)
-        np.multiply(E[half - 2:0:-1], _S1, out=E[half:])  # row nx - k from row k
-        for m in (P1, P2):
-            np.multiply(m[tail:0:-1], _S1, out=m[head:])
+            np.empty((4, 4, head + tail, nc), dtype=complex) for _ in range(3)]
+        blocks = [m.transpose(2, 3, 0, 1) for m in mats]  # indexed [xi, eta, i, j]
+        _propagators(*(b[:head] for b in blocks), grid.xi[:head], grid.eta[:nc],
+                     self.dt, self.lam)
+        for b in blocks:
+            np.multiply(b[tail:0:-1], _S1, out=b[head:])  # row nx - k from row k
         self._work = _Workspace(grid, dealias_fraction)
 
-    def _add_phi(self, mats, nl, band, acc) -> None:
-        """band += mats @ nl on the two band row slices, each sum formed first
-        (in `acc`)."""
+    def _band_apply(self, mats, coeffs, out, acc=None) -> None:
+        """out = mats @ coeffs on the two band row slices or, given the
+        scratch `acc`, out += mats @ coeffs with each sum formed in acc."""
         term = self._work.spec[0]
-        for rows, phi_rows in zip(self.rows, self._phi_rows):
-            band[:, rows] += _apply(mats[:, :, phi_rows], nl[:, rows], acc[:, rows], term[rows])
+        for rows, mat_rows in zip(self.rows, self._mat_rows):
+            dest = (out if acc is None else acc)[:, rows]
+            _apply(mats[:, :, mat_rows], coeffs[:, rows], dest, term[rows])
+            if acc is not None:
+                out[:, rows] += dest
 
     def step(self, state: PerturbationState, nonlinear: bool = True) -> PerturbationState:
         g, w = self.grid, self._work
         u = state.coeffs
-        out = _apply(self.E, u, np.empty(u.shape, dtype=complex), w.wide)
+        norm_before = g.coeff_norm(u)
+        _check_finite(norm_before, "before the step")
+        out = np.zeros(u.shape, dtype=complex)
+        band = out[..., :self.E.shape[-1]]  # the columns the propagators act on
+        self._band_apply(self.E, u[..., :band.shape[-1]], band)
         if not nonlinear:
             _check_finite(g.coeff_norm(out))
             return PerturbationState(g, out)
-        norm_before = g.coeff_norm(u)
         nl = nonlinear_terms(state, self.lam, self.dealias_fraction, w)
-        band = out[..., :nl.shape[-1]]  # the columns the phi blocks act on
-        self._add_phi(self.P1, nl, band, w.results[0])  # out holds the midpoint
+        self._band_apply(self.P1, nl, band, w.results[0])  # out holds the midpoint
         nl_mid = nonlinear_terms(PerturbationState(g, out), self.lam,
                                  self.dealias_fraction, w)
         nl_mid -= nl
         nl_mid /= self.dt
-        self._add_phi(self.P2, nl_mid, band, nl)  # nl is spent
+        self._band_apply(self.P2, nl_mid, band, nl)  # nl is spent
         norm_after = g.coeff_norm(out)
         _check_finite(norm_after)
         if norm_after > 10.0 * norm_before and norm_before > 0:
@@ -535,7 +531,8 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
 
     On density collapse or step rejection the run aborts gracefully with the
     diagnostic recorded in `TrajectoryRecord.aborted`.  A `state0` on another
-    grid than the config's is a `ConfigError`.
+    grid than the config's is a `ConfigError`, and so is a starting state
+    with a nonzero coefficient outside the dealias band.
     """
     config.validate()
     g = make_grid(config.nx, config.ny, config.Lx, config.Ly)
@@ -544,6 +541,10 @@ def simulate(config: SolverConfig, state0: PerturbationState | None = None,
                            f"config's {_box(g)}"])
     state = state0 if state0 is not None else initial_data(
         config.init_spec, g, config.delta, config.seed, M=config.M)
+    if np.any(state.coeffs[:, ~g.dealias_mask(config.dealias)]):  # a step would drop them
+        raise ConfigError([f"{'init' if state0 is None else 'state0'}: nonzero coefficients "
+                           f"outside the dealias band |kx| < {config.dealias * g.nx / 2:g}, "
+                           f"|ky| < {config.dealias * g.ny / 2:g} (dealias = {config.dealias:g})"])
     stepper = Stepper(g, config.dt, config.lam, config.dealias)
     record = TrajectoryRecord()
 

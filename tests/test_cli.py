@@ -300,6 +300,29 @@ class TestSimulate:
         assert "config errors:" in err and f"  - config: cannot read '{cfg}': " in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("data,reason", [
+        (b"{", "Expecting property name enclosed in double quotes"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not-json", "not-utf8"])
+    def test_unparsable_config_exit_2(self, tmp_path, capsys, data, reason):
+        # both were reported outside the list of config errors, without the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "config errors:" in err and f"  - config: cannot parse '{cfg}': {reason}" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_band_narrower_than_the_initial_data_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, dealias=0.25)
+        out = tmp_path / "x"
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "config errors:" in err
+        assert "  - init: nonzero coefficients outside the dealias band |kx| < 2," in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("init", ["random", "gaussian"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, init):
         cfg = self._config(tmp_path, seed=-1, init=init)

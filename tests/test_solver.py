@@ -4,6 +4,7 @@ stepping, diagnostics, and conservation."""
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,12 @@ def rough_state(grid, seed, size):
     return gr.PerturbationState.from_fields(*fields)
 
 
+def band_part(state, fraction=2.0 / 3.0):
+    """The state's truncation to the dealias band.  Fields made from physical
+    values keep rounding residue outside it, which `simulate` refuses."""
+    return gr.PerturbationState(state.grid, state.coeffs * state.grid.dealias_mask(fraction))
+
+
 # 32^2, a non-square box with Lx != Ly, no dealiasing (every column, Nyquist
 # included), and the smallest grid
 _BAND_CASES = [
@@ -522,12 +529,12 @@ class TestStepper:
         # (xi != 0); the closed forms lose accuracy as cond(M) grows, so the
         # check stays on the low band A <= 4
         stepper = sv.Stepper(grid32, dt, lam=lam)
-        P1, P2 = (all_rows(stepper, m) for m in (stepper.P1, stepper.P2))
+        E, P1, P2 = (all_rows(stepper, m) for m in (stepper.E, stepper.P1, stepper.P2))
         eye = np.eye(4)
         for i, j in zip(*np.nonzero((grid32.A <= 4.0) & (grid32.XI != 0.0))):
             m = ln.symbol_matrix(grid32.xi[i], grid32.eta[j], lam)
             minv = np.linalg.inv(m)
-            e = stepper.E[:, :, i, j]
+            e = E[:, :, i, j]
             p1 = minv @ (e - eye)
             p2 = minv @ minv @ (e - eye - dt * m)
             assert np.max(np.abs(P1[:, :, i, j] - p1)) <= 1e-8 * np.max(np.abs(p1))
@@ -609,24 +616,25 @@ class TestStepper:
         # the band rows |k| <= 10 of 32: k = 0..10, then k = -10..-1
         stepper = sv.Stepper(grid32, 0.1)
         nc = grid32.dealias_columns()
-        assert stepper.E.shape == (4, 4, *grid32.shape)
         assert stepper.rows == (slice(0, 11), slice(22, 32))
-        assert stepper.P1.shape == stepper.P2.shape == (4, 4, 21, nc) == (4, 4, 21, 11)
+        assert stepper.E.shape == stepper.P1.shape == stepper.P2.shape == (4, 4, 21, nc) \
+            == (4, 4, 21, 11)
         assert all(m.flags.c_contiguous for m in (stepper.E, stepper.P1, stepper.P2))
 
     @pytest.mark.parametrize("grid,fraction", _BAND_CASES, ids=_BAND_IDS)
-    def test_modes_outside_the_band_flow_by_E(self, grid, fraction):
-        # E acts on the whole half lattice; the phi terms only inside the band
+    def test_a_step_returns_the_band_truncation(self, grid, fraction):
+        # every coefficient outside the band is +0 after a step, whatever the
+        # state held there; inside it the step is the whole-lattice one
         stepper = sv.Stepper(grid, 0.05, 0.3, fraction)
         state = rough_state(grid, 4, 0.05)
         band = grid.dealias_mask(fraction)
-        u = state.coeffs
-        assert np.all(u[:, ~band] != 0) or band.all()
+        assert np.all(state.coeffs[:, ~band] != 0) or band.all()
         out = stepper.step(state).coeffs
-        linear = np.einsum("ijxy,jxy->ixy", stepper.E, u)
-        assert np.array_equal(out[:, ~band], linear[:, ~band])
+        linear = stepper.step(state, nonlinear=False).coeffs
+        for coeffs in (out, linear):
+            assert coeffs[:, ~band].tobytes() == bytes(coeffs[:, ~band].nbytes)
         ref = full_lattice_step(stepper, state)
-        assert np.array_equal(out[:, band], ref[:, band])
+        assert out[:, band].tobytes() == ref[:, band].tobytes()
         assert not np.array_equal(out[:, band], linear[:, band])
 
     @pytest.mark.parametrize("nonlinear", [True, False])
@@ -703,7 +711,7 @@ class TestStepper:
 
 
 def all_rows(stepper, mats):
-    """A phi block on every row of the lattice, 0 on the rows between the
+    """A propagator on every row of the lattice, 0 on the rows between the
     stepper's two band-row slices."""
     out = np.zeros(mats.shape[:2] + (stepper.grid.nx, mats.shape[-1]), complex)
     out[:, :, np.r_[stepper.rows]] = mats
@@ -712,11 +720,11 @@ def all_rows(stepper, mats):
 
 def full_lattice_step(stepper, state):
     """One step with E, P1, P2 on the whole half lattice in the [xi, eta, i, j]
-    layout and einsum applies: the step the band-row, band-column applies
-    replace, kept here as their reference."""
+    layout, 0 outside the band, and einsum applies: the step the band-row,
+    band-column applies replace, kept here as their reference."""
     g = stepper.grid
-    E, P1, P2 = (padded(m, g).transpose(2, 3, 0, 1) for m in (
-        stepper.E, all_rows(stepper, stepper.P1), all_rows(stepper, stepper.P2)))
+    E, P1, P2 = (padded(all_rows(stepper, m), g).transpose(2, 3, 0, 1)
+                 for m in (stepper.E, stepper.P1, stepper.P2))
 
     def apply(mats, coeffs):
         return np.einsum("xyij,jxy->ixy", mats, coeffs)
@@ -746,7 +754,7 @@ def reference_propagators(grid, dt, lam):
 
 
 def blocks(mats):
-    """A propagator indexed [xi, eta, i, j]: a view of its (4, 4, nx, ncols) array."""
+    """A propagator indexed [xi, eta, i, j]: a view of its (4, 4, rows, ncols) array."""
     return mats.transpose(2, 3, 0, 1)
 
 
@@ -794,13 +802,12 @@ class TestStepperBuild:
     @pytest.mark.parametrize("grid", [_MILD, _STIFF], ids=["mild", "stiff"])
     @pytest.mark.parametrize("lam", _LAMS, ids=_LAM_IDS)
     def test_reflected_rows_equal_a_direct_build(self, grid, lam):
-        # the rows xi < 0 from -1 down, so that their band rows lead
+        # the band rows xi < 0, from -1 down
         stepper = sv.Stepper(grid, 0.05, lam)
-        half, head = grid.nx // 2 + 1, stepper.rows[0].stop
-        E, P1, P2 = (blocks(m) for m in (stepper.E, stepper.P1, stepper.P2))
-        built = [E[half:][::-1], P1[head:][::-1], P2[head:][::-1]]
+        head, nc = stepper.rows[0].stop, stepper.E.shape[-1]
+        built = [blocks(m)[head:][::-1] for m in (stepper.E, stepper.P1, stepper.P2)]
         direct = [np.empty_like(m) for m in built]
-        sv._propagators(*direct, grid.xi[half:][::-1], grid.eta, 0.05, lam)
+        sv._propagators(*direct, grid.xi[stepper.rows[1]][::-1], grid.eta[:nc], 0.05, lam)
         for got, ref in zip(built, direct):
             assert np.array_equal(got, ref)
 
@@ -812,24 +819,22 @@ class TestStepperBuild:
     @pytest.mark.parametrize("lam", _LAMS, ids=_LAM_IDS)
     def test_matches_complex_full_lattice_build(self, grid, fraction, lam):
         stepper = sv.Stepper(grid, 0.05, lam, fraction)
-        E, P1, P2 = reference_propagators(grid, 0.05, lam)
         band = grid.dealias_mask(fraction)
         nc = grid.dealias_columns(fraction)
         assert not np.any(band[:, nc:])
         band = band[:, :nc]
-        assert np.max(per_mode_error(blocks(stepper.E), E)) <= 1e-15
-        for got, ref in ((stepper.P1, P1), (stepper.P2, P2)):
+        for got, ref in zip((stepper.E, stepper.P1, stepper.P2),
+                            reference_propagators(grid, 0.05, lam)):
             got = blocks(all_rows(stepper, got))
             assert np.max(per_mode_error(got, ref[:, :nc])[band]) <= 1e-15
             assert not np.any(got[~band])
 
-    # at 256^2 the 129 x 129 modes with xi >= 0 (and the -Nyquist row) hold
-    # 86 x 86 of the 2/3 band
-    @pytest.mark.parametrize("fraction,inside,outside", [(2.0 / 3.0, 7396, 9245),
-                                                         (1.0, 16641, 0)])
-    def test_two_real_expm_batches(self, monkeypatch, fraction, inside, outside):
-        # per block of rows, one 12x12 batch on the band and one 4x4 batch on
-        # the rest (empty when nothing is dealiased)
+    # at 256^2 the 2/3 band holds 86 x 86 modes with xi >= 0, 6 blocks of at
+    # most 16 rows; at fraction 1 the 129 x 129 modes with xi >= 0 and the
+    # -Nyquist row are built, in 9 blocks
+    @pytest.mark.parametrize("fraction,n_blocks,modes", [(2.0 / 3.0, 6, 7396), (1.0, 9, 16641)],
+                             ids=["two-thirds", "no-dealias"])
+    def test_one_real_expm_batch_per_block(self, monkeypatch, fraction, n_blocks, modes):
         calls = []
 
         def recorded(ms):
@@ -839,11 +844,9 @@ class TestStepperBuild:
         monkeypatch.setattr(sv, "expm_batch", recorded)
         g = gr.make_grid(256, 256, 64 * np.pi, 64 * np.pi)
         sv.Stepper(g, 0.05, 0.05, fraction)
-        assert len(calls) == 2 * -(-129 // sv._BUILD_ROWS)
-        for batches, size, count in ((calls[0::2], 12, inside), (calls[1::2], 4, outside)):
-            assert all(dtype == np.float64 and shape[1:] == (size, size)
-                       for dtype, shape in batches)
-            assert sum(shape[0] for _, shape in batches) == count
+        assert len(calls) == n_blocks
+        assert all(dtype == np.float64 and shape[1:] == (12, 12) for dtype, shape in calls)
+        assert sum(shape[0] for _, shape in calls) == modes
 
 
 class TestSimulate:
@@ -885,7 +888,7 @@ class TestSimulate:
         big = single_field_state(g, 0, 0.95 * np.cos(x))
         fields = list(big.fields)
         fields[1] = gr.SpectralField.from_physical(g, 0.5 * np.sin(x))
-        rec = sv.simulate(cfg, state0=gr.PerturbationState.from_fields(*fields))
+        rec = sv.simulate(cfg, state0=band_part(gr.PerturbationState.from_fields(*fields)))
         assert rec.aborted is not None
         assert "density-collapse" in rec.aborted or "step-rejected" in rec.aborted
 
@@ -942,7 +945,7 @@ class TestSimulate:
         # belongs to an observation
         cfg = sv.SolverConfig(nx=32, ny=32, Lx=grid32.Lx, Ly=grid32.Ly, T=1.0, dt=0.1,
                               cadence=0.2, nonlinear=False)
-        state0 = random_real_state(grid32, 3, 0.1)
+        state0 = band_part(random_real_state(grid32, 3, 0.1))
         snaps, inside, outside = [], [], []
 
         def observed(*args, **kwargs):
@@ -982,6 +985,33 @@ class TestSimulate:
             f"nx=32, ny=32, Lx={8 * np.pi!r}, Ly={8 * np.pi!r}"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_state_outside_the_band_is_a_config_error(self, tmp_path):
+        # a rough state0 ran, and its first step dropped every mode outside the
+        # band without a word
+        cfg = sv.SolverConfig(nx=32, ny=32, Lx=8 * np.pi, Ly=8 * np.pi,
+                              T=0.1, dt=0.05, cadence=0.05, delta=1e-3)
+        state0 = rough_state(gr.make_grid(32, 32, 8 * np.pi, 8 * np.pi), 1, 1e-3)
+        with pytest.raises(sv.ConfigError) as err:
+            sv.simulate(cfg, state0=state0, out_dir=tmp_path)
+        assert err.value.problems == [
+            "state0: nonzero coefficients outside the dealias band |kx| < 10.6667, "
+            "|ky| < 10.6667 (dealias = 0.666667)"]
+        assert list(tmp_path.iterdir()) == []
+        assert sv.simulate(cfg, state0=band_part(state0)).aborted is None
+
+    def test_band_narrower_than_the_initial_data_is_a_config_error(self, tmp_path):
+        # initial_data keeps |k| <= N/6 = 5.33 at 32^2; dealias = 0.25 keeps
+        # |k| < 4, and 1/3 keeps |k| < 5.33
+        cfg = sv.SolverConfig(nx=32, ny=32, Lx=8 * np.pi, Ly=8 * np.pi,
+                              T=0.1, dt=0.05, cadence=0.05, delta=1e-3, dealias=0.25)
+        with pytest.raises(sv.ConfigError) as err:
+            sv.simulate(cfg, out_dir=tmp_path)
+        assert err.value.problems == [
+            "init: nonzero coefficients outside the dealias band |kx| < 4, |ky| < 4 "
+            "(dealias = 0.25)"]
+        assert list(tmp_path.iterdir()) == []
+        assert sv.simulate(replace(cfg, dealias=1.0 / 3.0)).aborted is None
+
     def test_state_on_the_config_grid_runs(self):
         cfg = sv.SolverConfig(nx=32, ny=32, Lx=8 * np.pi, Ly=8 * np.pi,
                               T=0.1, dt=0.05, cadence=0.05, delta=1e-3)
@@ -1000,26 +1030,25 @@ class TestSimulate:
 
 
 # sha256 of the states of 20 steps with dt = 0.05, one after the other,
-# recorded with the momentum advection in Lamb form and lambda in the
-# propagators: a step must keep every bit, the sign of every zero included.
-# Each case starts once from rough_state(grid, 7, 0.05), every mode
-# populated, and once from band-limited random data, whose modes outside the
-# band hold signed zeros; the phi terms add nothing between the two band-row
-# slices, not even a zero.
+# recorded with the momentum advection in Lamb form, lambda in the
+# propagators and E on the dealias band: a step must keep every bit, the sign
+# of every zero included.  Each case starts once from rough_state(grid, 7,
+# 0.05), every mode populated, and once from band-limited random data; either
+# way every coefficient outside the band is +0 from the first step on.
 # Cases: a 32^2 box, a non-square box at lambda = 0.3, no dealiasing (every
-# row a band row) and the smallest grid.
+# mode in the band) and the smallest grid.
 _STEP_DIGESTS = [
     (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.4, 2.0 / 3.0,
-     "4f970b1336cf0659e6d1f1934234f18019075df3c2f511c7e00efad69ad8f858",
-     "e1ffc16e90e2112c2e5bb4543ee9c6e8a6fcd8b2864a3b4ad89f2d8d1515d6d1"),
+     "115b7c8bc249d672966c00e5e93fe0fae1a73ca8ba25866ddf99b85d7492fd1e",
+     "d1969140c6863df9e27b313b5db17d7f3ecf1e8dbdb23b4bb4ac28b272c06bdd"),
     (gr.make_grid(64, 48, 16 * np.pi, 12 * np.pi), 0.3, 2.0 / 3.0,
-     "9cf1d090d77c0436c40b203111ec3dd65540ee05e71095732c55e3dea1045afd",
-     "c0e77c8b2517bf059f75b3a5e7d789231198d6a967296225237d13181ec11290"),
+     "204ea3970284329f44253124f4b5fd31e48afc85aa09289222a44b801d96094c",
+     "be4f1211076efce1059bf430c6275366f45b46b40a2153a7dc118d0cd003b60f"),
     (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.2, 1.0,
      "b287109145ba567c49346cea3f22f6812d39e48cfaf4acde251b54267cdb5421",
      "6bcaf438e69e9d151bf2cae1811c8760b22607967f393d988f4a008aae41ec59"),
     (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 0.2, 2.0 / 3.0,
-     "b2fae00ecde7f7df1f4d592d2077ec60558166a82dcb5e347abaa4d5b4e911bb",
+     "33720459c59a00ea00268d0605992931281a418fd482ab07ef1cf1c6161a3da9",
      "64a691dffb6df71029e74998b22871fa599195eb6f4bdfe6ab3df7a5c2302db0"),
 ]
 
