@@ -1,7 +1,9 @@
 """Tests for the periodic Fourier discretization, projectors, and norms."""
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,7 +259,8 @@ def mixed_norm(f):
 
 def assert_sum_near_exact(values, depth=None):
     """`ndarray.sum()` of `values` is within Higham's bound of the exactly
-    rounded `math.fsum`: at most `depth` roundings per term, each of relative
+    rounded sum (`math.fsum`, or a sum of `Fraction`s where a partial sum of
+    `math.fsum` overflows): at most `depth` roundings per term, each of relative
     size 2**-53 of the sum of |terms|. numpy sums blocks of up to 128 terms in
     8 running sums and halves longer arrays, so a contiguous array's terms pass
     through at most log2(n) + 26 additions; the default allows log2(n) + 32.
@@ -286,7 +289,13 @@ def assert_sum_near_exact(values, depth=None):
         scale = math.fsum(abs(t) for t in terms)
     except OverflowError:
         scale = math.inf
-    assert abs(got - math.fsum(terms)) <= depth * 2.0**-53 * scale, (got, math.fsum(terms))
+    try:
+        want = math.fsum(terms)
+    except OverflowError:  # a partial sum overflows; the exact sum may not
+        exact = sum(map(Fraction, terms), Fraction(0))
+        fits = abs(exact) <= Fraction(sys.float_info.max)
+        want = float(exact) if fits else math.copysign(math.inf, exact)
+    assert abs(got - want) <= depth * 2.0**-53 * scale, (got, want)
 
 
 def spread_floats():
@@ -330,6 +339,8 @@ class TestExactSum:
         [2.2250738585072014e-308, -5e-324], [1e-300, 1e300, -1e300],
         [1.0, -0.5, -0.5], [1e-16, 1.0, 1e16], [2.0**53, 1.0, 1e-300],
         [1e300] * 1000, [-1e-300] * 1000,
+        # a partial sum of math.fsum overflows; numpy's eight running sums do not
+        [1.7976931348623157e308, 1e293] + [0.0] * 6 + [-1.7976931348623157e308, -1e293] + [0.0] * 6,
     ])
     def test_fixed_cases(self, values):
         assert_sum_near_exact(values)
