@@ -544,10 +544,7 @@ def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float) -> 
     exponents lie in [1, inf].  The result is refinement-checked (see
     _refined).
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {float(t)!r}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    times = _check_times([t])
     for name, q in (("q_xi", q_xi), ("q_eta", q_eta)):
         if not 1.0 <= q <= math.inf:
             raise ValueError(f"{name} must be in [1, inf], got {float(q)!r}")
@@ -560,8 +557,27 @@ def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float) -> 
                              theta_levels=8 + 6 * mult, carry=carry)
     else:
         def eval_at(mult):
-            return _mixed_cartesian(symbol_fn, t, region, q_xi, q_eta, mult)
+            return float(_mixed_cartesian(symbol_fn, times, region, q_xi, q_eta, mult)[0])
     return _refined(eval_at, f"symbol_norm({symbol_id}, t={t})")
+
+
+def _check_times(times, what: str = "t", positive: bool = False,
+                 min_count: int = 1) -> np.ndarray:
+    """`times` as a 1-D float array, else a ValueError naming the first bad
+    value: at least `min_count` times, each finite and >= 0 (> 0 when
+    `positive`)."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {times.shape}")
+    if times.size < min_count:
+        raise ValueError(f"{what} must hold at least {min_count} times, got {times.size}")
+    for i, t in enumerate(times.tolist()):
+        if not math.isfinite(t):
+            raise ValueError(f"{what} must be finite, got {t!r} at index {i}")
+        if t < 0 or (positive and t == 0):
+            raise ValueError(f"{what} must be {'positive' if positive else 'nonnegative'}, "
+                             f"got {t!r} at index {i}")
+    return times
 
 
 def _refined(eval_at, what: str) -> float:
@@ -617,16 +633,19 @@ def _panel_edges(lo: np.ndarray, hi: np.ndarray, n_base: int) -> list:
     return groups
 
 
-def _mixed_cartesian(symbol_fn, t: float, region, q_xi: float, q_eta: float,
-                     mult: int) -> float:
-    """Nested norm: inner over eta for fixed xi, outer over xi (quadrant x4
-    via evenness, i.e. x2 per axis for finite exponents).
+def _mixed_cartesian(symbol_fn, times, region, q_xi: float, q_eta: float,
+                     mult: int) -> np.ndarray:
+    """Nested norm at each of `times` (a 1-D array, see _check_times): inner
+    over eta for fixed xi, outer over xi (quadrant x4 via evenness, i.e. x2
+    per axis for finite exponents).
 
+    The mesh depends on (region, mult) only and is built once for all times.
     The eta panels of every xi node are built at once, one array per group
-    of nodes with equal edge counts, and go to symbol_fn in one call; each
-    group reduces its nodes' inner norms row by row, which gives each node
-    the value of its own slice reduced alone.
+    of nodes with equal edge counts; each time makes one symbol_fn call on
+    all of them, and each group reduces its nodes' inner norms row by row,
+    which gives each node the value of its own slice reduced alone.
     """
+    times = _check_times(times)
     rho_lo, rho_hi = _region_rho_range(region)
     a_lo, a_hi = math.exp(rho_lo), math.exp(rho_hi)
     if region == "le1" or region == "all":
@@ -638,27 +657,33 @@ def _mixed_cartesian(symbol_fn, t: float, region, q_xi: float, q_eta: float,
     e_hi = np.sqrt(np.maximum(e_hi2, 0.0))
     e_lo = np.sqrt(np.maximum(a_lo**2 - x2, 0.0))
     live = np.flatnonzero((e_hi2 > 0) & (e_hi > e_lo))
-    inner = np.zeros_like(xi_nodes)  # a node whose eta chord is empty stays 0
+    groups = []
     if live.size:
         groups = [(live[rows], *_gauss_panels(edges, 6))
                   for rows, edges in _panel_edges(e_lo[live], e_hi[live], 10 * mult)]
         xi_b = np.concatenate([np.repeat(xi_nodes[i], eta.shape[1]) for i, eta, _ in groups])
         eta_b = np.concatenate([eta.ravel() for _, eta, _ in groups])
-        vals = np.abs(symbol_fn(t, xi_b, eta_b))
-        del xi_b, eta_b
-        stop = 0
-        for i, eta, eta_w in groups:
-            start, stop = stop, stop + eta.size
-            v = vals[start:stop].reshape(eta.shape)
-            if np.isinf(q_eta):
-                inner[i] = np.max(v, axis=1)
-            else:
-                sums = np.sum(eta_w * v**q_eta, axis=1)
-                # Python's pow, not np.power, whose SIMD loops may round differently
-                inner[i] = [(2.0 * s) ** (1.0 / q_eta) for s in sums.tolist()]
-    if np.isinf(q_xi):
-        return float(np.max(inner))
-    return (2.0 * float(np.sum(xi_w * inner**q_xi))) ** (1.0 / q_xi)
+    out = np.empty(times.size)
+    for k, t in enumerate(times):
+        inner = np.zeros_like(xi_nodes)  # a node whose eta chord is empty stays 0
+        if groups:
+            vals = np.abs(symbol_fn(t, xi_b, eta_b))
+            stop = 0
+            for i, eta, eta_w in groups:
+                start, stop = stop, stop + eta.size
+                v = vals[start:stop].reshape(eta.shape)
+                if np.isinf(q_eta):
+                    inner[i] = np.max(v, axis=1)
+                else:
+                    sums = np.sum(eta_w * v**q_eta, axis=1)
+                    # Python's pow, not np.power, whose SIMD loops may round differently
+                    inner[i] = [(2.0 * s) ** (1.0 / q_eta) for s in sums.tolist()]
+            del vals, v  # freed before the next time's symbol call (peak RSS)
+        if np.isinf(q_xi):
+            out[k] = np.max(inner)
+        else:
+            out[k] = (2.0 * float(np.sum(xi_w * inner**q_xi))) ** (1.0 / q_xi)
+    return out
 
 
 # Registered symbols.  Each entry maps a name to an expression whose
@@ -755,11 +780,7 @@ def fit_loglog(times, values) -> tuple[float, float]:
 def _check_decay_times(times) -> np.ndarray:
     """The times of a decay experiment as an array, else a named ValueError:
     they are finite, nonempty, all >= 10 and span >= 1.5 decades."""
-    times = np.asarray(times, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(times))
-    if bad.size:
-        raise ValueError(f"decay times must be finite, got {float(times.flat[bad[0]])!r} "
-                         f"at index {int(bad[0])}")
+    times = _check_times(times, "decay times", min_count=0)
     if times.size == 0 or times.min() < 10.0 or times.max() / times.min() < 10.0**1.5:
         raise ValueError("decay times must be nonempty, all >= 10 and span >= 1.5 decades")
     return times

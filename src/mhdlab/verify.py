@@ -297,13 +297,22 @@ BASIC_QUAD_CLAIMS = {
 _QUAD_SLOPE_TOL = 0.1
 
 
-def _quad_claim(claim: str, t: float, mult: int) -> float:
-    """Left-hand side of one basic quadrature claim at time t, on the
-    Cartesian quadrature level `mult` (see linear._mixed_cartesian)."""
+def _quad_claim(claim: str, times, mult: int) -> np.ndarray:
+    """Left-hand side of one basic quadrature claim at each of `times`, on
+    the Cartesian quadrature level `mult`: one linear._mixed_cartesian call
+    per norm, which builds the level's mesh once for all times."""
     params, integrand, region, norms, _ = BASIC_QUAD_CLAIMS[claim]
     fn = partial(integrand, params)
-    return sum(_linear._mixed_cartesian(fn, t, region, q_xi, q_eta, mult)
+    return sum(_linear._mixed_cartesian(fn, times, region, q_xi, q_eta, mult)
                for q_xi, q_eta in norms)
+
+
+def _fit_grid(t_grid, default) -> np.ndarray:
+    """The time grid of a fitted claim: `default` when None, else finite,
+    positive and at least 3 times (fit_loglog needs 3), or a ValueError."""
+    if t_grid is None:
+        return default
+    return _linear._check_times(t_grid, "t_grid", positive=True, min_count=3)
 
 
 def check_basic_quadrature(claim: str, t_grid=None, cap: float = 1e3) -> ScanResult:
@@ -311,12 +320,10 @@ def check_basic_quadrature(claim: str, t_grid=None, cap: float = 1e3) -> ScanRes
     if claim not in BASIC_QUAD_CLAIMS:
         raise KeyError(f"unknown quadrature claim {claim!r}; known: {sorted(BASIC_QUAD_CLAIMS)}")
     params, *_, t_slope = BASIC_QUAD_CLAIMS[claim]
-    if t_grid is None:
-        # late window: the indicator-cut integrands approach their stated
-        # rates with O(t^{-1/2}) transients
-        t_grid = np.geomspace(100.0, 1e4, 10)
-    t_grid = np.asarray(t_grid, dtype=float)
-    v1, v2 = (np.array([_quad_claim(claim, t, mult) for t in t_grid]) for mult in (1, 2))
+    # late window: the indicator-cut integrands approach their stated rates
+    # with O(t^{-1/2}) transients
+    t_grid = _fit_grid(t_grid, np.geomspace(100.0, 1e4, 10))
+    v1, v2 = (_quad_claim(claim, t_grid, mult) for mult in (1, 2))
     slope, r2 = _linear.fit_loglog(t_grid, v2)
     rhs = (1.0 + t_grid**2) ** (t_slope / 2.0)
     ratios1 = v1 / rhs
@@ -458,15 +465,14 @@ def check_charpoly(kmax: float = 8.0, n: int = 64) -> ScanResult:
 
 def check_kn3_open(t_grid=None) -> ScanResult:
     """Empirical decay of the two mixed norms stated without right-hand sides."""
-    if t_grid is None:
-        t_grid = np.geomspace(10.0, 1000.0, 8)
+    t_grid = _fit_grid(t_grid, np.geomspace(10.0, 1000.0, 8))
 
     def sym(t, xi, eta):
         kv = _kernel.kernel_values(t, xi, eta, fields=("comp",))
         return kv.A * np.abs(kv.xi) * kv.comp
 
-    vals_le1 = [_linear._mixed_cartesian(sym, t, "le1", 2.0, np.inf, 2) for t in t_grid]
-    vals_ann = [_linear._mixed_cartesian(sym, t, ("annulus", 1.0), 2.0, np.inf, 2) for t in t_grid]
+    vals_le1 = _linear._mixed_cartesian(sym, t_grid, "le1", 2.0, np.inf, 2)
+    vals_ann = _linear._mixed_cartesian(sym, t_grid, ("annulus", 1.0), 2.0, np.inf, 2)
     s1, r1 = _linear.fit_loglog(t_grid, vals_le1)
     s2, r2 = _linear.fit_loglog(t_grid, vals_ann)
     return ScanResult(claim_id="kn3_open", samples=2 * len(t_grid), max_ratio=0.0,

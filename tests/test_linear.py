@@ -456,7 +456,7 @@ class TestBatchedMixedNorms:
     def test_matches_per_node_reference(self, name, q, region, mult):
         fn = MIXED_INTEGRANDS[name]
         for t in (0.0, 10.0, 1e3):
-            got = ln._mixed_cartesian(fn, t, region, *q, mult)
+            got = ln._mixed_cartesian(fn, [t], region, *q, mult)[0]
             want = per_node_mixed_cartesian(fn, t, region, *q, mult)
             assert got.hex() == want.hex(), t
 
@@ -476,7 +476,7 @@ class TestBatchedMixedNorms:
             return nodes, w
 
         monkeypatch.setattr(ln, "_gauss_panels", with_rim_nodes)
-        got = ln._mixed_cartesian(_heat, 1.0, ("annulus", 1.0), *q, 1)
+        got = ln._mixed_cartesian(_heat, [1.0], ("annulus", 1.0), *q, 1)[0]
         first.clear()
         want = per_node_mixed_cartesian(_heat, 1.0, ("annulus", 1.0), *q, 1)
         assert got.hex() == want.hex()
@@ -495,8 +495,13 @@ class TestBatchedMixedNorms:
 
         for name in calls:
             monkeypatch.setattr(ln, name, counted(name))
-        ln._mixed_cartesian(_heat, 10.0, ("annulus", 1.0), 1.0, np.inf, mult)
+        ln._mixed_cartesian(_heat, [10.0], ("annulus", 1.0), 1.0, np.inf, mult)
         # one build for the xi axis, one for every xi node's eta panels
+        assert calls == {"_gauss_panels": 2, "_panel_edges": 2}
+        # and no more for more times: the mesh is built once per call
+        calls.update(dict.fromkeys(calls, 0))
+        ln._mixed_cartesian(_heat, np.geomspace(1.0, 1e3, 10), ("annulus", 1.0), 1.0,
+                            np.inf, mult)
         assert calls == {"_gauss_panels": 2, "_panel_edges": 2}
 
     def test_subnormal_scale_raises(self):
@@ -504,15 +509,38 @@ class TestBatchedMixedNorms:
             ln.symbol_norm("K", ("annulus", 1e-320), 1.0, np.inf, 1.0)
 
     @pytest.mark.parametrize("region", ["le1", ("annulus", 1.0)])
-    def test_one_symbol_call_per_level(self, region):
+    def test_one_symbol_call_per_time(self, region):
         calls = []
 
         def counted(t, xi, eta):
-            calls.append(np.shape(xi))
+            calls.append((t, np.shape(xi)))
             return _heat(t, xi, eta)
 
-        ln._mixed_cartesian(counted, 10.0, region, 2.0, np.inf, 2)
-        assert len(calls) == 1
+        times = [0.0, 10.0, 1e3]
+        ln._mixed_cartesian(counted, times, region, 2.0, np.inf, 2)
+        assert [t for t, _ in calls] == times
+        assert len({shape for _, shape in calls}) == 1
+
+    @pytest.mark.parametrize("q", [(1.0, 1.0), (2.0, np.inf), (np.inf, 1.0), (1.0, np.inf)])
+    @pytest.mark.parametrize("region", ["le1", ("annulus", 1.0), "all"])
+    @pytest.mark.parametrize("name", ["heat", "xicomp"])
+    def test_each_time_keeps_the_bits_of_a_one_time_call(self, name, region, q):
+        fn = MIXED_INTEGRANDS[name]
+        times = [0.0, 0.5, 10.0, 1e3]
+        got = ln._mixed_cartesian(fn, times, region, *q, 1)
+        want = [ln._mixed_cartesian(fn, [t], region, *q, 1)[0] for t in times]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("times,message", [
+        ([0.0, np.nan], "t must be finite, got nan at index 1"),
+        ([1.0, -np.inf], "t must be finite, got -inf at index 1"),
+        ([-1.0, 1.0], "t must be nonnegative, got -1.0 at index 0"),
+        ([], "t must hold at least 1 times, got 0"),
+        (1.0, r"t must be a 1-D array, got shape \(\)"),
+    ], ids=["nan", "-inf", "negative", "empty", "scalar"])
+    def test_bad_times_raise(self, times, message):
+        with pytest.raises(ValueError, match=message):
+            ln._mixed_cartesian(_heat, times, "le1", 1.0, np.inf, 1)
 
     def test_gauss_legendre_nodes_cached_read_only(self):
         x, w = ln._leggauss(6)

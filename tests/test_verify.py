@@ -193,12 +193,27 @@ class TestBasicQuadrature:
 
     def test_t_zero_plain_area(self):
         # without decay the est_At integrand reduces to the area integral
-        val = vf._quad_claim("est_At", 0.0, 1)
+        val = vf._quad_claim("est_At", [0.0], 1)[0]
         assert val == pytest.approx(math.pi, rel=1e-3)
 
     def test_unknown_claim(self):
         with pytest.raises(KeyError):
             vf.check_basic_quadrature("nope")
+
+    @pytest.mark.parametrize("checker", [partial(vf.check_basic_quadrature, "est_At"),
+                                         vf.check_kn3_open], ids=["est_At", "kn3_open"])
+    @pytest.mark.parametrize("t_grid,message", [
+        ([np.nan, 100.0, 1000.0], "t_grid must be finite, got nan at index 0"),
+        ([100.0, np.inf, 1000.0], "t_grid must be finite, got inf at index 1"),
+        ([-1.0, 100.0, 1000.0], "t_grid must be positive, got -1.0 at index 0"),
+        ([0.0, 100.0, 1000.0], "t_grid must be positive, got 0.0 at index 0"),
+        ([], "t_grid must hold at least 3 times, got 0"),
+        ([100.0, 1000.0], "t_grid must hold at least 3 times, got 2"),
+        ([[100.0, 300.0, 1000.0]], r"t_grid must be a 1-D array, got shape \(1, 3\)"),
+    ], ids=["nan", "inf", "negative", "zero", "empty", "two", "2-d"])
+    def test_bad_time_grid_is_a_value_error(self, checker, t_grid, message):
+        with pytest.raises(ValueError, match=message):
+            checker(t_grid=t_grid)
 
     def test_no_claim_reaches_the_polar_engine(self, monkeypatch):
         def polar(*args, **kwargs):
@@ -223,7 +238,7 @@ class TestBasicQuadrature:
         params, integrand, region, norms, _ = vf.BASIC_QUAD_CLAIMS[claim]
         assert norms == ((1.0, 1.0),)
         polar = vf._linear._lq_polar(partial(integrand, params), t, region, 1.0, 20, 14)
-        assert vf._quad_claim(claim, t, 2) == pytest.approx(polar, rel=self.POLAR_RTOL[claim])
+        assert vf._quad_claim(claim, [t], 2)[0] == pytest.approx(polar, rel=self.POLAR_RTOL[claim])
 
 
 class TestProjectorDerivative:
