@@ -368,16 +368,22 @@ def _divided_differences(need, b, c, t, a, damp, a2mb, ws):
 def _dd_damped(kind: str, b, c, t, a, a2mb=None):
     """exp(-a t) * (f(b+c,t) - f(b-c,t)) / (2c) for f = sinch or coshc.
 
-    Inputs broadcast; `a2mb` optionally carries an exactly known a^2 - b.
+    Inputs broadcast; `a2mb` optionally carries an exactly known a^2 - b.  The
+    values are elementwise, so the points go in blocks of at most _CHUNK
+    through one workspace, as in kernel_values.
     """
     if a2mb is None:
         a2mb = np.square(np.asarray(a, dtype=float)) - np.asarray(b, dtype=float)
     arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (b, c, t, a, a2mb)))
     name = "K" if kind == "sinch" else "dd_cosh"
-    ws = _Workspace(arrays[0].size)
-    ws.out = {name: np.empty(ws.size)}
-    _damped(_closure((name,)), *(np.ravel(x) for x in arrays), ws)
-    return ws.out[name].reshape(arrays[0].shape)
+    need = _closure((name,))
+    out = np.empty(arrays[0].size)
+    ws = _Workspace(min(out.size, _CHUNK))
+    for start in range(0, out.size, max(ws.size, 1)):
+        block = slice(start, start + ws.size)
+        ws.out = {name: out[block]}
+        _damped(need, *(x.flat[block] for x in arrays), ws)
+    return out.reshape(arrays[0].shape)
 
 
 def _as_result(arr, scalar: bool):

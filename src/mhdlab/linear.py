@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-import scipy.linalg
 
 from . import grid as _grid
 from .kernel import _CHUNK, kernel_values
@@ -61,21 +60,92 @@ def symbol_matrix(xi, eta, lam: float = 0.0) -> np.ndarray:
 
 
 def matexp(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(t*m) of a finite matrix, or of each matrix in a stack (..., d, d)."""
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matexp requires finite entries")
-    return expm_batch(t * m)
+    """exp(t*m) of a matrix, or of each matrix in a stack (..., d, d); expm_batch
+    names the first matrix where t*m is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tm = t * np.asarray(m, dtype=complex)
+    return expm_batch(tm)
+
+
+# Taylor degrees m of the exponential, each with theta_m: the largest 1-norm at
+# which the backward error of the truncated series, log(exp(-X) T_m(X)), is
+# at most 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Table 3.1).
+# With p = isqrt(m) powers, Paterson-Stockmeyer evaluates each degree in one
+# matrix product more than the one before.
+_TAYLOR = ((12, 0.2996), (16, 0.7802), (20, 1.438), (25, 2.428), (30, 3.539))
 
 
 def expm_batch(ms: np.ndarray) -> np.ndarray:
     """exp(M) for a batch of small matrices, shape (..., d, d), in the input's
     dtype: a real batch stays real, a complex one complex.
 
-    scipy's expm chooses the Pade order and the squaring count per matrix
-    (Al-Mohy & Higham 2009), so low modes are not over-squared.
+    Scaling and squaring of a truncated Taylor series (Moler & Van Loan 2003;
+    Al-Mohy & Higham 2009): each matrix takes the lowest degree of `_TAYLOR`
+    whose theta covers its 1-norm; past the last theta it is scaled by 2^-s
+    to within it and squared back s times, so low modes are not over-squared.
+    A non-finite entry raises ValueError naming the first such matrix by its
+    index over the flattened batch.
     """
-    return scipy.linalg.expm(np.asarray(ms))
+    ms = np.asarray(ms)
+    flat = ms.reshape((-1,) + ms.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"expm_batch: matrix {int(np.argmin(finite))} of {finite.size} "
+                         "has a non-finite entry")
+    norms = np.abs(flat).sum(axis=1).max(axis=1, initial=0.0)
+    # largest 1-norm first, so each degree's matrices and each squaring's are a slice
+    order = np.argsort(-norms, kind="stable")
+    norms = norms[order]
+    x = flat[order].astype(np.result_type(flat.dtype, float), copy=False)
+    s = np.zeros(norms.size, dtype=int)
+    big = norms > _TAYLOR[-1][1]
+    s[big] = np.ceil(np.log2(norms[big] / _TAYLOR[-1][1]))
+    x *= np.ldexp(1.0, -s)[:, None, None]
+    stop = norms.size
+    for m, theta in _TAYLOR[:-1]:
+        start = np.count_nonzero(norms > theta)
+        if start < stop:
+            _taylor(x[start:stop], m)
+        stop = start
+    if stop:
+        _taylor(x[:stop], _TAYLOR[-1][0])
+    for j in range(s.max(initial=0)):
+        k = np.count_nonzero(s > j)
+        x[:k] = np.matmul(x[:k], x[:k])
+    out = np.empty_like(x)
+    out[order] = x
+    return out.reshape(ms.shape)
+
+
+def _taylor(x: np.ndarray, m: int) -> None:
+    """Overwrite each matrix of the stack x with the degree-m Taylor polynomial
+    of exp at it, by Paterson-Stockmeyer: with Y = x^p, p = isqrt(m) and q =
+    m/p, T = B_0 + Y(B_1 + ... + Y(B_{q-1} + Y/m!)), each block B_j a
+    combination of I, x, ..., x^(p-1), in p + q - 2 stacked products.  Every
+    step is a per-matrix product or an elementwise operation, so a matrix
+    gets the same bits in any batch."""
+    p = math.isqrt(m)
+    q = m // p
+    c = [1.0 / math.factorial(k) for k in range(m + 1)]
+    powers = [x]  # x, x^2, ..., x^p; x itself is only written at the end
+    for _ in range(1, p):
+        powers.append(np.matmul(powers[-1], x))
+    acc, prod, term = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    diag = acc.reshape(len(x), -1)[:, ::x.shape[-1] + 1]
+
+    def block(j, n):
+        """B_j into acc, from the first n powers (n = p adds Y/m! to B_{q-1})."""
+        np.multiply(powers[0], c[j * p + 1], out=acc)
+        for i in range(1, n):
+            np.add(acc, np.multiply(powers[i], c[j * p + 1 + i], out=term), out=acc)
+        diag[...] += c[j * p]
+
+    block(q - 1, p)
+    for j in range(q - 2, -1, -1):
+        np.matmul(powers[-1], acc, out=prod)
+        block(j, p - 1)
+        acc += prod
+    x[...] = acc
 
 
 def _charpoly_coeffs(m: np.ndarray) -> np.ndarray:

@@ -3,6 +3,10 @@ error paths."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -388,3 +392,14 @@ def test_format_value_17_digits(value, text):
     assert mhdlab.format_value(value) == text
     if isinstance(value, float) and value == value:
         assert float(text) == value
+
+
+def test_the_package_loads_no_scipy():
+    # scipy is a test dependency only: importing the command line, and with it
+    # every module of the package, loads no scipy module
+    code = ("import sys, mhdlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(mhdlab.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -7,6 +7,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mhdlab import grid as gr
 from mhdlab import kernel as kn
@@ -97,6 +98,154 @@ class TestMatexp:
         batch = ln.expm_batch(mats)
         for k in range(40):
             assert np.allclose(batch[k], ln.matexp(mats[k], 1.0), rtol=1e-11, atol=1e-12)
+
+
+
+def mp_expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) of one matrix by mpmath at 40 digits, rounded to complex."""
+    e = mp.expm(mp.matrix(m.tolist()))
+    return np.array([[complex(e[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])])
+
+
+def rel_err(got, ref):
+    """max |got - ref| over max |ref|, matrix by matrix."""
+    return np.max(np.abs(got - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+
+
+def within_three_scipy(ms: np.ndarray) -> tuple:
+    """The worst errors of expm_batch and of scipy's expm against mpmath over
+    the stack ms; the first must be at most three times the second (or a few
+    ulp where scipy is exact)."""
+    ref = np.array([mp_expm(m) for m in ms])
+    ours = np.max(rel_err(ln.expm_batch(ms), ref))
+    theirs = np.max(rel_err(scipy.linalg.expm(ms), ref))
+    assert ours <= max(3.0 * theirs, 4 * np.finfo(float).eps), (ours, theirs)
+    return ours, theirs
+
+
+def taylor_theta(m: int):
+    """The largest x with sum_{k>m} |l_k| x^(k-1) <= 2^-53, where sum_k l_k x^k
+    = log(exp(-x) T_m(x)) and T_m is the degree-m Taylor polynomial of exp:
+    the 1-norm up to which the truncated series has a backward error of at
+    most the unit roundoff (Al-Mohy & Higham 2011), by bisection."""
+    n = m + 60  # the terms past it are below 1e-30 of the sum at x < 4
+    g = [mp.fsum((-1) ** (k - j) / (mp.factorial(k - j) * mp.factorial(j))
+                 for j in range(min(k, m) + 1)) for k in range(n + 1)]  # exp(-x) T_m(x)
+    log = [mp.mpf(0)] * (n + 1)
+    for k in range(1, n + 1):
+        log[k] = g[k] - mp.fsum(j * log[j] * g[k - j] for j in range(1, k)) / k
+    lo, hi = mp.mpf(0), mp.mpf(8)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        bound = mp.fsum(abs(log[k]) * mid ** (k - 1) for k in range(m + 1, n + 1))
+        lo, hi = (mid, hi) if bound <= mp.mpf(2) ** -53 else (lo, mid)
+    return lo
+
+
+def oracle_generators(samples: int = 1000, seed: int = 0) -> np.ndarray:
+    """The symbol matrices oracle_scan draws for (samples, seed), box 8."""
+    rng = np.random.default_rng(seed)
+    modes = np.empty((samples, 2))
+    for k in range(samples):
+        modes[k] = rng.uniform(-8.0, 8.0, size=2)
+        rng.standard_normal(4), rng.standard_normal(4)  # the oracle's vector
+    return ln.symbol_matrix(modes[:, 0], modes[:, 1], 0.0)
+
+
+class TestExpmBatch:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nonfinite_matrix_is_named(self, bad, dtype):
+        ms = np.zeros((5, 4, 4), dtype=dtype)
+        ms[3, 1, 2] = bad
+        ms[4, 0, 0] = np.nan  # a later one is not the first
+        with pytest.raises(ValueError, match=r"^expm_batch: matrix 3 of 5 has a non-finite entry$"):
+            ln.expm_batch(ms)
+        with pytest.raises(ValueError, match=r"matrix 3 of 5"):
+            ln.matexp(ms, 0.5)
+
+    def test_overflowing_time_is_named(self):
+        m = np.zeros((2, 4, 4))
+        m[1, 0, 1] = 1e300
+        with pytest.raises(ValueError, match=r"matrix 1 of 2"):
+            ln.matexp(m, 1e10)
+
+    def test_theta_table(self):
+        # each theta is the derived one rounded down, and each degree m is p*q
+        # with p = isqrt(m), costing one product more than the one before
+        costs = []
+        for m, theta in ln._TAYLOR:
+            derived = float(taylor_theta(m))
+            assert derived * (1 - 1e-3) <= theta <= derived, (m, theta, derived)
+            p = math.isqrt(m)
+            assert m % p == 0
+            costs.append(p + m // p - 2)
+        assert costs == list(range(costs[0], costs[0] + len(costs)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_dtype_and_shape_kept(self, dtype):
+        ms = np.random.default_rng(3).standard_normal((2, 3, 4, 4)).astype(dtype)
+        got = ln.expm_batch(ms)
+        assert got.dtype == dtype and got.shape == ms.shape
+        assert np.array_equal(got[1, 2], ln.expm_batch(ms[1, 2]))
+        assert ln.expm_batch(np.eye(3, dtype=int)).dtype == np.float64
+
+    def test_one_by_one(self):
+        x = np.array([0.0, 1e-3, -0.5, 1.0, 3.0, -20.0, 40.0, -300.0])
+        got = ln.expm_batch(x[:, None, None])[:, 0, 0]
+        ref = np.array([float(mp.exp(v)) for v in x])
+        assert np.all(np.abs(got - ref) <= 2e-13 * ref)
+        z = np.array([2.0 + 3.0j, -7.5j])
+        got = ln.expm_batch(z[:, None, None])[:, 0, 0]
+        assert np.all(np.abs(got - np.exp(z)) <= 1e-14 * np.abs(np.exp(z)))
+
+    def test_zero_is_the_identity(self):
+        for dtype in (float, complex):
+            got = ln.expm_batch(np.zeros((3, 5, 5), dtype=dtype))
+            assert np.array_equal(got, np.broadcast_to(np.eye(5), (3, 5, 5)))
+
+    def test_diagonal(self):
+        d = np.array([[-3.0, 0.1, 2.0, -40.0], [0.0, 1e-8, -1e-3, 5.0]])
+        ms = np.zeros((2, 4, 4))
+        ms[:, range(4), range(4)] = d
+        got = ln.expm_batch(ms)
+        assert not np.any(got[:, ~np.eye(4, dtype=bool)])
+        assert np.allclose(got[:, range(4), range(4)], np.exp(d), rtol=1e-13, atol=0.0)
+
+    def test_ten_or_more_squarings(self):
+        # 1-norms of 4000 and 3397.5 take s = 11 and 10 halvings to the last
+        # theta: a rotation by 4000 radians and a stiff symbol at t = 30
+        theta = ln._TAYLOR[-1][1]
+        rot = np.array([[0.0, 4000.0], [-4000.0, 0.0]])
+        gen = 30.0 * ln.symbol_matrix(7.5, -7.0, 0.0)
+        for m in (rot, gen):
+            assert np.abs(m).sum(axis=0).max() / theta > 2.0 ** 9
+            within_three_scipy(m[None])
+        got = ln.expm_batch(rot)
+        c, s = float(mp.cos(4000)), float(mp.sin(4000))
+        assert np.allclose(got, [[c, s], [-s, c]], rtol=0.0, atol=1e-12)
+
+    def test_each_matrix_has_the_bits_of_its_own_call(self):
+        rng = np.random.default_rng(5)
+        for d, n in ((1, 37), (3, 50), (5, 41), (12, 30)):
+            ms = rng.standard_normal((n, d, d)) * 10.0 ** rng.uniform(-2, 1.5, (n, 1, 1))
+            ms = ms + 1j * rng.standard_normal((n, d, d)) if d % 2 else ms
+            got = ln.expm_batch(ms)
+            for k in range(n):
+                assert got[k].tobytes() == ln.expm_batch(ms[k]).tobytes()
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_oracle_matrices(self, t):
+        # the oracle's seed-0 batch: all of it against scipy, and against
+        # mpmath its 20 largest 1-norms, 20 more at random and its worst mode
+        gen = t * oracle_generators()
+        assert np.max(rel_err(ln.expm_batch(gen), scipy.linalg.expm(gen))) <= 5e-13
+        norms = np.abs(gen).sum(axis=-2).max(axis=-1)
+        picked = np.argsort(norms)[-20:].tolist() + list(range(0, 1000, 50))
+        worst = ln.oracle_scan(samples=1000, seed=0)["worst"]
+        m = t * ln.symbol_matrix(worst["xi"], worst["eta"], 0.0)
+        ours, theirs = within_three_scipy(np.concatenate([gen[picked], m[None]]))
+        assert ours <= 1e-13
 
 
 def char_poly_roots(xi, eta):

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mhdlab import grid as gr
 from mhdlab import linear as ln
 from mhdlab import solver as sv
+from test_linear import rel_err, within_three_scipy
 
 
 @pytest.fixture
@@ -829,12 +831,12 @@ class TestStepperBuild:
             assert np.max(per_mode_error(got, ref[:, :nc])[band]) <= 1e-15
             assert not np.any(got[~band])
 
-    # at 256^2 the 2/3 band holds 86 x 86 modes with xi >= 0, 6 blocks of at
-    # most 16 rows; at fraction 1 the 129 x 129 modes with xi >= 0 and the
-    # -Nyquist row are built, in 9 blocks
-    @pytest.mark.parametrize("fraction,n_blocks,modes", [(2.0 / 3.0, 6, 7396), (1.0, 9, 16641)],
+    # at 256^2 the 2/3 band holds 86 x 86 modes with xi >= 0 in 86 rows; at
+    # fraction 1 the 128 rows with xi >= 0 and the -Nyquist row are built,
+    # 129 x 129 modes; each block holds at most _BUILD_ROWS of the rows
+    @pytest.mark.parametrize("fraction,n_rows,modes", [(2.0 / 3.0, 86, 7396), (1.0, 129, 16641)],
                              ids=["two-thirds", "no-dealias"])
-    def test_one_real_expm_batch_per_block(self, monkeypatch, fraction, n_blocks, modes):
+    def test_one_real_expm_batch_per_block(self, monkeypatch, fraction, n_rows, modes):
         calls = []
 
         def recorded(ms):
@@ -844,9 +846,37 @@ class TestStepperBuild:
         monkeypatch.setattr(sv, "expm_batch", recorded)
         g = gr.make_grid(256, 256, 64 * np.pi, 64 * np.pi)
         sv.Stepper(g, 0.05, 0.05, fraction)
-        assert len(calls) == n_blocks
+        assert len(calls) == -(-n_rows // sv._BUILD_ROWS)
         assert all(dtype == np.float64 and shape[1:] == (12, 12) for dtype, shape in calls)
         assert sum(shape[0] for _, shape in calls) == modes
+
+    def test_build_batches_against_scipy_and_mpmath(self, monkeypatch):
+        # the 256^2 build's real 12x12 batches, all against scipy and the four
+        # of largest 1-norm against mpmath
+        batches = []
+        monkeypatch.setattr(sv, "expm_batch", lambda ms: batches.append(ms) or ln.expm_batch(ms))
+        sv.Stepper(gr.make_grid(256, 256, 64 * np.pi, 64 * np.pi), 0.05, 0.05)
+        ms = np.concatenate(batches)
+        assert ms.dtype == np.float64 and ms.shape == (7396, 12, 12)
+        assert np.max(rel_err(ln.expm_batch(ms), scipy.linalg.expm(ms))) <= 1e-15
+        norms = np.abs(ms).sum(axis=-2).max(axis=-1)
+        within_three_scipy(ms[np.argsort(norms)[-4:]])
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3], ids=["lam0", "lam0.3"])
+    def test_stiff_complex_batch_against_scipy_and_mpmath(self, lam):
+        # the complex augmented batch of reference_propagators on _STIFF, 1-norms
+        # up to 13.7 at lam 0 and 34.1 at lam 0.3, squared back 2 and 4 times:
+        # all against scipy, and its three largest 1-norms and three more
+        # against mpmath
+        gen = ln.symbol_matrix(_STIFF.XI, _STIFF.ETA, lam).reshape(-1, 4, 4)
+        aug = np.zeros((gen.shape[0], 12, 12), dtype=complex)
+        aug[:, 0:4, 0:4] = gen
+        aug[:, 0:4, 4:8] = aug[:, 4:8, 8:12] = np.eye(4)
+        aug *= 0.05
+        assert np.max(rel_err(ln.expm_batch(aug), scipy.linalg.expm(aug))) <= 1e-14
+        norms = np.abs(aug).sum(axis=-2).max(axis=-1)
+        assert norms.max() / ln._TAYLOR[-1][1] > 2.0
+        within_three_scipy(aug[np.argsort(norms)[-3:].tolist() + [1, 100, 777]])
 
 
 class TestSimulate:
@@ -1031,7 +1061,8 @@ class TestSimulate:
 
 # sha256 of the states of 20 steps with dt = 0.05, one after the other,
 # recorded with the momentum advection in Lamb form, lambda in the
-# propagators and E on the dealias band: a step must keep every bit, the sign
+# propagators, E on the dealias band and the propagators from the Taylor
+# exponential of linear.expm_batch: a step must keep every bit, the sign
 # of every zero included.  Each case starts once from rough_state(grid, 7,
 # 0.05), every mode populated, and once from band-limited random data; either
 # way every coefficient outside the band is +0 from the first step on.
@@ -1039,32 +1070,33 @@ class TestSimulate:
 # mode in the band) and the smallest grid.
 _STEP_DIGESTS = [
     (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.4, 2.0 / 3.0,
-     "115b7c8bc249d672966c00e5e93fe0fae1a73ca8ba25866ddf99b85d7492fd1e",
-     "d1969140c6863df9e27b313b5db17d7f3ecf1e8dbdb23b4bb4ac28b272c06bdd"),
+     "8b42501c301e72fe424e6b8bcd19cb30abefc60674a9232f95bcf113373c674b",
+     "18880fe5f38d7eefbb52bea7c9e00e5e4425e11bb4bd934cc94383d385989a97"),
     (gr.make_grid(64, 48, 16 * np.pi, 12 * np.pi), 0.3, 2.0 / 3.0,
-     "204ea3970284329f44253124f4b5fd31e48afc85aa09289222a44b801d96094c",
-     "be4f1211076efce1059bf430c6275366f45b46b40a2153a7dc118d0cd003b60f"),
+     "e5157c5d67502f5420383d524cde96f9784dfbe67b2ea20d9f2fc04e1a1624f1",
+     "686e3c96366fbb5b3c5e72a0386bd79079baf08aa073ff162638267db3572df9"),
     (gr.make_grid(32, 32, 2 * np.pi, 2 * np.pi), 0.2, 1.0,
-     "b287109145ba567c49346cea3f22f6812d39e48cfaf4acde251b54267cdb5421",
-     "6bcaf438e69e9d151bf2cae1811c8760b22607967f393d988f4a008aae41ec59"),
+     "0d867b96145cba749b4a79833dc31d76bd46a8d7db7dc60651399ee3ff13d26c",
+     "c032ef8ad0d6200b24d5d6ec8e70011e64daec1268ccec56fad516f90d72200f"),
     (gr.make_grid(4, 4, 2 * np.pi, 2 * np.pi), 0.2, 2.0 / 3.0,
-     "33720459c59a00ea00268d0605992931281a418fd482ab07ef1cf1c6161a3da9",
+     "cda1e4658d030f1b2289336dd61f42f90339934ab0910067eeebcb7a912b13d4",
      "64a691dffb6df71029e74998b22871fa599195eb6f4bdfe6ab3df7a5c2302db0"),
 ]
 
 # sha256 of every file but the manifest of a 64^2 run to T = 1 with field
 # checkpoints; the fields kept their bytes through the Lamb form, whose
-# change of the right-hand side is at the rounding level
+# change of the right-hand side is at the rounding level, and were recorded
+# again with the Taylor exponential of linear.expm_batch
 _RUN_DIGESTS = {
-    "trajectory.csv": "724a956375c032757fa5f9f425ba81a220355595e67d0636a9f9cecea72514c7",
+    "trajectory.csv": "296c552b084a6314a02eefb03a379e937797708b2ae74877df1a6967b640009c",
     "n_t0.bin": "3bca4a29cb248a34658a64164372b330886ac28a44f12684f22dd061ba438eb6",
     "u_t0.bin": "b0b24e36b64ef793beaa0ac5f0d347ce31aa394e42ae8eb37ae7b8e37d6f9e79",
     "v_t0.bin": "780f45c66c11921851876473a3902259d29107e6ab7672b205a405be5f60b3e9",
     "psi_t0.bin": "09d2437373669eae5db82e5e9941dfd21aeca62cf7784fd7fd1a3828e242ad92",
-    "n_t1.bin": "b5cedc1da4886886ab6db4b9e4989b9bf93eca086339500e271be93c7beb771a",
-    "u_t1.bin": "a8c530cccc08b6356cc8a7bc32f185a79d8c314aebfcec6631c32c2973f53f7e",
-    "v_t1.bin": "fabe055f02f1a76de7d0ba6add8e8579539d9f4787eed286f022ec70eb34b1af",
-    "psi_t1.bin": "773202a083001cc66510487685a7084865826786f0a8d5529bc2807bd2a0b135",
+    "n_t1.bin": "811e9dddcf550b37251d4ebbffa884ea90b29112b86f579ee209351e83ce429d",
+    "u_t1.bin": "496f78a76f82bb4a2c3d3448493779b6a7390725e25157a0ddfb8f72c10e58d6",
+    "v_t1.bin": "31851c526101425eb394a3902b1dbf9535ccbd7fc25fdb6215e2a6fa87eef766",
+    "psi_t1.bin": "c80c03e3174a06529a74833d16d3005ff1ac0ee21bef90743b4e2e388214c30e",
 }
 
 
