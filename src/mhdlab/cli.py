@@ -68,7 +68,7 @@ def cmd_kernel_scan(ns) -> int:
     XI, ETA = np.meshgrid(ks, ks, indexing="ij")
     for t in ts:
         kv = _kernel.kernel_values(t, XI, ETA)
-        env = [_kernel.bound_envelope(i, t, XI, ETA, ns.c_decay) for i in range(1, 9)]
+        env = _kernel.bound_envelope(tuple(range(1, 9)), t, XI, ETA, ns.c_decay)
         for i in range(ns.n):
             for j in range(ns.n):
                 rows.append([t, XI[i, j], ETA[i, j], kv.A[i, j], kv.K[i, j],

@@ -14,8 +14,6 @@ difference in the argument c.  All kernel symbols are real functions of
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 __all__ = [
@@ -394,18 +392,6 @@ def _all_scalar(*xs) -> bool:
     return all(np.ndim(x) == 0 for x in xs)
 
 
-def _undamped(z, t, half: int):
-    """sinch(z, t) for half 0, coshc(z, t) for half 1: the entire continuations
-    of sinh(t*sqrt(z))/sqrt(z) and cosh(t*sqrt(z)), sin- and cos-form for z < 0."""
-    z, t = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(t, dtype=float))
-    zf, tf = np.ravel(z), np.ravel(t)
-    a = np.zeros(zf.size)
-    out = np.empty(zf.size)
-    _damped_pair(out if half == 0 else None, out if half == 1 else None,
-                 zf, a, tf, np.exp(-a * tf), np.negative(zf), _Workspace(zf.size))
-    return _as_result(out.reshape(z.shape), z.ndim == 0)
-
-
 # The symbols a batch evaluation can return, besides the coordinates t, xi,
 # eta and the mode radius A, which every evaluation carries.
 KERNEL_FIELDS = ("K", "K1", "dtK", "ddtK", "comp", "comp_x", "dt_comp", "ddt_comp", "dtK1")
@@ -595,12 +581,19 @@ def _envelope_terms(t, xi, eta, c_decay):
     return t_, xi_, eta_, A, hi, lo, aniso
 
 
-def bound_envelope(which: int, t, xi, eta, c_decay: float = DEFAULT_C_DECAY):
-    """Right-hand side of pointwise kernel estimate number `which` (1..8)."""
+def bound_envelope(which, t, xi, eta, c_decay: float = DEFAULT_C_DECAY):
+    """Right-hand side of pointwise kernel estimate number `which` (1..8).
+
+    Given a tuple of ids it returns the tuple of their right-hand sides: the
+    terms they share are computed once, and each entry is bitwise the value
+    of its one-id call.
+    """
     if not 0.0 < c_decay < np.inf:
         raise ValueError(f"c_decay must be positive and finite, got {c_decay!r}")
-    if which not in range(1, 9):
-        raise ValueError(f"unknown estimate id {which}; expected 1..8")
+    ids = which if isinstance(which, tuple) else (which,)
+    for i in ids:
+        if i not in range(1, 9):
+            raise ValueError(f"unknown estimate id {i}; expected 1..8")
     t_, xi_, eta_, A, hi, lo, aniso = _envelope_terms(t, xi, eta, c_decay)
     trans = (A >= 1.0).astype(float) * np.exp(-0.5 * t_)
     scalar = _all_scalar(t, xi, eta)
@@ -620,24 +613,27 @@ def bound_envelope(which: int, t, xi, eta, c_decay: float = DEFAULT_C_DECAY):
         def z(term):
             return np.where(np.isnan(term), 0.0, term)
 
-        if which == 1:
-            out = z(hi * iA4) + z(lo * np.minimum(i_axixeta, iA4)) + z(aniso * iA4)
-        elif which == 2:
-            out = z(hi * iA4) + z(lo * np.minimum(iA2 * iA, iA * i_eta)) + z(aniso * xi2 * iA6)
-        elif which == 3:
-            out = z(hi * iA4) + z(lo * np.minimum(iA2, i_eta)) + z(aniso * xi4 * iA8)
-        elif which == 4:
-            out = z(hi * iA2) + z(lo * np.minimum(i_xi, iA2)) + z(aniso * iA2)
-        elif which == 5:
-            # the time-derivative combinations below do not vanish at t = 0
-            # (this one equals 1 there for every mode), so the high-frequency
-            # branch keeps the O(1) short-time transient exp(-t/2), which the
-            # damped branches beat; without it no finite prefactor exists.
-            out = z(hi * iA2) + trans + lo + z(aniso * xi2 * iA4)
-        elif which == 6:
-            out = z(hi * iA2) + trans * A * A + lo * A + z(aniso * xi4 * iA6)
-        elif which == 7:
-            out = z(hi * iA2) + z(lo * iA) + z(aniso * xi2 * iA4)
-        else:
-            out = z(hi * iA2) + trans + lo + z(aniso * xi4 * iA6)
-    return _as_result(out, scalar)
+        def envelope(which):
+            if which == 1:
+                return z(hi * iA4) + z(lo * np.minimum(i_axixeta, iA4)) + z(aniso * iA4)
+            if which == 2:
+                return (z(hi * iA4) + z(lo * np.minimum(iA2 * iA, iA * i_eta))
+                        + z(aniso * xi2 * iA6))
+            if which == 3:
+                return z(hi * iA4) + z(lo * np.minimum(iA2, i_eta)) + z(aniso * xi4 * iA8)
+            if which == 4:
+                return z(hi * iA2) + z(lo * np.minimum(i_xi, iA2)) + z(aniso * iA2)
+            if which == 5:
+                # the time-derivative combinations below do not vanish at t = 0
+                # (this one equals 1 there for every mode), so the high-frequency
+                # branch keeps the O(1) short-time transient exp(-t/2), which the
+                # damped branches beat; without it no finite prefactor exists.
+                return z(hi * iA2) + trans + lo + z(aniso * xi2 * iA4)
+            if which == 6:
+                return z(hi * iA2) + trans * A * A + lo * A + z(aniso * xi4 * iA6)
+            if which == 7:
+                return z(hi * iA2) + z(lo * iA) + z(aniso * xi2 * iA4)
+            return z(hi * iA2) + trans + lo + z(aniso * xi4 * iA6)
+
+        out = tuple(_as_result(envelope(i), scalar) for i in ids)
+    return out if isinstance(which, tuple) else out[0]

@@ -627,7 +627,8 @@ def symbol_norm(symbol_id: str, region, q_xi: float, q_eta: float, t: float) -> 
                              theta_levels=8 + 6 * mult, carry=carry)
     else:
         def eval_at(mult):
-            return float(_mixed_cartesian(symbol_fn, times, region, q_xi, q_eta, mult)[0])
+            return float(_mixed_cartesian(_per_time(symbol_fn), times, region, q_xi, q_eta,
+                                          mult)[0])
     return _refined(eval_at, f"symbol_norm({symbol_id}, t={t})")
 
 
@@ -703,7 +704,13 @@ def _panel_edges(lo: np.ndarray, hi: np.ndarray, n_base: int) -> list:
     return groups
 
 
-def _mixed_cartesian(symbol_fn, times, region, q_xi: float, q_eta: float,
+def _per_time(symbol_fn):
+    """A symbol fn(t, xi, eta) as a binding of _mixed_cartesian that computes
+    nothing ahead of the times: bound to (xi, eta) it calls fn(t, xi, eta)."""
+    return lambda xi, eta: lambda t: symbol_fn(t, xi, eta)
+
+
+def _mixed_cartesian(bind, times, region, q_xi: float, q_eta: float,
                      mult: int) -> np.ndarray:
     """Nested norm at each of `times` (a 1-D array, see _check_times): inner
     over eta for fixed xi, outer over xi (quadrant x4 via evenness, i.e. x2
@@ -711,9 +718,11 @@ def _mixed_cartesian(symbol_fn, times, region, q_xi: float, q_eta: float,
 
     The mesh depends on (region, mult) only and is built once for all times.
     The eta panels of every xi node are built at once, one array per group
-    of nodes with equal edge counts; each time makes one symbol_fn call on
-    all of them, and each group reduces its nodes' inner norms row by row,
-    which gives each node the value of its own slice reduced alone.
+    of nodes with equal edge counts.  `bind(xi, eta)` is called once, on all
+    of them, and returns the symbol's evaluation at one time, which each time
+    calls once (see _per_time for a symbol of (t, xi, eta)); each group
+    reduces its nodes' inner norms row by row, which gives each node the
+    value of its own slice reduced alone.
     """
     times = _check_times(times)
     rho_lo, rho_hi = _region_rho_range(region)
@@ -731,13 +740,15 @@ def _mixed_cartesian(symbol_fn, times, region, q_xi: float, q_eta: float,
     if live.size:
         groups = [(live[rows], *_gauss_panels(edges, 6))
                   for rows, edges in _panel_edges(e_lo[live], e_hi[live], 10 * mult)]
-        xi_b = np.concatenate([np.repeat(xi_nodes[i], eta.shape[1]) for i, eta, _ in groups])
-        eta_b = np.concatenate([eta.ravel() for _, eta, _ in groups])
+        # the flat nodes live only as long as the binding keeps them (peak RSS)
+        at = bind(np.concatenate([np.repeat(xi_nodes[i], eta.shape[1])
+                                  for i, eta, _ in groups]),
+                  np.concatenate([eta.ravel() for _, eta, _ in groups]))
     out = np.empty(times.size)
     for k, t in enumerate(times):
         inner = np.zeros_like(xi_nodes)  # a node whose eta chord is empty stays 0
         if groups:
-            vals = np.abs(symbol_fn(t, xi_b, eta_b))
+            vals = np.abs(at(t))
             stop = 0
             for i, eta, eta_w in groups:
                 start, stop = stop, stop + eta.size

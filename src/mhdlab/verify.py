@@ -83,6 +83,20 @@ def _seeded_scan(claim_id, run, samples, seed, cap) -> ScanResult:
     return _finish(claim_id, 2 * samples, coarse, fine, worst, cap)
 
 
+def _blocked_max(n, block_max) -> tuple[float, dict]:
+    """The max ratio of n drawn samples and its worst location, taken over
+    blocks of kernel._CHUNK samples so that only one block's temporaries are
+    live (peak RSS).  block_max(block) returns a block's max and location for
+    a slice of the draws; the result is that of np.argmax over all n, the
+    first maximum or the first nan."""
+    best = None
+    for start in range(0, n, _kernel._CHUNK):
+        r, w = block_max(slice(start, start + _kernel._CHUNK))
+        if best is None or r > best[0] or (math.isnan(r) and not math.isnan(best[0])):
+            best = (r, w)
+    return best
+
+
 def _ratio_scan(lhs, rhs, coords) -> tuple[float, dict]:
     """Max lhs/rhs with 0-safe and inf-safe semantics, plus worst location."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -115,8 +129,9 @@ def _kernel_scans(n_t: int, n_a: int, n_angle: int, c_decay: float,
                   cap: float) -> dict[int, ScanResult]:
     """The results of all eight estimates from one log-log scan.
 
-    Each scan time makes one kernel.noise_floors call; every estimate takes
-    its symbol, less its rounding floor, from that call.
+    Each scan time makes one kernel.noise_floors call and one
+    kernel.bound_envelope call for all eight ids; every estimate takes its
+    symbol, less its rounding floor, and its envelope from those calls.
     """
     if n_t < 2:
         raise ValueError(f"invalid-budget: n_t must be at least 2 (t = 0 and one "
@@ -137,15 +152,14 @@ def _kernel_scans(n_t: int, n_a: int, n_angle: int, c_decay: float,
         best = {which: (0.0, {}) for which in _ESTIMATES}
         for t in ts:
             kv, floors = _kernel.noise_floors(t, xi, eta)
-            lhs = {which: np.maximum(np.abs(symbol(kv)) - floors[floor_key], 0.0)
-                   for which, (symbol, floor_key) in _ESTIMATES.items()}
-            # the kernel values go, and each lhs after its envelope, so fewer
-            # arrays are live beside an envelope's temporaries (peak RSS)
+            lhs = [np.maximum(np.abs(symbol(kv)) - floors[floor_key], 0.0)
+                   for symbol, floor_key in _ESTIMATES.values()]
+            # the kernel values go before the envelopes' temporaries come (peak RSS)
             del kv, floors
+            rhs = _kernel.bound_envelope(tuple(_ESTIMATES), t, xi, eta, c_decay)
             coords = {"t": t * np.ones_like(xi), "xi": xi, "eta": eta}
-            for which in _ESTIMATES:
-                rhs = _kernel.bound_envelope(which, t, xi, eta, c_decay)
-                r, w = _ratio_scan(lhs.pop(which), rhs, coords)
+            for which, lhs_w, rhs_w in zip(_ESTIMATES, lhs, rhs):
+                r, w = _ratio_scan(lhs_w, rhs_w, coords)
                 if r > best[which][0]:
                     best[which] = (r, w)
         return best
@@ -224,11 +238,14 @@ def check_elem1(samples: int = 20000, seed: int = 0, cap: float = 20.0) -> ScanR
         b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 2, n)
         c = 10.0 ** rng.uniform(-6, 2, n)
         t = 10.0 ** rng.uniform(-3, 2, n)
-        ratio = elem1_ratio(b, c, t)
-        idx = int(np.argmax(ratio))
-        worst = {"b": float(b[idx]), "c": float(c[idx]), "t": float(t[idx]),
-                 "ratio": float(ratio[idx])}
-        return float(ratio[idx]), worst
+
+        def block_max(block):
+            bb, cc, tt = b[block], c[block], t[block]
+            ratio = elem1_ratio(bb, cc, tt)
+            idx = int(np.argmax(ratio))
+            return float(ratio[idx]), {"b": float(bb[idx]), "c": float(cc[idx]),
+                                       "t": float(tt[idx]), "ratio": float(ratio[idx])}
+        return _blocked_max(n, block_max)
 
     return _seeded_scan("elem1", max_ratio, samples, seed, cap)
 
@@ -241,10 +258,14 @@ def check_sin_ratio(samples: int = 50000, seed: int = 0, cap: float = 10.0) -> S
         rng = np.random.default_rng(seed_)
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 6, n)
         y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 6, n)
-        lhs = np.abs(np.sinc(x / np.pi) - np.sinc(y / np.pi))
-        s = np.abs(x) + np.abs(y)
-        rhs = np.abs(np.abs(x) - np.abs(y)) * np.minimum(s, 1.0 / s)
-        return _ratio_scan(lhs, rhs, {"x": x, "y": y})
+
+        def block_max(block):
+            xx, yy = x[block], y[block]
+            lhs = np.abs(np.sinc(xx / np.pi) - np.sinc(yy / np.pi))
+            s = np.abs(xx) + np.abs(yy)
+            rhs = np.abs(np.abs(xx) - np.abs(yy)) * np.minimum(s, 1.0 / s)
+            return _ratio_scan(lhs, rhs, {"x": xx, "y": yy})
+        return _blocked_max(n, block_max)
 
     return _seeded_scan("sin_ratio", max_ratio, samples, seed, cap)
 
@@ -256,20 +277,48 @@ def check_sin_ratio(samples: int = 50000, seed: int = 0, cap: float = 10.0) -> S
 _QUAD_C = 0.25
 
 
-def _heat(p, t, xi, eta):  # |k|^beta e^{-c|k|^2 t}
-    return np.hypot(xi, eta) ** p["beta"] * np.exp(-_QUAD_C * (xi**2 + eta**2) * t)
+# Each integrand binds the mesh (xi, eta) once: it computes the t-independent
+# factor pre and exponent arg there, and returns the evaluation
+# pre * exp(arg * t) at one time, written into one buffer that the next time
+# reuses.  pre and arg are the left-to-right prefixes of the one-time
+# expressions, so every value keeps its bits.
+
+def _at_times(pre, arg):
+    buf = np.empty_like(arg)
+
+    def at(t):
+        np.multiply(arg, t, out=buf)
+        return np.multiply(pre, np.exp(buf, out=buf), out=buf)
+    return at
 
 
-def _aniso(p, t, xi, eta):  # |xi|^beta / A^alpha e^{-c xi^2/A^2 t}
+def _heat(p, xi, eta):  # |k|^beta e^{-c|k|^2 t}
+    return _at_times(np.hypot(xi, eta) ** p["beta"], -_QUAD_C * (xi**2 + eta**2))
+
+
+def _aniso(p, xi, eta):  # |xi|^beta / A^alpha e^{-c xi^2/A^2 t}
     A = np.hypot(xi, eta)
-    return np.abs(xi)**p["beta"] / A**p["alpha"] * np.exp(-_QUAD_C * xi**2 / A**2 * t)
+    return _at_times(np.abs(xi)**p["beta"] / A**p["alpha"], -_QUAD_C * xi**2 / A**2)
 
 
-def _aniso_cut(p, t, xi, eta):  # the same with beta', cut to |xi| <= A^2, 0 at A = 0
-    A = np.hypot(xi, eta)
-    w = np.where(A > 0, np.abs(xi)**p["beta_prime"] / np.where(A > 0, A, 1)**p["alpha"]
-                 * np.exp(-_QUAD_C * xi**2 / np.where(A > 0, A, 1)**2 * t), 0.0)
-    return w * (np.abs(xi) <= A**2)
+def _aniso_cut(p, xi, eta):  # the same with beta', cut to |xi| <= A^2, 0 at A = 0
+    safe = np.hypot(xi, eta)  # A, then 1 where A = 0
+    cut = (safe > 0) & (np.abs(xi) <= safe**2)
+    safe[~(safe > 0)] = 1.0
+    # in place, each step one operation of the one-time expression, so fewer
+    # mesh arrays are live at once (peak RSS)
+    pre = np.abs(xi)
+    pre **= p["beta_prime"]
+    pre /= safe**p["alpha"]
+    # off the cut the one-time form took its finite pre * exp(arg * t) >= 0
+    # times 0, giving +0; a pre of 0 there gives the same +0 at every time
+    pre[~cut] = 0.0
+    arg = xi**2
+    arg *= -_QUAD_C  # a product commutes: the bits of -_QUAD_C * xi**2
+    safe **= 2
+    arg /= safe
+    del safe
+    return _at_times(pre, arg)
 
 
 _L1 = ((1.0, 1.0),)
@@ -300,10 +349,11 @@ _QUAD_SLOPE_TOL = 0.1
 def _quad_claim(claim: str, times, mult: int) -> np.ndarray:
     """Left-hand side of one basic quadrature claim at each of `times`, on
     the Cartesian quadrature level `mult`: one linear._mixed_cartesian call
-    per norm, which builds the level's mesh once for all times."""
+    per norm, which builds the level's mesh and binds the integrand to it
+    once for all times."""
     params, integrand, region, norms, _ = BASIC_QUAD_CLAIMS[claim]
-    fn = partial(integrand, params)
-    return sum(_linear._mixed_cartesian(fn, times, region, q_xi, q_eta, mult)
+    bind = partial(integrand, params)
+    return sum(_linear._mixed_cartesian(bind, times, region, q_xi, q_eta, mult)
                for q_xi, q_eta in norms)
 
 
@@ -471,8 +521,9 @@ def check_kn3_open(t_grid=None) -> ScanResult:
         kv = _kernel.kernel_values(t, xi, eta, fields=("comp",))
         return kv.A * np.abs(kv.xi) * kv.comp
 
-    vals_le1 = _linear._mixed_cartesian(sym, t_grid, "le1", 2.0, np.inf, 2)
-    vals_ann = _linear._mixed_cartesian(sym, t_grid, ("annulus", 1.0), 2.0, np.inf, 2)
+    bind = _linear._per_time(sym)
+    vals_le1 = _linear._mixed_cartesian(bind, t_grid, "le1", 2.0, np.inf, 2)
+    vals_ann = _linear._mixed_cartesian(bind, t_grid, ("annulus", 1.0), 2.0, np.inf, 2)
     s1, r1 = _linear.fit_loglog(t_grid, vals_le1)
     s2, r2 = _linear.fit_loglog(t_grid, vals_ann)
     return ScanResult(claim_id="kn3_open", samples=2 * len(t_grid), max_ratio=0.0,

@@ -56,30 +56,43 @@ def mp_k1_hat(t, xi, eta):
     return mp.e ** (-a2 * mp.mpf(t) / 2) * (mp_coshc(b + c, t) + mp_coshc(b - c, t)) / 2
 
 
+def undamped(z, t, half):
+    """sinch(z, t) for half 0, coshc(z, t) for half 1: the entire continuations
+    of sinh(t*sqrt(z))/sqrt(z) and cosh(t*sqrt(z)), sin- and cos-form for z < 0,
+    as kernel._damped_pair computes them with no damping (a = 0)."""
+    z, t = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(t, dtype=float))
+    zf, tf = np.ravel(z), np.ravel(t)
+    a = np.zeros(zf.size)
+    out = np.empty(zf.size)
+    kr._damped_pair(out if half == 0 else None, out if half == 1 else None,
+                    zf, a, tf, np.exp(-a * tf), np.negative(zf), kr._Workspace(zf.size))
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
 class TestSinchCoshc:
     def test_sinch_at_zero_argument(self):
-        assert kr._undamped(0.0, 2.5, 0) == 2.5
+        assert undamped(0.0, 2.5, 0) == 2.5
 
     def test_sinch_sin_zero(self):
-        assert abs(kr._undamped(-math.pi**2, 1.0, 0)) < 1e-15
+        assert abs(undamped(-math.pi**2, 1.0, 0)) < 1e-15
 
     def test_sinch_positive(self):
-        assert kr._undamped(1.0, 1.0, 0) == pytest.approx(math.sinh(1.0), rel=1e-14)
+        assert undamped(1.0, 1.0, 0) == pytest.approx(math.sinh(1.0), rel=1e-14)
 
     def test_coshc_at_t_zero(self):
-        assert kr._undamped(7.3, 0.0, 1) == 1.0
+        assert undamped(7.3, 0.0, 1) == 1.0
 
     def test_coshc_cos_pi(self):
-        assert kr._undamped(-math.pi**2, 1.0, 1) == pytest.approx(-1.0, rel=1e-14)
+        assert undamped(-math.pi**2, 1.0, 1) == pytest.approx(-1.0, rel=1e-14)
 
     def test_coshc_positive(self):
-        assert kr._undamped(4.0, 0.5, 1) == pytest.approx(math.cosh(1.0), rel=1e-14)
+        assert undamped(4.0, 0.5, 1) == pytest.approx(math.cosh(1.0), rel=1e-14)
 
     def test_nan_argument_gives_nan(self):
         # a NaN z fails both branch tests, falls to the positive branch and
         # gives NaN, never the contents of uninitialized memory
-        assert math.isnan(kr._undamped(math.nan, 1.0, 0))
-        assert math.isnan(kr._undamped(math.nan, 1.0, 1))
+        assert math.isnan(undamped(math.nan, 1.0, 0))
+        assert math.isnan(undamped(math.nan, 1.0, 1))
         kv = kr.kernel_values(1.0, np.array([math.nan, 1.0]), 0.5)
         assert all(math.isnan(getattr(kv, f)[0]) for f in kr.KERNEL_FIELDS)
 
@@ -90,7 +103,7 @@ class TestSinchCoshc:
             z = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, 6)
             if t * math.sqrt(abs(z)) > 600:
                 continue
-            got_g, got_h = kr._undamped(z, t, 0), kr._undamped(z, t, 1)
+            got_g, got_h = undamped(z, t, 0), undamped(z, t, 1)
             ref_g, ref_h = float(mp_sinch(z, t)), float(mp_coshc(z, t))
             # oscillatory branch tolerance is absolute in the t-scale
             tol_g = 1e-13 * (abs(ref_g) + (1.0 + t if z < 0 else 0.0))
@@ -111,7 +124,7 @@ class TestSinchCoshc:
             transc = math.sinh(t * s) / s if z > 0 else math.sin(t * s) / s
             assert abs(series - transc) <= 1e-12 * (1.0 + abs(transc))
             # and the shipped function agrees with both
-            assert abs(kr._undamped(z, t, 0) - transc) <= 1e-12 * (1.0 + abs(transc))
+            assert abs(undamped(z, t, 0) - transc) <= 1e-12 * (1.0 + abs(transc))
 
 
 class TestDividedDiff:
@@ -129,7 +142,7 @@ class TestDividedDiff:
 
     def test_matches_naive_two_point_when_c_large(self):
         b, c, t = -0.75, 0.3, 1.0
-        naive = (kr._undamped(b + c, t, 0) - kr._undamped(b - c, t, 0)) / (2 * c)
+        naive = (undamped(b + c, t, 0) - undamped(b - c, t, 0)) / (2 * c)
         assert float(kr._dd_damped("sinch", b, c, t, 0.0)) == pytest.approx(naive, rel=1e-11)
 
     @pytest.mark.parametrize("fam", ["sinch", "coshc"])
@@ -338,6 +351,36 @@ class TestBoundEnvelope:
 
     def test_zero_mode_finite_for_item5(self):
         assert kr.bound_envelope(5, 1.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+    IDS = tuple(range(1, 9))
+
+    @pytest.mark.parametrize("t,xi,eta", [(0.0, math.sqrt(2.0), math.sqrt(2.0)),
+                                          (2.0, 0.1, 0.1), (4.0, 0.2, 0.6), (1.0, 0.0, 0.0),
+                                          (30.0, 0.0, 3.0), (0.5, 2.0, 0.0)])
+    def test_tuple_equals_one_id_calls_on_scalars(self, t, xi, eta):
+        got = kr.bound_envelope(self.IDS, t, xi, eta, 0.05)
+        assert isinstance(got, tuple) and len(got) == 8
+        for which, value in zip(self.IDS, got):
+            one = kr.bound_envelope(which, t, xi, eta, 0.05)
+            assert type(value) is float and value.hex() == one.hex(), which
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1e3, "array"])
+    def test_tuple_equals_one_id_calls_on_arrays(self, t):
+        AA, TH = np.meshgrid(np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 15)]),
+                             np.linspace(0.0, np.pi / 2, 9), indexing="ij")
+        xi, eta = AA * np.cos(TH), AA * np.sin(TH)
+        if t == "array":
+            t = np.geomspace(1e-2, 1e3, xi.size).reshape(xi.shape)
+        ids = (8, 3, 3, 1, 5, 2, 7, 6, 4)  # any order, an id may repeat
+        got = kr.bound_envelope(ids, t, xi, eta)
+        for which, value in zip(ids, got, strict=True):
+            assert value.tobytes() == kr.bound_envelope(which, t, xi, eta).tobytes(), which
+
+    def test_bad_id_inside_a_tuple_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"unknown estimate id 9; expected 1\.\.8"):
+            kr.bound_envelope((1, 2, 9), 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="c_decay must be positive and finite"):
+            kr.bound_envelope((1, 9), 1.0, 1.0, 1.0, c_decay=0.0)
 
 
 class TestSelectiveEvaluation:

@@ -1,5 +1,6 @@
 """Tests for the inequality scanners and the aggregated report."""
 
+import hashlib
 import json
 import math
 from functools import partial
@@ -37,6 +38,65 @@ def parent_scan_kernel_bounds(which, n_t=12, n_a=24, n_angle=32,
     samples = (2 * n_t - 1) * 2 * n_a * 2 * n_angle
     return vf._finish(f"prop31_est{which}", samples, coarse, fine, worst, cap,
                       extra={"c_decay": c_decay})
+
+
+def parent_check_elem1(samples=20000, seed=0, cap=20.0):
+    """Reference: the elem1 scan with every draw evaluated at once."""
+    def max_ratio(n, seed_):
+        rng = np.random.default_rng(seed_)
+        b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 2, n)
+        c = 10.0 ** rng.uniform(-6, 2, n)
+        t = 10.0 ** rng.uniform(-3, 2, n)
+        ratio = vf.elem1_ratio(b, c, t)
+        idx = int(np.argmax(ratio))
+        worst = {"b": float(b[idx]), "c": float(c[idx]), "t": float(t[idx]),
+                 "ratio": float(ratio[idx])}
+        return float(ratio[idx]), worst
+
+    return vf._seeded_scan("elem1", max_ratio, samples, seed, cap)
+
+
+def parent_check_sin_ratio(samples=50000, seed=0, cap=10.0):
+    """Reference: the sin-ratio scan with every draw evaluated at once."""
+    def max_ratio(n, seed_):
+        rng = np.random.default_rng(seed_)
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 6, n)
+        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 6, n)
+        lhs = np.abs(np.sinc(x / np.pi) - np.sinc(y / np.pi))
+        s = np.abs(x) + np.abs(y)
+        rhs = np.abs(np.abs(x) - np.abs(y)) * np.minimum(s, 1.0 / s)
+        return vf._ratio_scan(lhs, rhs, {"x": x, "y": y})
+
+    return vf._seeded_scan("sin_ratio", max_ratio, samples, seed, cap)
+
+
+# Reference: the quadrature integrands as one expression of (t, xi, eta) each,
+# evaluated whole at every time.
+def parent_heat(p, t, xi, eta):
+    return np.hypot(xi, eta) ** p["beta"] * np.exp(-vf._QUAD_C * (xi**2 + eta**2) * t)
+
+
+def parent_aniso(p, t, xi, eta):
+    A = np.hypot(xi, eta)
+    return np.abs(xi)**p["beta"] / A**p["alpha"] * np.exp(-vf._QUAD_C * xi**2 / A**2 * t)
+
+
+def parent_aniso_cut(p, t, xi, eta):
+    A = np.hypot(xi, eta)
+    w = np.where(A > 0, np.abs(xi)**p["beta_prime"] / np.where(A > 0, A, 1)**p["alpha"]
+                 * np.exp(-vf._QUAD_C * xi**2 / np.where(A > 0, A, 1)**2 * t), 0.0)
+    return w * (np.abs(xi) <= A**2)
+
+
+PARENT_INTEGRANDS = {vf._heat: parent_heat, vf._aniso: parent_aniso,
+                     vf._aniso_cut: parent_aniso_cut}
+
+
+def parent_quad_claim(claim, times, mult):
+    params, integrand, region, norms, _ = vf.BASIC_QUAD_CLAIMS[claim]
+    fn = vf._linear._per_time(partial(PARENT_INTEGRANDS[integrand], params))
+    return sum(vf._linear._mixed_cartesian(fn, times, region, q_xi, q_eta, mult)
+               for q_xi, q_eta in norms)
 
 
 def parent_check_charpoly(kmax=8.0, n=64):
@@ -105,6 +165,15 @@ class TestKernelBoundScans:
             assert as_json(got) == as_json(parent_scan_kernel_bounds(which, **grid)), which
         assert len(scans) == 1
 
+    def test_one_envelope_call_per_scan_time(self, monkeypatch):
+        calls = []
+        be = kr.bound_envelope
+        monkeypatch.setattr(kr, "bound_envelope", lambda *a: calls.append(a[0]) or be(*a))
+        scans = {}
+        for which in range(1, 9):
+            vf.scan_kernel_bounds(which, scans=scans)
+        assert calls == [tuple(range(1, 9))] * (12 + 23)  # coarse and fine scan times
+
     def test_without_a_dict_each_call_scans(self):
         a = vf.scan_kernel_bounds(3, n_t=4, n_a=4, n_angle=4)
         assert as_json(a) == as_json(parent_scan_kernel_bounds(3, n_t=4, n_a=4, n_angle=4))
@@ -159,11 +228,22 @@ class TestElem1:
         assert np.isfinite(float(vf.elem1_ratio(-50.0, 1.0, 10.0)))
 
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_blocks_keep_the_whole_batch_result(self, seed):
+        # 20,000 and 40,000 draws: two and three blocks of kernel._CHUNK
+        assert as_json(vf.check_elem1(seed=seed)) == as_json(parent_check_elem1(seed=seed))
+
+
 class TestSinRatio:
     def test_pass(self):
         res = vf.check_sin_ratio(samples=30000, seed=0)
         assert res.verdict == "PASS"
         assert res.fitted_C <= 10.0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_blocks_keep_the_whole_batch_result(self, seed):
+        assert as_json(vf.check_sin_ratio(seed=seed)) \
+            == as_json(parent_check_sin_ratio(seed=seed))
 
     def test_equal_arguments_zero(self):
         x = 1.234
@@ -190,6 +270,29 @@ class TestBasicQuadrature:
         res = vf.check_basic_quadrature(claim)
         assert res.verdict == "PASS", (claim, res.extra)
         assert abs(res.extra["fitted_slope"] - res.extra["target_slope"]) <= 0.1
+
+    @pytest.mark.parametrize("mult", [1, 2])
+    @pytest.mark.parametrize("claim", sorted(vf.BASIC_QUAD_CLAIMS))
+    def test_bound_integrands_keep_the_bits(self, claim, mult):
+        # the check's default grid, and t = 0 where every exponent vanishes
+        times = np.concatenate([[0.0], np.geomspace(100.0, 1e4, 10)])
+        got = vf._quad_claim(claim, times, mult)
+        want = parent_quad_claim(claim, times, mult)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_one_bind_per_level_and_norm(self, monkeypatch):
+        binds = []
+        table = {}
+        for claim, (params, integrand, *rest) in vf.BASIC_QUAD_CLAIMS.items():
+            def counted(p, xi, eta, integrand=integrand):
+                binds.append(xi.size)
+                return integrand(p, xi, eta)
+            table[claim] = (params, counted, *rest)
+        monkeypatch.setattr(vf, "BASIC_QUAD_CLAIMS", table)
+        for claim, (*_, norms, _) in table.items():
+            binds.clear()
+            vf.check_basic_quadrature(claim)
+            assert len(binds) == 2 * len(norms), claim  # levels 1 and 2
 
     def test_t_zero_plain_area(self):
         # without decay the est_At integrand reduces to the area integral
@@ -237,7 +340,8 @@ class TestBasicQuadrature:
     def test_l1_levels_agree_with_the_polar_engine(self, claim, t):
         params, integrand, region, norms, _ = vf.BASIC_QUAD_CLAIMS[claim]
         assert norms == ((1.0, 1.0),)
-        polar = vf._linear._lq_polar(partial(integrand, params), t, region, 1.0, 20, 14)
+        polar = vf._linear._lq_polar(lambda t_, xi, eta: integrand(params, xi, eta)(t_),
+                                     t, region, 1.0, 20, 14)
         assert vf._quad_claim(claim, [t], 2)[0] == pytest.approx(polar, rel=self.POLAR_RTOL[claim])
 
 
@@ -318,6 +422,26 @@ class TestSeededScan:
         assert res.verdict == "PASS" and res.refine_stable
 
 
+class TestBlockedMax:
+    @pytest.mark.parametrize("ratio", [
+        [1.0, 3.0, 2.0, 3.0, 0.5, 3.0, 1.0],
+        [1.0, 2.0, np.nan, 5.0, np.nan, 1.0, 0.0],
+        [np.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        [0.0] * 7,
+    ], ids=["ties", "nan", "nan-first", "zeros"])
+    def test_is_argmax_over_all_draws(self, ratio, monkeypatch):
+        monkeypatch.setattr(kr, "_CHUNK", 2)
+        ratio = np.array(ratio)
+
+        def block_max(block):
+            idx = block.start + int(np.argmax(ratio[block]))
+            return float(ratio[idx]), {"at": idx}
+
+        r, worst = vf._blocked_max(ratio.size, block_max)
+        idx = int(np.argmax(ratio))
+        assert worst == {"at": idx} and r.hex() == float(ratio[idx]).hex()
+
+
 class TestCharpoly:
     def test_equals_scalar_loop(self):
         assert as_json(vf.check_charpoly()) == as_json(parent_check_charpoly())
@@ -357,7 +481,21 @@ class TestRunClaim:
         assert calls == [1]  # not rerun without its seed
 
 
+# sha256 of the report entries (run_all's JSON layout) of the 8 quad: and the
+# 8 prop31_est claims, one shared kernel scan, as recorded before the
+# quadrature integrands bound their mesh and the scan shared its envelopes
+_QUAD_AND_SCAN_DIGEST = "1fddc0ef3a78751106864dc38fc122b69fcfe5a958c8c9ff67df9378beffa52a"
+
+
 class TestRunAll:
+    def test_quad_and_kernel_scan_claims_keep_their_bytes(self, recorded_math):
+        scans = {}
+        cids = sorted(c for c in vf.CLAIMS if c.startswith(("quad:", "prop31_est")))
+        assert len(cids) == 16
+        payload = {cid: vf.run_claim(cid, scans=scans).to_dict() for cid in cids}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == _QUAD_AND_SCAN_DIGEST
+
     def test_kernel_claims_share_one_scan(self, monkeypatch):
         calls, passed = [], {}
         nf = kr.noise_floors
